@@ -20,18 +20,24 @@ def rel_image(structure, name, args):
     """Relational image: last coordinates of relation tuples whose argument
     entries come from the given subsets. Nullary relations return their
     own elements as a subset."""
-    n = structure.signature.arity(name)
+    n, groups = structure.compiled(name)
     if len(args) != n:
         raise ValueError(f"{name} expects {n} arguments, got {len(args)}")
-    carrier = frozenset(structure.carrier)
+    carrier = structure.carrier_set
     args = [frozenset(a) for a in args]
     for a in args:
         if not a <= carrier:
             raise ValueError(f"subset {sorted(a)} is not contained in the carrier")
-    out = set()
-    for t in structure.relations[name]:
-        if all(t[i] in args[i] for i in range(n)):
-            out.add(t[-1])
+    elems = structure.carrier
+    out = []
+    for x, group in zip(elems, groups):
+        for t in group:
+            for a, p in zip(args, t):
+                if elems[p] not in a:
+                    break
+            else:
+                out.append(x)
+                break
     return frozenset(out)
 
 

@@ -19,26 +19,51 @@ class CapacityError(Exception):
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """A total map from a structure carrier into a lattice."""
+    """A total map from a structure carrier into a lattice.
+
+    Construction checks that every carrier element gets a lattice
+    element and records the codes of the values: their positions in the
+    lattice's element order, in carrier order.
+    """
 
     carrier: tuple
     lattice: object
     values: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
-        if set(self.values) != set(self.carrier):
+        values = dict(self.values)
+        object.__setattr__(self, "values", values)
+        if values.keys() != set(self.carrier):
             raise ValueError("map must assign a value to every carrier element")
-        for v in self.values.values():
-            if v not in self.lattice.element_set:
-                raise ValueError(f"{v!r} is not an element of the lattice")
+        index = self.lattice.index
+        codes = []
+        for x in self.carrier:
+            pos = index.get(values[x])
+            if pos is None:
+                raise ValueError(f"{values[x]!r} is not an element of the lattice")
+            codes.append(pos)
+        object.__setattr__(self, "_codes", tuple(codes))
+
+    @classmethod
+    def _from_codes(cls, carrier, lattice, codes):
+        """The map with the given codes, which the caller took from the
+        lattice's own positions; its values are the canonical elements."""
+        m = object.__new__(cls)
+        els = lattice.elements
+        m.__dict__.update(
+            carrier=carrier,
+            lattice=lattice,
+            values=dict(zip(carrier, [els[c] for c in codes])),
+            _codes=codes,
+        )
+        return m
 
     def __call__(self, x):
         return self.values[x]
 
     def key(self):
-        """Hashable identity: the value tuple in carrier order."""
-        return tuple(self.values[x] for x in self.carrier)
+        """Hashable identity over one lattice and carrier: the codes."""
+        return self._codes
 
 
 def _check_compatible(a, b):
@@ -49,34 +74,43 @@ def _check_compatible(a, b):
 
 
 def conv_op(lattice, structure, name, args):
-    """Apply the named relation of the structure as an operation on maps."""
-    n = structure.signature.arity(name)
+    """Apply the named relation of the structure as an operation on maps.
+
+    The value at x is the join, over the relation tuples ending in x, of
+    the meets of the argument values at the tuple entries. It is computed
+    in positions: the structure's compiled relation, the argument codes
+    and the lattice's meet and join tables.
+    """
+    n, groups = structure.compiled(name)
     if len(args) != n:
         raise ValueError(f"{name} expects {n} arguments, got {len(args)}")
     carrier = tuple(structure.carrier)
     for a in args:
-        if tuple(a.carrier) != carrier:
+        if a.carrier is not carrier and tuple(a.carrier) != carrier:
             raise ValueError("argument carrier does not match the structure")
         if a.lattice is not lattice and a.lattice != lattice:
             raise ValueError("argument lattice mismatch")
-    by_result = {}
-    for t in structure.relations[name]:
-        by_result.setdefault(t[-1], []).append(t)
-    top = lattice.top
-    bottom = lattice.bottom
-    meet = lattice.meet
-    values = {}
-    for x in carrier:
-        meets = []
-        for t in by_result.get(x, ()):
-            m = top
-            for i in range(n):
-                m = meet(m, args[i].values[t[i]])
-                if m == bottom:
-                    break
-            meets.append(m)
-        values[x] = lattice.join_all(meets)
-    return LatticeMap(carrier, lattice, values)
+    meet, join = lattice.meet_table, lattice.join_table
+    bottom, top = lattice.bottom_code, lattice.top_code
+    codes = [a._codes for a in args]
+    out = []
+    if n == 2:
+        c0, c1 = codes
+        for group in groups:
+            acc = bottom
+            for p, q in group:
+                acc = join[acc][meet[c0[p]][c1[q]]]
+            out.append(acc)
+    else:
+        for group in groups:
+            acc = bottom
+            for t in group:
+                m = top
+                for c, p in zip(codes, t):
+                    m = meet[m][c[p]]
+                acc = join[acc][m]
+            out.append(acc)
+    return LatticeMap._from_codes(carrier, lattice, tuple(out))
 
 
 def pointwise_join(a, b):
@@ -129,11 +163,18 @@ def enumerate_maps(lattice, carrier, max_maps=10**6):
     ``max_maps``.
     """
     carrier = tuple(carrier)
+    count_maps(lattice, carrier, max_maps)
+    for codes in product(range(len(lattice.elements)), repeat=len(carrier)):
+        yield LatticeMap._from_codes(carrier, lattice, codes)
+
+
+def count_maps(lattice, carrier, max_maps=10**6):
+    """Number of maps from the carrier into the lattice; raises
+    CapacityError when it exceeds ``max_maps``."""
     total = len(lattice.elements) ** len(carrier)
     if total > max_maps:
         raise CapacityError(f"{total} maps exceed the bound {max_maps}")
-    for combo in product(lattice.elements, repeat=len(carrier)):
-        yield LatticeMap(carrier, lattice, dict(zip(carrier, combo)))
+    return total
 
 
 def random_map(rng, lattice, carrier):

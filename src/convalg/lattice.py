@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 
@@ -108,6 +109,17 @@ class FiniteLattice:
     whether it actually satisfies the adjunction is decided by
     :func:`check_heyting_laws`, so raw non-Heyting lattices may be built
     for negative testing.
+
+    For the convolution layer every element is also a position: its
+    index in ``elements``. ``index`` maps elements to positions, and
+    ``meet_table``/``join_table`` hold the binary operations over
+    positions, with ``bottom_code`` and ``top_code`` as their units. All
+    are built on first use from the lattice's own ``meet`` and ``join``,
+    so an order that is not a lattice can still be constructed; it fails
+    only when a table is asked for.
+
+    Two lattices are equal when they have the same elements in the same
+    canonical order and the same order relation.
     """
 
     def __init__(self, elements, leq):
@@ -154,11 +166,60 @@ class FiniteLattice:
     def neg(self, a):
         return self.impl(a, self.bottom)
 
+    @cached_property
+    def index(self):
+        """Element -> position in ``elements``."""
+        return {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def bottom_code(self):
+        return self.index[self.bottom]
+
+    @cached_property
+    def top_code(self):
+        return self.index[self.top]
+
+    @cached_property
+    def meet_table(self):
+        """``meet_table[i][j]`` is the position of the meet of elements i and j."""
+        return self._position_table(self.meet)
+
+    @cached_property
+    def join_table(self):
+        """``join_table[i][j]`` is the position of the join of elements i and j."""
+        return self._position_table(self.join)
+
+    def _position_table(self, op):
+        els, index = self.elements, self.index
+        rows = []
+        for a in els:
+            row = []
+            for b in els:
+                c = op(a, b)
+                pos = index.get(c)
+                if pos is None:
+                    raise ValueError(f"{op.__name__}({a!r}, {b!r}) = {c!r} left the lattice")
+                row.append(pos)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def _order(self):
+        """The order relation over positions: one bitmask of upper bounds per element."""
+        els, leq = self.elements, self._leq
+        return tuple(sum(1 << j for j, b in enumerate(els) if leq(a, b)) for a in els)
+
     def __eq__(self, other):
-        return isinstance(other, FiniteLattice) and self.elements == other.elements
+        if self is other:
+            return True
+        return (
+            isinstance(other, FiniteLattice)
+            and self.elements == other.elements
+            and self._order == other._order
+        )
 
     def __hash__(self):
-        return hash(self.elements)
+        return hash((self.elements, self._order))
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self.elements)} elements)"
@@ -283,6 +344,8 @@ def check_heyting_laws(lat, max_subset_size=2):
     and adjunction checks are exhaustive over elements. Returns a report
     carrying the first counterexample instead of raising.
     """
+    if max_subset_size < 0:
+        raise ValueError(f"max_subset_size must be nonnegative, got {max_subset_size}")
     els = lat.elements
     checks = 0
 

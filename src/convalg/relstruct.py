@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -24,16 +25,17 @@ class Signature:
         for name, arity in self.symbols:
             if arity < 0:
                 raise ValueError(f"negative arity for {name}")
+        object.__setattr__(self, "_arities", dict(self.symbols))
 
     @property
     def names(self):
         return tuple(name for name, _ in self.symbols)
 
     def arity(self, name):
-        for sym, arity in self.symbols:
-            if sym == name:
-                return arity
-        raise ValueError(f"unknown symbol {name!r}")
+        try:
+            return self._arities[name]
+        except KeyError:
+            raise ValueError(f"unknown symbol {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,40 @@ class RelationalStructure:
             name: frozenset(tuple(t) for t in rel) for name, rel in self.relations.items()
         }
         object.__setattr__(self, "relations", normalized)
+        object.__setattr__(self, "_plans", {})
+
+    # Derived views, cached on the instance outside the dataclass fields so
+    # that equality, hashing and repr see only the carrier, signature and
+    # relations.
+
+    @cached_property
+    def carrier_set(self):
+        return frozenset(self.carrier)
+
+    def compiled(self, name):
+        """Relation ``name`` in carrier positions, compiled once: ``(arity, groups)``.
+
+        ``groups[r]`` holds, sorted, the argument positions of every tuple
+        whose result is the carrier element at position r. Raises
+        ValueError for an unknown symbol or for a tuple that
+        :func:`validate_structure` would report.
+        """
+        plan = self._plans.get(name)
+        if plan is None:
+            arity = self.signature.arity(name)
+            index = {x: i for i, x in enumerate(self.carrier)}
+            groups = [[] for _ in self.carrier]
+            for t in self.relations[name]:
+                if len(t) != arity + 1:
+                    raise ValueError(
+                        f"{name}: tuple {t!r} has length {len(t)}, expected {arity + 1}"
+                    )
+                unknown = [x for x in t if x not in index]
+                if unknown:
+                    raise ValueError(f"{name}: tuple {t!r} mentions unknown element {unknown[0]!r}")
+                groups[index[t[-1]]].append(tuple(index[x] for x in t[:-1]))
+            plan = self._plans[name] = (arity, tuple(tuple(sorted(g)) for g in groups))
+        return plan
 
 
 @dataclass(frozen=True)

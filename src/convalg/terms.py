@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .complexalg import all_subsets, rel_image
-from .convolution import CapacityError, conv_op, enumerate_maps
+from .convolution import CapacityError, conv_op, count_maps, enumerate_maps
 from .lattice import check_heyting_laws
 
 
@@ -78,6 +78,10 @@ class ConvolutionAlgebra:
     def apply(self, name, args):
         return conv_op(self.lattice, self.structure, name, list(args))
 
+    def size(self):
+        """Element count; raises CapacityError above ``max_elements``."""
+        return count_maps(self.lattice, self.structure.carrier, self.max_elements)
+
     def elements(self):
         if self._elements is None:
             self._elements = list(
@@ -106,11 +110,16 @@ class ComplexAlgebra:
     def apply(self, name, args):
         return rel_image(self.structure, name, list(args))
 
+    def size(self):
+        """Element count; raises CapacityError above ``max_elements``."""
+        total = 2 ** len(self.structure.carrier)
+        if total > self.max_elements:
+            raise CapacityError(f"{total} subsets exceed the bound {self.max_elements}")
+        return total
+
     def elements(self):
         if self._elements is None:
-            total = 2 ** len(self.structure.carrier)
-            if total > self.max_elements:
-                raise CapacityError(f"{total} subsets exceed the bound {self.max_elements}")
+            self.size()
             self._elements = all_subsets(self.structure.carrier)
         return self._elements
 
@@ -190,16 +199,18 @@ def holds_in(algebra, equation, max_assignments=10**6):
     Assignments run in lexicographic order over the canonical element
     enumeration, so a failing equation always yields the same witness.
     Syntactically identical sides agree without enumeration. Raises
-    CapacityError when the assignment space exceeds ``max_assignments``.
+    CapacityError when the algebra exceeds its element bound or the
+    assignment space exceeds ``max_assignments``; both are decided from
+    the element count, before any element is built.
     """
     if equation.lhs == equation.rhs:
         return EquationCheck(True, None)
     names = equation.variables()
-    els = algebra.elements()
-    n = len(els)
+    n = algebra.size()
     total = n ** len(names)
     if total > max_assignments:
         raise CapacityError(f"{total} assignments exceed the bound {max_assignments}")
+    els = algebra.elements()
     ops = _term_ops(equation.lhs) | _term_ops(equation.rhs)
     tabulable = all(algebra.signature.arity(op) <= 2 for op in ops)
     if tabulable:

@@ -195,6 +195,14 @@ class TestLatticeCheck:
         assert rc == 0
         assert "ok=true" in out
 
+    def test_negative_subset_size_is_usage_error(self, capsys):
+        rc, out, err = run(
+            capsys, ["lattice", "check", "--lattice", "chain:2", "--max-subset-size", "-5"]
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_malformed_file_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("points: a\nopen: z\n")

@@ -5,12 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from convalg import (
     FiniteTopology,
+    LatticeMap,
+    RelationalStructure,
+    Signature,
     chain_lattice,
     check_heyting_laws,
+    conv_op,
     enumerate_topologies,
     lattice_from_order,
     make_topology,
     open_set_heyting,
+    pointwise_join,
 )
 
 
@@ -162,6 +167,10 @@ class TestCheckHeytingLaws:
         assert not report.ok
         assert report.failure.law == "distributivity"
 
+    def test_negative_subset_size_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_heyting_laws(chain_lattice(2), max_subset_size=-5)
+
     def test_every_small_topology_is_heyting(self):
         for t in enumerate_topologies(("1", "2")):
             assert check_heyting_laws(open_set_heyting(t)).ok
@@ -176,3 +185,51 @@ class TestEnumerateTopologies:
     def test_too_many_points(self):
         with pytest.raises(ValueError):
             list(enumerate_topologies("abcde"))
+
+
+class TestLatticeIdentity:
+    def test_equality_includes_the_order(self):
+        up = lattice_from_order(("a", "b"), {("a", "b")})
+        down = lattice_from_order(("a", "b"), {("b", "a")})
+        assert up != down
+        assert up == lattice_from_order(("a", "b"), {("a", "b")})
+        assert hash(up) == hash(lattice_from_order(("a", "b"), {("a", "b")}))
+        assert up.meet_table != down.meet_table
+
+    def test_compatibility_checks_reject_a_map_over_the_reversed_order(self):
+        up = lattice_from_order(("a", "b"), {("a", "b")})
+        down = lattice_from_order(("a", "b"), {("b", "a")})
+        s = RelationalStructure(("p",), Signature((("g", 1),)), {"g": {("p", "p")}})
+        over_up = LatticeMap(("p",), up, {"p": "a"})
+        over_down = LatticeMap(("p",), down, {"p": "a"})
+        assert conv_op(up, s, "g", [over_up]).values == {"p": "a"}
+        with pytest.raises(ValueError, match="lattice mismatch"):
+            conv_op(down, s, "g", [over_up])
+        with pytest.raises(ValueError, match="different lattices"):
+            pointwise_join(over_up, over_down)
+
+    def test_equal_open_set_lattices_from_separate_constructions(self, wedge_topology):
+        assert open_set_heyting(wedge_topology) == open_set_heyting(wedge_topology)
+        assert open_set_heyting(wedge_topology) != chain_lattice(4)
+
+
+class TestPositionTables:
+    def test_tables_follow_meet_and_join(self, wedge_lattice):
+        els = wedge_lattice.elements
+        for i, a in enumerate(els):
+            assert els[wedge_lattice.index[a]] is a
+            for j, b in enumerate(els):
+                assert els[wedge_lattice.meet_table[i][j]] == a & b
+                assert els[wedge_lattice.join_table[i][j]] == a | b
+        assert els[wedge_lattice.bottom_code] == wedge_lattice.bottom
+        assert els[wedge_lattice.top_code] == wedge_lattice.top
+
+    def test_order_that_is_not_a_lattice_constructs_but_has_no_join_table(self):
+        # a and b have two minimal upper bounds, c and d
+        els = ("0", "a", "b", "c", "d", "1")
+        below = {("0", x) for x in els} | {(x, "1") for x in els}
+        below |= {(x, y) for x in ("a", "b") for y in ("c", "d")}
+        lat = lattice_from_order(els, below)
+        assert lat.bottom == "0" and lat.top == "1"
+        with pytest.raises(ValueError, match="no least upper bound"):
+            lat.join_table

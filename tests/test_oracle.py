@@ -1,0 +1,170 @@
+"""The position-coded convolution and relational image against literal references.
+
+``literal_conv`` and ``literal_image`` restate the definitions directly
+over lattice elements and relation tuples: a join over the tuples ending
+at x of the meets of the argument values, and the last coordinates of
+the tuples whose entries lie in the argument subsets. They share no code
+with the compiled relations or the meet and join tables.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from convalg import (
+    App,
+    ComplexAlgebra,
+    ConvolutionAlgebra,
+    Equation,
+    LatticeMap,
+    RelationalStructure,
+    Signature,
+    Var,
+    all_subsets,
+    chain_lattice,
+    conv_op,
+    enumerate_maps,
+    enumerate_topologies,
+    holds_in,
+    lattice_from_order,
+    open_set_heyting,
+    random_map,
+    rel_image,
+)
+
+SIG = Signature((("c", 0), ("g", 1), ("f", 2), ("h", 3)))
+
+
+def literal_conv(lattice, structure, name, args):
+    n = structure.signature.arity(name)
+    values = {}
+    for x in structure.carrier:
+        meets = [
+            lattice.meet_all([args[i].values[t[i]] for i in range(n)])
+            for t in structure.relations[name]
+            if t[-1] == x
+        ]
+        values[x] = lattice.join_all(meets)
+    return values
+
+
+def literal_image(structure, name, args):
+    n = structure.signature.arity(name)
+    return frozenset(
+        t[-1] for t in structure.relations[name] if all(t[i] in args[i] for i in range(n))
+    )
+
+
+def random_structure(rng, size):
+    carrier = tuple(f"x{i}" for i in range(size))
+    relations = {}
+    for name, arity in SIG.symbols:
+        space = list(product(carrier, repeat=arity + 1))
+        relations[name] = rng.sample(space, rng.randint(0, len(space)))
+    return RelationalStructure(carrier, SIG, relations)
+
+
+def n5():
+    """The non-distributive pentagon 0 < a < b < 1, 0 < c < 1."""
+    els = ("0", "a", "b", "c", "1")
+    below = {("0", x) for x in els} | {(x, "1") for x in els} | {("a", "b")}
+    return lattice_from_order(els, below)
+
+
+def lattices():
+    out = [open_set_heyting(t) for k in range(4) for t in enumerate_topologies(range(k))]
+    out += [chain_lattice(n) for n in range(1, 5)]
+    out.append(n5())
+    return out
+
+
+LATTICES = lattices()
+DISCRETE_3 = max(LATTICES, key=lambda lat: len(lat.elements))
+
+
+@pytest.mark.parametrize("lattice", LATTICES, ids=repr)
+def test_conv_op_matches_literal_convolution(lattice):
+    rng = random.Random(len(lattice.elements))
+    for size in (1, 2, 3):
+        s = random_structure(rng, size)
+        for name, arity in SIG.symbols:
+            for _ in range(6):
+                args = [random_map(rng, lattice, s.carrier) for _ in range(arity)]
+                result = conv_op(lattice, s, name, args)
+                assert result.values == literal_conv(lattice, s, name, args)
+                # canonical elements, and codes that name them
+                assert result.key() == tuple(lattice.index[result.values[x]] for x in s.carrier)
+                for x, code in zip(s.carrier, result.key()):
+                    assert result.values[x] is lattice.elements[code]
+
+
+def test_conv_op_exhaustive_on_small_instances():
+    rng = random.Random(5)
+    for lattice in (chain_lattice(1), chain_lattice(2), n5()):
+        s = random_structure(rng, 2)
+        maps = list(enumerate_maps(lattice, s.carrier))
+        for name, arity in SIG.symbols[:3]:
+            for args in product(maps, repeat=arity):
+                assert conv_op(lattice, s, name, list(args)).values == literal_conv(
+                    lattice, s, name, args
+                )
+
+
+def test_rel_image_matches_literal_image():
+    rng = random.Random(9)
+    for size in range(4):
+        for _ in range(4):
+            s = random_structure(rng, size)
+            subsets = all_subsets(s.carrier)
+            for name, arity in SIG.symbols:
+                if arity <= 2:
+                    tuples = product(subsets, repeat=arity)
+                else:
+                    tuples = [[rng.choice(subsets) for _ in range(3)] for _ in range(40)]
+                for args in tuples:
+                    assert rel_image(s, name, list(args)) == literal_image(s, name, args)
+
+
+@pytest.mark.parametrize("lattice", [chain_lattice(1), chain_lattice(3), n5(), DISCRETE_3], ids=repr)
+def test_keys_are_positions_in_enumeration_order(lattice):
+    carrier = ("p", "q", "r")
+    maps = list(enumerate_maps(lattice, carrier))
+    keys = [m.key() for m in maps]
+    assert len(set(keys)) == len(maps)
+    assert keys == list(product(range(len(lattice.elements)), repeat=len(carrier)))
+    values = [tuple(m.values[x] for x in carrier) for m in maps]
+    assert values == list(product(lattice.elements, repeat=len(carrier)))
+
+
+def test_key_of_constructed_map_matches_enumerated_map():
+    lattice = n5()
+    built = LatticeMap(("p", "q"), lattice, {"p": "b", "q": "c"})
+    enumerated = [m for m in enumerate_maps(lattice, ("p", "q")) if m.key() == built.key()]
+    assert enumerated == [built]
+
+
+def count_applies(algebra, equation):
+    calls = []
+    apply = algebra.apply
+
+    def counting(name, args):
+        calls.append(name)
+        return apply(name, args)
+
+    algebra.apply = counting
+    holds_in(algebra, equation)
+    return len(calls)
+
+
+def test_table_scan_makes_one_apply_per_entry():
+    """Mirror of the benchmark self-test: on the 4-element algebras a
+    commutativity check tabulates f with exactly 16 apply calls."""
+    s = RelationalStructure(
+        ("p", "q"), Signature((("f", 2),)), {"f": {("p", "q", "q"), ("q", "q", "p")}}
+    )
+    v, w = Var("v"), Var("w")
+    eq = Equation(App("f", (v, w)), App("f", (w, v)))
+    for algebra in (ConvolutionAlgebra(chain_lattice(1), s), ComplexAlgebra(s)):
+        assert len(algebra.elements()) == 4
+        assert count_applies(algebra, eq) == 16

@@ -111,3 +111,32 @@ class TestConstruction:
     def test_unknown_symbol_lookup(self):
         with pytest.raises(ValueError):
             Signature((("f", 1),)).arity("g")
+
+
+class TestCompiled:
+    def test_groups_by_result_in_positions(self, four_point_structure):
+        arity, groups = four_point_structure.compiled("f")
+        assert arity == 2
+        # x1 x1 -> x1; x2 x2 -> x3; x1 x3 -> x4 and x3 x2 -> x4
+        assert groups == (((0, 0),), (), ((1, 1),), ((0, 2), (2, 1)))
+
+    def test_compiling_leaves_equality_and_repr_alone(self, four_point_structure):
+        fresh = RelationalStructure(
+            four_point_structure.carrier,
+            four_point_structure.signature,
+            dict(four_point_structure.relations),
+        )
+        before = repr(fresh)
+        fresh.compiled("f")
+        assert repr(fresh) == before
+        assert fresh == four_point_structure
+
+    @pytest.mark.parametrize("tuples", [{("a", "b", "b")}, {("a", "z")}])
+    def test_invalid_tuples_are_refused(self, tuples):
+        s = RelationalStructure(("a", "b"), Signature((("f", 1),)), {"f": tuples})
+        with pytest.raises(ValueError):
+            s.compiled("f")
+
+    def test_unknown_symbol(self, four_point_structure):
+        with pytest.raises(ValueError, match="unknown symbol"):
+            four_point_structure.compiled("g")

@@ -90,6 +90,26 @@ class TestHoldsIn:
         with pytest.raises(CapacityError):
             holds_in(alg, three_vars, max_assignments=10**6)
 
+    def test_capacity_skip_builds_no_elements(self, monkeypatch):
+        # 4^8 = 65,536 maps fit the element bound; their pairs do not
+        import convalg.terms
+        from convalg import RelationalStructure, Signature
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a capacity skip must not enumerate maps")
+
+        monkeypatch.setattr(convalg.terms, "enumerate_maps", refuse)
+        carrier = tuple(f"x{i}" for i in range(8))
+        s = RelationalStructure(carrier, Signature((("f", 2),)), {"f": {("x0", "x1", "x2")}})
+        comm = Equation(App("f", (Var("v"), Var("w"))), App("f", (Var("w"), Var("v"))))
+        with pytest.raises(CapacityError, match="^4294967296 assignments exceed the bound 1000000$"):
+            holds_in(ConvolutionAlgebra(chain_lattice(3), s), comm)
+        # the element bound is checked first, with the enumerator's message
+        with pytest.raises(CapacityError, match="^65536 maps exceed the bound 1000$"):
+            holds_in(ConvolutionAlgebra(chain_lattice(3), s, max_elements=1000), comm)
+        with pytest.raises(CapacityError, match="^256 subsets exceed the bound 100$"):
+            holds_in(ComplexAlgebra(s, max_elements=100), comm)
+
     def test_general_path_matches_indexed_path(self):
         # an arity-3 symbol forces the object-level evaluation route
         from convalg import RelationalStructure, Signature
