@@ -29,11 +29,12 @@ def rel_image(structure, name, args):
         if not a <= carrier:
             raise ValueError(f"subset {sorted(a)} is not contained in the carrier")
     elems = structure.carrier
+    inside = [x in a for a in args for x in elems]
     out = []
     for x, group in zip(elems, groups):
         for t in group:
-            for a, p in zip(args, t):
-                if elems[p] not in a:
+            for k in t:
+                if not inside[k]:
                     break
             else:
                 out.append(x)

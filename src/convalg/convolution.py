@@ -36,27 +36,11 @@ class LatticeMap:
         if values.keys() != set(self.carrier):
             raise ValueError("map must assign a value to every carrier element")
         index = self.lattice.index
-        codes = []
-        for x in self.carrier:
-            pos = index.get(values[x])
-            if pos is None:
-                raise ValueError(f"{values[x]!r} is not an element of the lattice")
-            codes.append(pos)
-        object.__setattr__(self, "_codes", tuple(codes))
-
-    @classmethod
-    def _from_codes(cls, carrier, lattice, codes):
-        """The map with the given codes, which the caller took from the
-        lattice's own positions; its values are the canonical elements."""
-        m = object.__new__(cls)
-        els = lattice.elements
-        m.__dict__.update(
-            carrier=carrier,
-            lattice=lattice,
-            values=dict(zip(carrier, [els[c] for c in codes])),
-            _codes=codes,
-        )
-        return m
+        try:
+            codes = tuple([index[values[x]] for x in self.carrier])
+        except KeyError as e:
+            raise ValueError(f"{e.args[0]!r} is not an element of the lattice") from None
+        object.__setattr__(self, "_codes", codes)
 
     def __call__(self, x):
         return self.values[x]
@@ -78,8 +62,9 @@ def conv_op(lattice, structure, name, args):
 
     The value at x is the join, over the relation tuples ending in x, of
     the meets of the argument values at the tuple entries. It is computed
-    in positions: the structure's compiled relation, the argument codes
-    and the lattice's meet and join tables.
+    in positions: the structure's compiled relation indexes the
+    concatenated argument codes, and the lattice's meet and join tables
+    combine them.
     """
     n, groups = structure.compiled(name)
     if len(args) != n:
@@ -92,25 +77,18 @@ def conv_op(lattice, structure, name, args):
             raise ValueError("argument lattice mismatch")
     meet, join = lattice.meet_table, lattice.join_table
     bottom, top = lattice.bottom_code, lattice.top_code
-    codes = [a._codes for a in args]
-    out = []
-    if n == 2:
-        c0, c1 = codes
-        for group in groups:
-            acc = bottom
-            for p, q in group:
-                acc = join[acc][meet[c0[p]][c1[q]]]
-            out.append(acc)
-    else:
-        for group in groups:
-            acc = bottom
-            for t in group:
-                m = top
-                for c, p in zip(codes, t):
-                    m = meet[m][c[p]]
-                acc = join[acc][m]
-            out.append(acc)
-    return LatticeMap._from_codes(carrier, lattice, tuple(out))
+    codes = [c for a in args for c in a._codes]
+    els = lattice.elements
+    values = {}
+    for x, group in zip(carrier, groups):
+        acc = bottom
+        for t in group:
+            m = top
+            for k in t:
+                m = meet[m][codes[k]]
+            acc = join[acc][m]
+        values[x] = els[acc]
+    return LatticeMap(carrier, lattice, values)
 
 
 def pointwise_join(a, b):
@@ -164,8 +142,8 @@ def enumerate_maps(lattice, carrier, max_maps=10**6):
     """
     carrier = tuple(carrier)
     count_maps(lattice, carrier, max_maps)
-    for codes in product(range(len(lattice.elements)), repeat=len(carrier)):
-        yield LatticeMap._from_codes(carrier, lattice, codes)
+    for combo in product(lattice.elements, repeat=len(carrier)):
+        yield LatticeMap(carrier, lattice, dict(zip(carrier, combo)))
 
 
 def count_maps(lattice, carrier, max_maps=10**6):

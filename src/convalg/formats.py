@@ -119,7 +119,7 @@ def _parse_value(token, lattice, i, path):
             value = Fraction(token)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad lattice value {token!r}", i, path) from None
-    if value not in lattice.element_set:
+    if value not in lattice.index:
         raise ParseError(f"{token!r} is not an element of the lattice", i, path)
     return value
 

@@ -111,12 +111,12 @@ class FiniteLattice:
     for negative testing.
 
     For the convolution layer every element is also a position: its
-    index in ``elements``. ``index`` maps elements to positions, and
-    ``meet_table``/``join_table`` hold the binary operations over
-    positions, with ``bottom_code`` and ``top_code`` as their units. All
-    are built on first use from the lattice's own ``meet`` and ``join``,
-    so an order that is not a lattice can still be constructed; it fails
-    only when a table is asked for.
+    index in ``elements``. ``index`` maps elements to positions and also
+    answers membership. ``meet_table``/``join_table`` hold the binary
+    operations over positions, with ``bottom_code`` and ``top_code`` as
+    their units; they are built on first use from the lattice's own
+    ``meet`` and ``join``, so an order that is not a lattice can still be
+    constructed; it fails only when a table is asked for.
 
     Two lattices are equal when they have the same elements in the same
     canonical order and the same order relation.
@@ -126,10 +126,10 @@ class FiniteLattice:
         self.elements = tuple(elements)
         if not self.elements:
             raise ValueError("a lattice needs at least one element")
-        if len(set(self.elements)) != len(self.elements):
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        if len(self.index) != len(self.elements):
             raise ValueError("duplicate lattice elements")
         self._leq = leq
-        self.element_set = frozenset(self.elements)
         self.bottom = self.join_all(())
         self.top = self.meet_all(())
 
@@ -165,11 +165,6 @@ class FiniteLattice:
 
     def neg(self, a):
         return self.impl(a, self.bottom)
-
-    @cached_property
-    def index(self):
-        """Element -> position in ``elements``."""
-        return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
     def bottom_code(self):
@@ -307,7 +302,7 @@ class ChainLattice(FiniteLattice):
         return self.top if a <= b else b
 
     def negation(self, x):
-        if x not in self.element_set:
+        if x not in self.index:
             raise ValueError(f"{x} is not on the chain")
         return 1 - x
 
@@ -413,7 +408,7 @@ def check_heyting_laws(lat, max_subset_size=2):
         for b in els:
             c = lat.impl(a, b)
             checks += 1
-            if c not in lat.element_set:
+            if c not in lat.index:
                 return fail("adjunction", f"impl({a!r}, {b!r}) left the lattice")
             for w in els:
                 checks += 1

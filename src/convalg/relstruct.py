@@ -66,27 +66,27 @@ class RelationalStructure:
         return frozenset(self.carrier)
 
     def compiled(self, name):
-        """Relation ``name`` in carrier positions, compiled once: ``(arity, groups)``.
+        """Relation ``name`` in argument slots, compiled once: ``(arity, groups)``.
 
-        ``groups[r]`` holds, sorted, the argument positions of every tuple
-        whose result is the carrier element at position r. Raises
-        ValueError for an unknown symbol or for a tuple that
-        :func:`validate_structure` would report.
+        Argument i at carrier position p is slot ``i * len(carrier) + p``,
+        so the concatenated per-argument sequences of a call answer every
+        entry lookup with one index. ``groups[r]`` holds, sorted, the
+        argument slots of every tuple whose result is the carrier element
+        at position r. Raises ValueError for an unknown symbol or for a
+        tuple that :func:`validate_structure` would report.
         """
         plan = self._plans.get(name)
         if plan is None:
             arity = self.signature.arity(name)
             index = {x: i for i, x in enumerate(self.carrier)}
+            size = len(self.carrier)
             groups = [[] for _ in self.carrier]
             for t in self.relations[name]:
-                if len(t) != arity + 1:
-                    raise ValueError(
-                        f"{name}: tuple {t!r} has length {len(t)}, expected {arity + 1}"
-                    )
-                unknown = [x for x in t if x not in index]
-                if unknown:
-                    raise ValueError(f"{name}: tuple {t!r} mentions unknown element {unknown[0]!r}")
-                groups[index[t[-1]]].append(tuple(index[x] for x in t[:-1]))
+                violation = next(_tuple_violations(name, t, arity + 1, index), None)
+                if violation is not None:
+                    raise ValueError(violation)
+                slots = tuple(i * size + index[x] for i, x in enumerate(t[:-1]))
+                groups[index[t[-1]]].append(slots)
             plan = self._plans[name] = (arity, tuple(tuple(sorted(g)) for g in groups))
         return plan
 
@@ -109,13 +109,19 @@ def validate_structure(s):
     for name in s.signature.names:
         want = s.signature.arity(name) + 1
         for t in sorted(s.relations[name]):
-            if len(t) != want:
-                violations.append(f"{name}: tuple {t!r} has length {len(t)}, expected {want}")
-                continue
-            for entry in t:
-                if entry not in carrier:
-                    violations.append(f"{name}: tuple {t!r} mentions unknown element {entry!r}")
+            violations.extend(_tuple_violations(name, t, want, carrier))
     return StructureReport(not violations, tuple(violations))
+
+
+def _tuple_violations(name, t, length, carrier):
+    """Yield what is wrong with tuple ``t`` of relation ``name``: a wrong
+    length, or else each entry outside ``carrier``."""
+    if len(t) != length:
+        yield f"{name}: tuple {t!r} has length {len(t)}, expected {length}"
+        return
+    for entry in t:
+        if entry not in carrier:
+            yield f"{name}: tuple {t!r} mentions unknown element {entry!r}"
 
 
 def relation_from_operation(carrier, table):

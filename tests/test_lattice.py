@@ -141,7 +141,7 @@ class TestChainLattice:
         lat = chain_lattice(7)
         for x in lat.elements:
             assert lat.negation(lat.negation(x)) == x
-            assert lat.negation(x) in lat.element_set
+            assert lat.negation(x) in lat.index
         for x in lat.elements:
             for y in lat.elements:
                 if x <= y:

@@ -114,11 +114,12 @@ class TestConstruction:
 
 
 class TestCompiled:
-    def test_groups_by_result_in_positions(self, four_point_structure):
+    def test_groups_by_result_in_slots(self, four_point_structure):
         arity, groups = four_point_structure.compiled("f")
         assert arity == 2
-        # x1 x1 -> x1; x2 x2 -> x3; x1 x3 -> x4 and x3 x2 -> x4
-        assert groups == (((0, 0),), (), ((1, 1),), ((0, 2), (2, 1)))
+        # x1 x1 -> x1; x2 x2 -> x3; x1 x3 -> x4 and x3 x2 -> x4, with the
+        # second argument's positions shifted by the carrier size 4
+        assert groups == (((0, 4),), (), ((1, 5),), ((0, 6), (2, 5)))
 
     def test_compiling_leaves_equality_and_repr_alone(self, four_point_structure):
         fresh = RelationalStructure(
