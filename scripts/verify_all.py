@@ -33,7 +33,7 @@ from convalg import (
     same_equations_report,
     verify_main_iso,
 )
-from convalg.cli import worked_example
+from convalg.etale import worked_example
 
 
 def run(label, fn):

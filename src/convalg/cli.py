@@ -13,17 +13,18 @@ import sys
 from pathlib import Path
 
 from .complexalg import rel_image
-from .convolution import CapacityError, LatticeMap, conv_op
+from .convolution import CapacityError, conv_op
 from .etale import (
     ConstantRelationalEtale,
     fiberwise_rel_image,
     per_fiber_rel_image,
     phi,
     verify_main_iso,
+    worked_example,
 )
 from .formats import (
-    ParseError,
     format_element,
+    format_map,
     format_step_function,
     format_subset,
     parse_equations,
@@ -33,10 +34,12 @@ from .formats import (
     parse_subset,
     parse_topology,
 )
-from .lattice import check_heyting_laws, chain_lattice, make_topology, open_set_heyting
-from .relstruct import RelationalStructure, Signature
+from .lattice import check_heyting_laws, chain_lattice, open_set_heyting
 from .terms import format_equation, same_equations_report
 from .type2 import crosscheck, t2_join, t2_meet, t2_neg
+
+# Each cmd_* function returns (status, records, text): the exit status, the
+# --records form as (key, value) pairs, and the human form. main prints one.
 
 
 def _read(path):
@@ -54,24 +57,23 @@ def _load_lattice(selector):
     return open_set_heyting(parse_topology(_read(selector), selector))
 
 
-def _bool(flag):
-    return "true" if flag else "false"
+def _word(value):
+    """Output spelling of a value: bools as true/false, an undecided
+    verdict (None) as skipped."""
+    if value is None:
+        return "skipped"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
 
 
 def cmd_lattice_check(args):
     lat = _load_lattice(args.lattice)
     report = check_heyting_laws(lat, max_subset_size=args.max_subset_size)
-    if args.records:
-        print("command=lattice.check")
-        print(f"elements={len(lat.elements)}")
-        print(f"checks={report.checks}")
-        print(f"ok={_bool(report.ok)}")
-        if not report.ok:
-            print(f"law={report.failure.law}")
-            print(f"detail={report.failure.detail}")
-    else:
-        print(f"lattice with {len(lat.elements)} elements: {report}")
-    return 0 if report.ok else 1
+    records = [("elements", len(lat.elements)), ("checks", report.checks), ("ok", report.ok)]
+    if not report.ok:
+        records += [("law", report.failure.law), ("detail", report.failure.detail)]
+    return 0 if report.ok else 1, records, f"lattice with {len(lat.elements)} elements: {report}"
 
 
 def cmd_conv_eval(args):
@@ -81,26 +83,15 @@ def cmd_conv_eval(args):
         parse_lattice_map(_read(p), structure.carrier, lattice, p) for p in args.arg or []
     ]
     result = conv_op(lattice, structure, args.relation, maps)
-    if args.records:
-        print("command=conv.eval")
-        for x in result.carrier:
-            print(f"result.{x}={format_element(result.values[x])}")
-    else:
-        for x in result.carrier:
-            print(f"{x} -> {format_element(result.values[x])}")
-    return 0
+    records = [(f"result.{x}", format_element(result.values[x])) for x in result.carrier]
+    return 0, records, format_map(result)
 
 
 def cmd_complex_eval(args):
     structure = parse_structure(_read(args.structure), args.structure)
     subsets = [parse_subset(tok) for tok in args.arg or []]
-    result = rel_image(structure, args.relation, subsets)
-    if args.records:
-        print("command=complex.eval")
-        print(f"result={format_subset(result)}")
-    else:
-        print(format_subset(result))
-    return 0
+    result = format_subset(rel_image(structure, args.relation, subsets))
+    return 0, [("result", result)], result
 
 
 def cmd_etale_verify_iso(args):
@@ -108,17 +99,12 @@ def cmd_etale_verify_iso(args):
     structure = parse_structure(_read(args.structure), args.structure)
     lattice = open_set_heyting(topology)
     report = verify_main_iso(lattice, structure, topology, trials=args.trials, seed=args.seed)
-    if args.records:
-        print("command=etale.verify-iso")
-        print(f"seed={args.seed}")
-        print(f"trials={report.trials}")
-        print(f"checks={report.checks}")
-        print(f"ok={_bool(report.ok)}")
-        if not report.ok:
-            print(f"counterexample={report.counterexample}")
-    else:
-        print(str(report))
-    return 0 if report.ok else 1
+    records = [
+        ("seed", args.seed), ("trials", report.trials), ("checks", report.checks), ("ok", report.ok)
+    ]
+    if not report.ok:
+        records.append(("counterexample", report.counterexample))
+    return 0 if report.ok else 1, records, str(report)
 
 
 def cmd_equations_check(args):
@@ -126,31 +112,27 @@ def cmd_equations_check(args):
     structure = parse_structure(_read(args.structure), args.structure)
     eqs = parse_equations(_read(args.eqs), structure.signature, args.eqs)
     report = same_equations_report(lattice, structure, eqs, max_assignments=args.max_enum)
-    if args.records:
-        print("command=equations.check")
-        for i, out in enumerate(report.outcomes):
-            text = format_equation(out.equation)
-            conv = "skipped" if out.conv_holds is None else _bool(out.conv_holds)
-            comp = "skipped" if out.complex_holds is None else _bool(out.complex_holds)
-            agree = "skipped" if out.agree is None else _bool(out.agree)
-            print(f"eq.{i}.text={text}")
-            print(f"eq.{i}.conv={conv}")
-            print(f"eq.{i}.complex={comp}")
-            print(f"eq.{i}.agree={agree}")
-        print(f"compared={report.compared}")
-        print(f"skipped={report.skipped}")
-        print(f"disagreements={report.disagreements}")
-        print(f"ok={_bool(report.ok)}")
-    else:
-        for out in report.outcomes:
-            conv = "skipped" if out.conv_holds is None else _bool(out.conv_holds)
-            comp = "skipped" if out.complex_holds is None else _bool(out.complex_holds)
-            print(f"{format_equation(out.equation)}: maps={conv} powerset={comp}")
-        print(
-            f"compared {report.compared}, skipped {report.skipped}, "
-            f"disagreements {report.disagreements}"
-        )
-    return 0 if report.ok else 1
+    records, lines = [], []
+    for i, out in enumerate(report.outcomes):
+        text = format_equation(out.equation)
+        records += [
+            (f"eq.{i}.text", text),
+            (f"eq.{i}.conv", out.conv_holds),
+            (f"eq.{i}.complex", out.complex_holds),
+            (f"eq.{i}.agree", out.agree),
+        ]
+        lines.append(f"{text}: maps={_word(out.conv_holds)} powerset={_word(out.complex_holds)}")
+    records += [
+        ("compared", report.compared),
+        ("skipped", report.skipped),
+        ("disagreements", report.disagreements),
+        ("ok", report.ok),
+    ]
+    lines.append(
+        f"compared {report.compared}, skipped {report.skipped}, "
+        f"disagreements {report.disagreements}"
+    )
+    return 0 if report.ok else 1, records, "\n".join(lines)
 
 
 def cmd_type2_eval(args):
@@ -162,70 +144,22 @@ def cmd_type2_eval(args):
             raise ValueError(f"{args.op} needs a second operand (-b)")
         b = parse_step_function(_read(args.b), args.b)
         result = t2_join(a, b) if args.op == "join" else t2_meet(a, b)
-    if args.records:
-        print("command=type2.eval")
-        print(f"op={args.op}")
-        for line in format_step_function(result).splitlines():
-            print(f"piece={line}")
-    else:
-        print(format_step_function(result))
-    return 0
+    text = format_step_function(result)
+    return 0, [("op", args.op)] + [("piece", line) for line in text.splitlines()], text
 
 
 def cmd_type2_crosscheck(args):
     report = crosscheck(args.n, args.trials, seed=args.seed)
-    if args.records:
-        print("command=type2.crosscheck")
-        print(f"grid={report.grid}")
-        print(f"seed={args.seed}")
-        print(f"trials={report.trials}")
-        print(f"checks={report.checks}")
-        print(f"ok={_bool(report.ok)}")
-        if not report.ok:
-            print(f"counterexample={report.failure}")
-    else:
-        print(str(report))
-    return 0 if report.ok else 1
-
-
-def worked_example():
-    """The four-point structure and the thirds data over a discrete 3-point base."""
-    topology = make_topology(("t1", "t2", "t3"), [{"t1"}, {"t2"}, {"t3"}])
-    lattice = open_set_heyting(topology)
-    carrier = ("x1", "x2", "x3", "x4")
-    structure = RelationalStructure(
-        carrier,
-        Signature((("f", 2),)),
-        {
-            "f": {
-                ("x1", "x1", "x1"),
-                ("x2", "x2", "x3"),
-                ("x1", "x3", "x4"),
-                ("x3", "x2", "x4"),
-            }
-        },
-    )
-    alpha1 = LatticeMap(
-        carrier,
-        lattice,
-        {
-            "x1": frozenset({"t1", "t2"}),
-            "x2": frozenset({"t1", "t2"}),
-            "x3": frozenset({"t2", "t3"}),
-            "x4": frozenset({"t1", "t2", "t3"}),
-        },
-    )
-    alpha2 = LatticeMap(
-        carrier,
-        lattice,
-        {
-            "x1": frozenset({"t2", "t3"}),
-            "x2": frozenset({"t3"}),
-            "x3": frozenset({"t1"}),
-            "x4": frozenset({"t1", "t2"}),
-        },
-    )
-    return topology, lattice, structure, (alpha1, alpha2)
+    records = [
+        ("grid", report.grid),
+        ("seed", args.seed),
+        ("trials", report.trials),
+        ("checks", report.checks),
+        ("ok", report.ok),
+    ]
+    if not report.ok:
+        records.append(("counterexample", report.failure))
+    return 0 if report.ok else 1, records, str(report)
 
 
 def cmd_paper_demo(args):
@@ -236,29 +170,20 @@ def cmd_paper_demo(args):
     fiber = per_fiber_rel_image(rel_etale, "f", sub_args)
     sections = fiberwise_rel_image(rel_etale, "f", sub_args)
     routes = [
-        ("conv", {x: conv.values[x] for x in conv.carrier}),
-        ("fiber", {x: fiber.sections[x] for x in conv.carrier}),
-        ("etale", {x: sections.sections[x] for x in conv.carrier}),
+        ("conv", "convolution over the open-set lattice", conv.values),
+        ("fiber", "relational image computed fiber by fiber", fiber.sections),
+        ("etale", "sectionwise image of the lifted relation", sections.sections),
     ]
-    agree = routes[0][1] == routes[1][1] == routes[2][1]
-    if args.records:
-        print("command=paper-demo")
-        for label, values in routes:
-            for x in conv.carrier:
-                print(f"{label}.{x}={format_element(values[x])}")
-        print(f"agree={_bool(agree)}")
-    else:
-        titles = {
-            "conv": "convolution over the open-set lattice",
-            "fiber": "relational image computed fiber by fiber",
-            "etale": "sectionwise image of the lifted relation",
-        }
-        for label, values in routes:
-            print(f"{titles[label]}:")
-            for x in conv.carrier:
-                print(f"  {x} -> {format_element(values[x])}")
-        print("all three routes agree" if agree else "ROUTES DISAGREE")
-    return 0 if agree else 1
+    agree = conv.values == fiber.sections == sections.sections
+    records, lines = [], []
+    for label, title, values in routes:
+        lines.append(f"{title}:")
+        for x in conv.carrier:
+            records.append((f"{label}.{x}", format_element(values[x])))
+            lines.append(f"  {x} -> {format_element(values[x])}")
+    records.append(("agree", agree))
+    lines.append("all three routes agree" if agree else "ROUTES DISAGREE")
+    return 0 if agree else 1, records, "\n".join(lines)
 
 
 def _build_parser():
@@ -267,70 +192,52 @@ def _build_parser():
     common.add_argument("--records", action="store_true", help="machine-parseable key=value output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lat = sub.add_parser("lattice", help="lattice law checks").add_subparsers(
-        dest="action", required=True
-    )
-    p = lat.add_parser("check", parents=[common])
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+    def command(parent, name, func, **kwargs):
+        p = parent.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(group("lattice", "lattice law checks"), "check", cmd_lattice_check)
     p.add_argument("--lattice", required=True, help="chain:N or a topology file")
     p.add_argument("--max-subset-size", type=int, default=2)
-    p.set_defaults(func=cmd_lattice_check)
 
-    conv = sub.add_parser("conv", help="convolution operations").add_subparsers(
-        dest="action", required=True
-    )
-    p = conv.add_parser("eval", parents=[common])
+    p = command(group("conv", "convolution operations"), "eval", cmd_conv_eval)
     p.add_argument("--lattice", required=True)
     p.add_argument("--structure", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--arg", action="append", help="map file, once per argument")
-    p.set_defaults(func=cmd_conv_eval)
 
-    comp = sub.add_parser("complex", help="relational image on subsets").add_subparsers(
-        dest="action", required=True
-    )
-    p = comp.add_parser("eval", parents=[common])
+    p = command(group("complex", "relational image on subsets"), "eval", cmd_complex_eval)
     p.add_argument("--structure", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--arg", action="append", help="subset literal like '{x1 x2}'")
-    p.set_defaults(func=cmd_complex_eval)
 
-    eta = sub.add_parser("etale", help="section correspondence checks").add_subparsers(
-        dest="action", required=True
-    )
-    p = eta.add_parser("verify-iso", parents=[common])
+    p = command(group("etale", "section correspondence checks"), "verify-iso", cmd_etale_verify_iso)
     p.add_argument("--structure", required=True)
     p.add_argument("--topology", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_etale_verify_iso)
 
-    eqs = sub.add_parser("equations", help="equational cross-checks").add_subparsers(
-        dest="action", required=True
-    )
-    p = eqs.add_parser("check", parents=[common])
+    p = command(group("equations", "equational cross-checks"), "check", cmd_equations_check)
     p.add_argument("--lattice", required=True)
     p.add_argument("--structure", required=True)
     p.add_argument("--eqs", required=True)
     p.add_argument("--max-enum", type=int, default=10**6)
-    p.set_defaults(func=cmd_equations_check)
 
-    t2 = sub.add_parser("type2", help="step-function operations").add_subparsers(
-        dest="action", required=True
-    )
-    p = t2.add_parser("eval", parents=[common])
+    t2 = group("type2", "step-function operations")
+    p = command(t2, "eval", cmd_type2_eval)
     p.add_argument("--op", choices=("join", "meet", "neg"), required=True)
     p.add_argument("-a", required=True, help="step function file")
     p.add_argument("-b", help="second step function file")
-    p.set_defaults(func=cmd_type2_eval)
-    p = t2.add_parser("crosscheck", parents=[common])
+    p = command(t2, "crosscheck", cmd_type2_crosscheck)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_type2_crosscheck)
 
-    p = sub.add_parser("paper-demo", parents=[common], help="run the worked example three ways")
-    p.set_defaults(func=cmd_paper_demo)
-
+    command(sub, "paper-demo", cmd_paper_demo, help="run the worked example three ways")
     return parser
 
 
@@ -341,13 +248,18 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return args.func(args)
-    except (ParseError, CapacityError) as e:
+        status, records, text = args.func(args)
+    except (ValueError, OSError, CapacityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if args.records:
+        action = getattr(args, "action", None)
+        print(f"command={args.command}" + (f".{action}" if action else ""))
+        for key, value in records:
+            print(f"{key}={_word(value)}")
+    elif text:
+        print(text)
+    return status
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ from .convolution import (
     pointwise_neg,
     random_map,
 )
-from .lattice import FiniteTopology, OpenSetLattice
+from .lattice import FiniteTopology, OpenSetLattice, make_topology, open_set_heyting
+from .relstruct import RelationalStructure, Signature
 
 
 @dataclass(frozen=True)
@@ -156,14 +157,6 @@ def per_fiber_rel_image(rel_etale, name, args):
     return EtaleSubobject(parent, {x: frozenset(ys) for x, ys in hit.items()})
 
 
-def _open_impl(base, a, b):
-    out = frozenset()
-    for w in base.opens:
-        if w & a <= b:
-            out = out | w
-    return out
-
-
 def _check_same_parent(a, b):
     if a.parent != b.parent:
         raise ValueError("subobjects live over different bundles")
@@ -183,16 +176,14 @@ def sub_impl(a, b):
     _check_same_parent(a, b)
     base = a.parent.base
     return EtaleSubobject(
-        a.parent,
-        {x: _open_impl(base, a.sections[x], b.sections[x]) for x in a.parent.fibers},
+        a.parent, {x: base.impl(a.sections[x], b.sections[x]) for x in a.parent.fibers}
     )
 
 
 def sub_neg(a):
     base = a.parent.base
-    empty = frozenset()
     return EtaleSubobject(
-        a.parent, {x: _open_impl(base, a.sections[x], empty) for x in a.parent.fibers}
+        a.parent, {x: base.impl(a.sections[x], frozenset()) for x in a.parent.fibers}
     )
 
 
@@ -229,8 +220,10 @@ def verify_main_iso(lattice, structure, topology, trials=100, seed=0):
     convolution operation and through the sectionwise relational image
     of the lifted relation; the section forms must agree exactly. The
     correspondence is also checked against the pointwise lattice
-    operations. Deterministic for a fixed seed.
+    operations. Deterministic for a fixed seed; zero trials pass vacuously.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     if not isinstance(lattice, OpenSetLattice) or lattice.topology != topology:
         raise ValueError("lattice must be the open-set algebra of the given topology")
     carrier = tuple(structure.carrier)
@@ -266,3 +259,43 @@ def verify_main_iso(lattice, structure, topology, trials=100, seed=0):
                 )
                 return IsoTrialReport(False, trials, checks, detail)
     return IsoTrialReport(True, trials, checks, None)
+
+
+def worked_example():
+    """The four-point structure and the thirds data over a discrete 3-point base."""
+    topology = make_topology(("t1", "t2", "t3"), [{"t1"}, {"t2"}, {"t3"}])
+    lattice = open_set_heyting(topology)
+    carrier = ("x1", "x2", "x3", "x4")
+    structure = RelationalStructure(
+        carrier,
+        Signature((("f", 2),)),
+        {
+            "f": {
+                ("x1", "x1", "x1"),
+                ("x2", "x2", "x3"),
+                ("x1", "x3", "x4"),
+                ("x3", "x2", "x4"),
+            }
+        },
+    )
+    alpha1 = LatticeMap(
+        carrier,
+        lattice,
+        {
+            "x1": frozenset({"t1", "t2"}),
+            "x2": frozenset({"t1", "t2"}),
+            "x3": frozenset({"t2", "t3"}),
+            "x4": frozenset({"t1", "t2", "t3"}),
+        },
+    )
+    alpha2 = LatticeMap(
+        carrier,
+        lattice,
+        {
+            "x1": frozenset({"t2", "t3"}),
+            "x2": frozenset({"t3"}),
+            "x3": frozenset({"t1"}),
+            "x4": frozenset({"t1", "t2"}),
+        },
+    )
+    return topology, lattice, structure, (alpha1, alpha2)

@@ -12,7 +12,11 @@ from .convolution import LatticeMap
 from .lattice import make_topology
 from .relstruct import RelationalStructure, Signature
 from .terms import App, Equation, Var
-from .type2 import StepFunction, _ONE, _ZERO
+from .type2 import StepFunction
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+# Parsing, printing and evaluating a term all recurse, once per nesting level.
+MAX_TERM_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -211,11 +215,13 @@ def _tokenize(line):
     return line.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse_term(tokens, pos, signature, i, path):
+def _parse_term(tokens, pos, signature, i, path, depth=0):
     if pos >= len(tokens):
         raise ParseError("unexpected end of term", i, path)
     tok = tokens[pos]
     if tok == "(":
+        if depth == MAX_TERM_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} applications", i, path)
         if pos + 1 >= len(tokens):
             raise ParseError("unexpected end of term", i, path)
         name = tokens[pos + 1]
@@ -227,7 +233,7 @@ def _parse_term(tokens, pos, signature, i, path):
         args = []
         pos += 2
         for _ in range(arity):
-            term, pos = _parse_term(tokens, pos, signature, i, path)
+            term, pos = _parse_term(tokens, pos, signature, i, path, depth + 1)
             args.append(term)
         if pos >= len(tokens) or tokens[pos] != ")":
             raise ParseError(f"expected ) closing {name}", i, path)
@@ -273,12 +279,6 @@ def format_subset(s):
 
 def format_map(m):
     return "\n".join(f"{x} -> {format_element(m.values[x])}" for x in m.carrier)
-
-
-def format_subobject(sub):
-    return "\n".join(
-        f"{x} -> {format_element(sub.sections[x])}" for x in sub.parent.fibers
-    )
 
 
 def format_step_function(f):

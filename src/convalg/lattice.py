@@ -42,6 +42,14 @@ class FiniteTopology:
                 if a & b not in self.opens:
                     raise ValueError("opens are not closed under intersection")
 
+    def impl(self, a, b):
+        """Heyting implication of opens: the union of the opens W with W & a <= b."""
+        out = frozenset()
+        for w in self.opens:
+            if w & a <= b:
+                out = out | w
+        return out
+
 
 def make_topology(points, generators=()):
     """Smallest topology on ``points`` containing every generator.
@@ -265,7 +273,7 @@ class OpenSetLattice(FiniteLattice):
         return a & b
 
     def impl(self, a, b):
-        return self.join_all(w for w in self.elements if w & a <= b)
+        return self.topology.impl(a, b)
 
 
 def open_set_heyting(topology):

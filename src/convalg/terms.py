@@ -59,21 +59,56 @@ def format_equation(eq):
     return f"{format_term(eq.lhs)} = {format_term(eq.rhs)}"
 
 
-class ConvolutionAlgebra:
-    """The algebra of lattice-valued maps on a structure, symbols acting by
-    convolution."""
+class _TabledAlgebra:
+    """What both algebras share: the structure, the element bound, element
+    positions and operation tables in position space.
 
-    def __init__(self, lattice, structure, max_elements=10**6):
-        self.lattice = lattice
+    Each algebra defines ``elements``, ``element_key``, ``size`` and
+    ``apply`` in its own body: bench/tracer.py wraps ``apply`` and
+    ``elements`` from each class's own ``__dict__``.
+    """
+
+    def __init__(self, structure, max_elements=10**6):
         self.structure = structure
         self.max_elements = max_elements
+        self.tables = {}
         self._elements = None
-        self._index = None
-        self._tables = {}
+        self._positions = None
 
     @property
     def signature(self):
         return self.structure.signature
+
+    def table(self, name):
+        """Operation table in position space, built once per algebra with
+        one ``apply`` per entry; arities up to 2."""
+        if name in self.tables:
+            return self.tables[name]
+        arity = self.signature.arity(name)
+        els = self.elements()
+        key = self.element_key
+        if self._positions is None:
+            self._positions = {key(e): i for i, e in enumerate(els)}
+        index = self._positions
+        if arity == 0:
+            table = index[key(self.apply(name, []))]
+        elif arity == 1:
+            table = [index[key(self.apply(name, [e]))] for e in els]
+        elif arity == 2:
+            table = [[index[key(self.apply(name, [e1, e2]))] for e2 in els] for e1 in els]
+        else:
+            raise ValueError("tables only cover arities up to 2")
+        self.tables[name] = table
+        return table
+
+
+class ConvolutionAlgebra(_TabledAlgebra):
+    """The algebra of lattice-valued maps on a structure, symbols acting by
+    convolution."""
+
+    def __init__(self, lattice, structure, max_elements=10**6):
+        super().__init__(structure, max_elements)
+        self.lattice = lattice
 
     def apply(self, name, args):
         return conv_op(self.lattice, self.structure, name, list(args))
@@ -93,19 +128,8 @@ class ConvolutionAlgebra:
         return el.key()
 
 
-class ComplexAlgebra:
+class ComplexAlgebra(_TabledAlgebra):
     """The powerset algebra of a structure, symbols acting by relational image."""
-
-    def __init__(self, structure, max_elements=10**6):
-        self.structure = structure
-        self.max_elements = max_elements
-        self._elements = None
-        self._index = None
-        self._tables = {}
-
-    @property
-    def signature(self):
-        return self.structure.signature
 
     def apply(self, name, args):
         return rel_image(self.structure, name, list(args))
@@ -142,45 +166,19 @@ class EquationCheck:
     witness: dict | None
 
 
-def _element_index(algebra):
-    if algebra._index is None:
-        algebra._index = {algebra.element_key(e): i for i, e in enumerate(algebra.elements())}
-    return algebra._index
-
-
-def _op_table(algebra, name):
-    """Operation table in element-index space, built once per algebra."""
-    if name in algebra._tables:
-        return algebra._tables[name]
-    arity = algebra.signature.arity(name)
-    els = algebra.elements()
-    index = _element_index(algebra)
-    key = algebra.element_key
-    if arity == 0:
-        table = index[key(algebra.apply(name, []))]
-    elif arity == 1:
-        table = [index[key(algebra.apply(name, [e]))] for e in els]
-    elif arity == 2:
-        table = [[index[key(algebra.apply(name, [e1, e2]))] for e2 in els] for e1 in els]
-    else:
-        raise ValueError("tables only cover arities up to 2")
-    algebra._tables[name] = table
-    return table
-
-
-def _compile_indexed(term, positions, algebra):
+def _compile_term(term, positions, algebra):
     if isinstance(term, Var):
         i = positions[term.name]
         return lambda asg: asg[i]
     arity = algebra.signature.arity(term.op)
-    table = _op_table(algebra, term.op)
+    table = algebra.table(term.op)
     if arity == 0:
         return lambda asg: table
     if arity == 1:
-        f0 = _compile_indexed(term.args[0], positions, algebra)
+        f0 = _compile_term(term.args[0], positions, algebra)
         return lambda asg: table[f0(asg)]
-    f0 = _compile_indexed(term.args[0], positions, algebra)
-    f1 = _compile_indexed(term.args[1], positions, algebra)
+    f0 = _compile_term(term.args[0], positions, algebra)
+    f1 = _compile_term(term.args[1], positions, algebra)
     return lambda asg: table[f0(asg)][f1(asg)]
 
 
@@ -203,6 +201,8 @@ def holds_in(algebra, equation, max_assignments=10**6):
     assignment space exceeds ``max_assignments``; both are decided from
     the element count, before any element is built.
     """
+    if max_assignments < 0:
+        raise ValueError(f"max_assignments must be nonnegative, got {max_assignments}")
     if equation.lhs == equation.rhs:
         return EquationCheck(True, None)
     names = equation.variables()
@@ -217,13 +217,13 @@ def holds_in(algebra, equation, max_assignments=10**6):
         # building a table costs one apply per entry, so only tabulate when
         # the scan is large enough to amortize it (existing tables are free)
         pending = sum(
-            n ** algebra.signature.arity(op) for op in ops if op not in algebra._tables
+            n ** algebra.signature.arity(op) for op in ops if op not in algebra.tables
         )
         tabulable = pending <= max(4 * total, 50_000)
     if tabulable:
         positions = {name: i for i, name in enumerate(names)}
-        lhs = _compile_indexed(equation.lhs, positions, algebra)
-        rhs = _compile_indexed(equation.rhs, positions, algebra)
+        lhs = _compile_term(equation.lhs, positions, algebra)
+        rhs = _compile_term(equation.rhs, positions, algebra)
         for asg in product(range(n), repeat=len(names)):
             if lhs(asg) != rhs(asg):
                 witness = {name: els[asg[i]] for name, i in positions.items()}
@@ -269,6 +269,8 @@ def same_equations_report(lattice, structure, equations, max_assignments=10**6, 
     skipped rather than evaluated. Requires a Heyting lattice with at
     least two elements.
     """
+    if max_assignments < 0:
+        raise ValueError(f"max_assignments must be nonnegative, got {max_assignments}")
     if len(lattice.elements) < 2:
         raise ValueError("requires a lattice with at least two elements")
     law = check_heyting_laws(lattice)

@@ -350,6 +350,8 @@ def crosscheck(n, trials, seed=0):
     Equality is exact; a single mismatch is a bug in one of the two
     routes. Deterministic for a fixed seed.
     """
+    if n < 1 or trials < 0:
+        raise ValueError(f"need a grid size n >= 1 and trials >= 0, got n={n}, trials={trials}")
     rng = random.Random(seed)
     checks = 0
     for trial in range(trials):

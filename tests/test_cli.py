@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from convalg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli"
 
 TOPOLOGY = "points: t1 t2 t3\nopen: t1\nopen: t2\nopen: t3\n"
 STRUCTURE = """\
@@ -13,6 +17,9 @@ x3 x2 x4
 """
 MAP_A = "x1 -> {t1 t2}\nx2 -> {t1 t2}\nx3 -> {t2 t3}\nx4 -> {t1 t2 t3}\n"
 MAP_B = "x1 -> {t2 t3}\nx2 -> {t3}\nx3 -> {t1}\nx4 -> {t1 t2}\n"
+EQUATIONS = "(f v w) = (f w v)\n(f v v) = v\n(f (f v w) u) = (f v (f w u))\n"
+STEP_A = "point 0 -> 1\ninterval (0,1/3) -> 1\n"
+STEP_B = "point 1/2 -> 1/2\ninterval (1/4,3/4) -> 2/3\n"
 
 
 @pytest.fixture
@@ -23,6 +30,9 @@ def demo_files(tmp_path):
         ("structure.txt", STRUCTURE),
         ("a.txt", MAP_A),
         ("b.txt", MAP_B),
+        ("eqs.txt", EQUATIONS),
+        ("step_a.txt", STEP_A),
+        ("step_b.txt", STEP_B),
     ):
         p = tmp_path / name
         p.write_text(text)
@@ -239,9 +249,80 @@ class TestType2Commands:
         assert "ok=true" in out1
 
 
+# Every subcommand on the demo files; each case runs in both output forms.
+# `{name}` stands for the path of a demo file.
+GOLDEN_CASES = {
+    "lattice-check-chain": ["lattice", "check", "--lattice", "chain:3"],
+    "lattice-check-topology": ["lattice", "check", "--lattice", "{topology.txt}"],
+    "conv-eval": ["conv", "eval", "--lattice", "{topology.txt}", "--structure",
+                  "{structure.txt}", "--relation", "f", "--arg", "{a.txt}", "--arg", "{b.txt}"],
+    "complex-eval": ["complex", "eval", "--structure", "{structure.txt}", "--relation", "f",
+                     "--arg", "{x1 x2}", "--arg", "{x2 x3}"],
+    "etale-verify-iso": ["etale", "verify-iso", "--structure", "{structure.txt}",
+                         "--topology", "{topology.txt}", "--trials", "20", "--seed", "7"],
+    "equations-check": ["equations", "check", "--lattice", "chain:1",
+                        "--structure", "{structure.txt}", "--eqs", "{eqs.txt}"],
+    "equations-check-skips": ["equations", "check", "--lattice", "chain:1", "--structure",
+                              "{structure.txt}", "--eqs", "{eqs.txt}", "--max-enum", "20"],
+    "type2-eval-neg": ["type2", "eval", "--op", "neg", "-a", "{step_a.txt}"],
+    "type2-eval-join": ["type2", "eval", "--op", "join", "-a", "{step_a.txt}",
+                        "-b", "{step_b.txt}"],
+    "type2-crosscheck": ["type2", "crosscheck", "--n", "6", "--trials", "10", "--seed", "3"],
+    "paper-demo": ["paper-demo"],
+    "bad-chain": ["lattice", "check", "--lattice", "chain:x"],
+}
+
+
+def with_files(argv, files):
+    """Replace each `{name}` naming a demo file by that file's path."""
+    return [files.get(a[1:-1], a) if a.startswith("{") else a for a in argv]
+
+
+@pytest.mark.parametrize("records", [False, True], ids=["text", "records"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(capsys, demo_files, case, records):
+    """Exit status and stdout, byte for byte, as captured in tests/golden/cli."""
+    argv = with_files(GOLDEN_CASES[case], demo_files) + (["--records"] if records else [])
+    rc, out, _ = run(capsys, argv)
+    name = case + (".records" if records else "") + ".txt"
+    assert f"exit={rc}\n{out}".encode() == (GOLDEN / name).read_bytes()
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["etale", "verify-iso", "--structure", "{structure.txt}",
+             "--topology", "{topology.txt}", "--trials", "-2"],
+            ["type2", "crosscheck", "--n", "0"],
+            ["type2", "crosscheck", "--trials", "-1"],
+            ["equations", "check", "--lattice", "chain:1", "--structure", "{structure.txt}",
+             "--eqs", "{eqs.txt}", "--max-enum", "-1"],
+        ],
+        ids=["negative-trials", "empty-grid", "negative-crosscheck-trials", "negative-max-enum"],
+    )
+    def test_negative_counts_are_usage_errors(self, capsys, demo_files, argv):
+        for records in ([], ["--records"]):
+            rc, out, err = run(capsys, with_files(argv, demo_files) + records)
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("error:")
+
+    def test_deeply_nested_equation_is_usage_error(self, capsys, tmp_path, demo_files):
+        eqs = tmp_path / "deep.txt"
+        eqs.write_text("# deep\n" + "(f " * 3000 + "v" + " w)" * 3000 + " = v\n")
+        rc, out, err = run(
+            capsys,
+            ["equations", "check", "--lattice", "chain:1", "--structure",
+             demo_files["structure.txt"], "--eqs", str(eqs)],
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "deep.txt:2" in err
 
     def test_no_command(self, capsys):
         assert run(capsys, [])[0] == 2

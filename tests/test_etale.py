@@ -199,6 +199,10 @@ class TestVerifyMainIso:
         assert report.ok
         assert report.checks == 0
 
+    def test_negative_trials_rejected(self, wedge_topology, wedge_lattice, four_point_structure):
+        with pytest.raises(ValueError, match="trials"):
+            verify_main_iso(wedge_lattice, four_point_structure, wedge_topology, trials=-2)
+
     def test_wrong_lattice_rejected(self, thirds_topology, wedge_lattice, four_point_structure):
         with pytest.raises(ValueError):
             verify_main_iso(wedge_lattice, four_point_structure, thirds_topology, trials=1, seed=0)

@@ -4,6 +4,7 @@ import pytest
 
 from convalg import chain_lattice, interval_structure, open_set_heyting, t2_constants
 from convalg.formats import (
+    MAX_TERM_DEPTH,
     ParseError,
     format_element,
     format_map,
@@ -160,6 +161,17 @@ class TestEquationFormat:
     def test_arity_respected(self, four_point_structure):
         with pytest.raises(ParseError):
             parse_equation("(f v) = v", four_point_structure.signature)
+
+    def test_nesting_depth_bounded(self, four_point_structure):
+        sig = four_point_structure.signature
+
+        def nested(depth):
+            return "(f " * depth + "v" + " w)" * depth + " = v"
+
+        eq = parse_equation(nested(MAX_TERM_DEPTH), sig)
+        assert eq.rhs == Var("v")
+        with pytest.raises(ParseError, match="^eqs.txt:7: term nested deeper"):
+            parse_equation(nested(MAX_TERM_DEPTH + 1), sig, 7, "eqs.txt")
 
     def test_equations_file_with_comments(self, four_point_structure):
         text = "# suite\n(f v w) = (f w v)\n(f v v) = v\n"

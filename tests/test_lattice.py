@@ -107,6 +107,18 @@ class TestOpenSetHeyting:
                 for w in wedge_lattice.elements:
                     assert (w & a <= b) == (w <= c)
 
+    def test_topology_impl_on_every_small_space(self):
+        # the largest open W with W & a <= b, on every topology of <= 3 points
+        for n in range(4):
+            for topo in enumerate_topologies([f"y{i}" for i in range(n)]):
+                lat = open_set_heyting(topo)
+                for a in topo.opens:
+                    for b in topo.opens:
+                        c = topo.impl(a, b)
+                        assert c in topo.opens
+                        assert lat.impl(a, b) == c
+                        assert all((w & a <= b) == (w <= c) for w in topo.opens)
+
     def test_bounds(self, wedge_lattice, wedge_topology):
         assert wedge_lattice.bottom == fs()
         assert wedge_lattice.top == wedge_topology.points

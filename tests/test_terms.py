@@ -128,6 +128,28 @@ class TestHoldsIn:
         assert isinstance(out3.holds, bool) and isinstance(out2.holds, bool)
 
 
+    def test_negative_assignment_bound_rejected(self, four_point_structure):
+        comm = Equation(App("f", (Var("v"), Var("w"))), App("f", (Var("w"), Var("v"))))
+        with pytest.raises(ValueError, match="max_assignments"):
+            holds_in(ComplexAlgebra(four_point_structure), comm, max_assignments=-1)
+
+    def test_table_built_once_per_algebra(self, four_point_structure):
+        class Counting(ComplexAlgebra):
+            calls = 0
+
+            def apply(self, name, args):
+                self.calls += 1
+                return super().apply(name, args)
+
+        comm = Equation(App("f", (Var("v"), Var("w"))), App("f", (Var("w"), Var("v"))))
+        algebra = Counting(four_point_structure)
+        holds_in(algebra, comm)
+        assert algebra.calls == 16 * 16
+        holds_in(algebra, comm)
+        assert algebra.calls == 16 * 16
+        assert algebra.table("f") is algebra.tables["f"]
+
+
 class TestTwoValuedAgreement:
     def test_agreement_for_two_element_lattice(self, four_point_structure):
         two = chain_lattice(1)
@@ -154,6 +176,10 @@ class TestSameEquationsReport:
         one = open_set_heyting(make_topology([], []))
         with pytest.raises(ValueError):
             same_equations_report(one, four_point_structure, [])
+
+    def test_negative_assignment_bound_rejected(self, wedge_lattice, four_point_structure):
+        with pytest.raises(ValueError, match="max_assignments"):
+            same_equations_report(wedge_lattice, four_point_structure, [], max_assignments=-1)
 
     def test_capacity_skips_are_reported(self, wedge_lattice, four_point_structure):
         assoc = Equation(

@@ -146,6 +146,11 @@ class TestClosedFormVsOracle:
         assert report.ok
         assert report.checks == 120
 
+    @pytest.mark.parametrize("n,trials", [(0, 1), (-3, 1), (4, -1)])
+    def test_bad_counts_rejected(self, n, trials):
+        with pytest.raises(ValueError, match="grid size"):
+            crosscheck(n, trials)
+
     def test_oracle_agrees_with_convolution_module(self):
         # two independent code paths over the same relational data
         n = 8
