@@ -8,9 +8,12 @@ three operations and everything here is exact rational arithmetic.
 
 The closed forms rest on one fact about chains: y join z = x forces one
 of y, z to equal x and the other to lie below (dually for meet), which
-turns the defining suprema into running envelopes. Each closed form is
-cross-validated against :func:`grid_conv_oracle`, a literal brute-force
-convolution on finite grids that shares no code with them.
+turns the defining suprema into running envelopes, so each closed form
+is one merge of breakpoint lists. The closed forms are cross-validated
+against :func:`grid_conv_oracle`, a literal brute-force convolution on
+finite grids that shares no code with them and visits each of the
+(n + 1)**2 argument pairs of an n-grid once; :func:`crosscheck` refuses
+grids whose pair count exceeds :data:`MAX_GRID_PAIRS`.
 """
 
 from __future__ import annotations
@@ -20,8 +23,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .convolution import CapacityError
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+MAX_GRID_PAIRS = 10**6
 
 
 @dataclass(frozen=True)
@@ -146,15 +153,27 @@ def sup_right(f):
 def _zip_with(op, f, g):
     """Pointwise combination on the common breakpoint refinement.
 
-    Open refined intervals contain no breakpoint of either input, so a
-    midpoint sample reads off the constant value exactly.
+    One merge of the two breakpoint lists. At a breakpoint of only one
+    input the other input contributes the value of the open interval
+    that contains it, and each refined interval lies inside one open
+    interval of each input, so no point is ever evaluated.
     """
-    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    pvs = [op(f(b), g(b)) for b in bps]
-    ivs = []
-    for a, b in zip(bps, bps[1:]):
-        mid = (a + b) / 2
-        ivs.append(op(f(mid), g(mid)))
+    fb, fp, fi = f.breakpoints, f.point_values, f.interval_values
+    gb, gp, gi = g.breakpoints, g.point_values, g.interval_values
+    last = len(fb) - 1
+    bps, pvs, ivs = [], [], []
+    i = j = 0
+    while True:
+        x, y = fb[i], gb[j]
+        at_f, at_g = x <= y, y <= x
+        bps.append(x if at_f else y)
+        pvs.append(op(fp[i] if at_f else fi[i - 1], gp[j] if at_g else gi[j - 1]))
+        i += at_f
+        j += at_g
+        # Both lists end at 1, so f runs out exactly when g does.
+        if i > last:
+            break
+        ivs.append(op(fi[i - 1], gi[j - 1]))
     return StepFunction.make(tuple(bps), tuple(pvs), tuple(ivs))
 
 
@@ -226,36 +245,37 @@ class GridFunction:
 def grid_conv_oracle(n, op, *args):
     """Literal brute-force convolution on the chain 0, 1/n, ..., 1.
 
-    Independent of every closed form in this module: each output point
-    scans all argument tuples satisfying the defining relation, so this
+    Independent of every closed form in this module: it visits each
+    argument tuple once ((n + 1)**2 pairs for join and meet), finds the
+    output point the defining relation sends it to, and raises the value
+    there to the meet of the arguments when that is larger. Every output
+    point thus ends at the supremum over the tuples related to it. This
     is the oracle the closed forms are validated against.
     """
     for g in args:
         if g.size != n:
             raise ValueError("grid size mismatch")
+    values = [_ZERO] * (n + 1)
     if op in ("join", "meet"):
         if len(args) != 2:
             raise ValueError(f"{op} takes two arguments")
         a, b = args
         combine = max if op == "join" else min
-        values = []
-        for x in range(n + 1):
-            candidates = [
-                min(a.values[y], b.values[z])
-                for y in range(n + 1)
-                for z in range(n + 1)
-                if combine(y, z) == x
-            ]
-            values.append(max(candidates, default=_ZERO))
+        for y, ay in enumerate(a.values):
+            for z, bz in enumerate(b.values):
+                x = combine(y, z)
+                v = min(ay, bz)
+                if v > values[x]:
+                    values[x] = v
         return GridFunction(n, tuple(values))
     if op == "neg":
         if len(args) != 1:
             raise ValueError("neg takes one argument")
         (a,) = args
-        values = []
-        for x in range(n + 1):
-            candidates = [a.values[y] for y in range(n + 1) if n - y == x]
-            values.append(max(candidates, default=_ZERO))
+        for y, ay in enumerate(a.values):
+            x = n - y
+            if ay > values[x]:
+                values[x] = ay
         return GridFunction(n, tuple(values))
     raise ValueError(f"unknown operation {op!r}")
 
@@ -265,12 +285,22 @@ def sample_to_grid(f, n):
 
     Every breakpoint of f must lie on the grid; otherwise the
     restriction would lose pieces and grid comparisons would be
-    meaningless.
+    meaningless. Grid slots are filled straight from the pieces: a
+    breakpoint's value at its own slot and its interval's value at the
+    slots up to the next breakpoint.
     """
+    slots = []
     for b in f.breakpoints:
-        if (b * n).denominator != 1:
+        k = b * n
+        if k.denominator != 1:
             raise ValueError(f"breakpoint {b} is not a multiple of 1/{n}")
-    return GridFunction(n, tuple(f(Fraction(k, n)) for k in range(n + 1)))
+        slots.append(k.numerator)
+    values = []
+    for k, nxt, p, v in zip(slots, slots[1:], f.point_values, f.interval_values):
+        values.append(p)
+        values.extend([v] * (nxt - k - 1))
+    values.append(f.point_values[-1])
+    return GridFunction(n, tuple(values))
 
 
 def step_from_grid(g):
@@ -348,10 +378,15 @@ def crosscheck(n, trials, seed=0):
     """Compare the closed forms with the brute-force oracle on random pairs.
 
     Equality is exact; a single mismatch is a bug in one of the two
-    routes. Deterministic for a fixed seed.
+    routes. Deterministic for a fixed seed. Raises CapacityError when
+    the oracle's (n + 1)**2 argument pairs exceed :data:`MAX_GRID_PAIRS`.
     """
     if n < 1 or trials < 0:
         raise ValueError(f"need a grid size n >= 1 and trials >= 0, got n={n}, trials={trials}")
+    if (n + 1) ** 2 > MAX_GRID_PAIRS:
+        raise CapacityError(
+            f"grid {n} has {(n + 1) ** 2} argument pairs, above the bound {MAX_GRID_PAIRS}"
+        )
     rng = random.Random(seed)
     checks = 0
     for trial in range(trials):

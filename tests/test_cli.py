@@ -311,6 +311,14 @@ class TestUsageErrors:
             assert out == ""
             assert err.startswith("error:")
 
+    def test_crosscheck_grid_above_pair_bound_is_usage_error(self, capsys):
+        for records in ([], ["--records"]):
+            rc, out, err = run(capsys, ["type2", "crosscheck", "--n", "5000"] + records)
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("error:")
+            assert "argument pairs" in err
+
     def test_deeply_nested_equation_is_usage_error(self, capsys, tmp_path, demo_files):
         eqs = tmp_path / "deep.txt"
         eqs.write_text("# deep\n" + "(f " * 3000 + "v" + " w)" * 3000 + " = v\n")

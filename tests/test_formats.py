@@ -1,8 +1,17 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from convalg import chain_lattice, interval_structure, open_set_heyting, t2_constants
+from convalg import (
+    StepFunction,
+    chain_lattice,
+    interval_structure,
+    open_set_heyting,
+    random_step,
+    t2_constants,
+)
 from convalg.formats import (
     MAX_TERM_DEPTH,
     ParseError,
@@ -109,7 +118,24 @@ class TestMapFormat:
             parse_subset("x1 x3")
 
 
+@st.composite
+def canonical_step_functions(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    f = random_step(rng, max_denominator=draw(st.integers(min_value=2, max_value=30)))
+    if draw(st.booleans()):
+        return f
+    # the same breakpoints with every value zero: canonical form is the zero function
+    pieces = len(f.breakpoints)
+    return StepFunction.make(f.breakpoints, [F(0)] * pieces, [F(0)] * (pieces - 1))
+
+
 class TestStepFunctionFormat:
+    @given(canonical_step_functions())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, f):
+        assert f.is_canonical
+        assert parse_step_function(format_step_function(f)) == f
+
     def test_pieces_with_defaults(self):
         f = parse_step_function("point 1/3 -> 1\ninterval (1/3,2/3) -> 1/2\n")
         assert f(F(1, 3)) == 1

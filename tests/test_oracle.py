@@ -5,9 +5,13 @@ over lattice elements and relation tuples: a join over the tuples ending
 at x of the meets of the argument values, and the last coordinates of
 the tuples whose entries lie in the argument subsets. They share no code
 with the compiled relations or the meet and join tables.
+``literal_grid_conv`` restates the type-2 grid convolution the same way:
+for each output point, a supremum over every argument tuple related to
+it. It is the reference of the single-pass ``grid_conv_oracle``.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -17,6 +21,7 @@ from convalg import (
     ComplexAlgebra,
     ConvolutionAlgebra,
     Equation,
+    GridFunction,
     LatticeMap,
     RelationalStructure,
     Signature,
@@ -26,6 +31,7 @@ from convalg import (
     conv_op,
     enumerate_maps,
     enumerate_topologies,
+    grid_conv_oracle,
     holds_in,
     lattice_from_order,
     open_set_heyting,
@@ -168,3 +174,45 @@ def test_table_scan_makes_one_apply_per_entry():
     for algebra in (ConvolutionAlgebra(chain_lattice(1), s), ComplexAlgebra(s)):
         assert len(algebra.elements()) == 4
         assert count_applies(algebra, eq) == 16
+
+
+def literal_grid_conv(n, op, *args):
+    """For each output x, the max over all argument tuples related to x."""
+    values = []
+    if op == "neg":
+        (a,) = args
+        for x in range(n + 1):
+            candidates = [a.values[y] for y in range(n + 1) if n - y == x]
+            values.append(max(candidates, default=Fraction(0)))
+        return GridFunction(n, tuple(values))
+    a, b = args
+    combine = max if op == "join" else min
+    for x in range(n + 1):
+        candidates = [
+            min(a.values[y], b.values[z])
+            for y in range(n + 1)
+            for z in range(n + 1)
+            if combine(y, z) == x
+        ]
+        values.append(max(candidates, default=Fraction(0)))
+    return GridFunction(n, tuple(values))
+
+
+def random_grid_function(rng, n):
+    """Values drawn from thirds, so repeats are common; one in five is all zero."""
+    if rng.randrange(5) == 0:
+        return GridFunction(n, (Fraction(0),) * (n + 1))
+    return GridFunction(n, tuple(Fraction(rng.randint(0, 3), 3) for _ in range(n + 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_grid_conv_oracle_matches_literal_scan(n):
+    rng = random.Random(100 + n)
+    for _ in range(15):
+        a, b = random_grid_function(rng, n), random_grid_function(rng, n)
+        for op in ("join", "meet"):
+            assert grid_conv_oracle(n, op, a, b) == literal_grid_conv(n, op, a, b)
+        assert grid_conv_oracle(n, "neg", a) == literal_grid_conv(n, "neg", a)
+    zero = GridFunction(n, (Fraction(0),) * (n + 1))
+    for op in ("join", "meet"):
+        assert grid_conv_oracle(n, op, zero, zero) == literal_grid_conv(n, op, zero, zero) == zero

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convalg import (
+    CapacityError,
     GridFunction,
     StepFunction,
     chain_lattice,
@@ -24,6 +25,7 @@ from convalg import (
     t2_neg,
 )
 from convalg.convolution import LatticeMap
+from convalg.type2 import MAX_GRID_PAIRS
 
 
 @st.composite
@@ -151,6 +153,16 @@ class TestClosedFormVsOracle:
         with pytest.raises(ValueError, match="grid size"):
             crosscheck(n, trials)
 
+    def test_grid_above_pair_bound_rejected_before_any_trial(self, monkeypatch):
+        assert (999 + 1) ** 2 <= MAX_GRID_PAIRS < (1000 + 1) ** 2
+        assert crosscheck(999, 0).ok
+        calls = []
+        monkeypatch.setattr("convalg.type2.random_grid_step", lambda *a: calls.append(a))
+        for n in (1000, 5000):
+            with pytest.raises(CapacityError, match="argument pairs"):
+                crosscheck(n, 3)
+        assert calls == []
+
     def test_oracle_agrees_with_convolution_module(self):
         # two independent code paths over the same relational data
         n = 8
@@ -205,7 +217,81 @@ class TestClosedFormVsOracle:
             assert t2_meet(a, a) == a
 
 
+def midpoint_zip_with(op, f, g):
+    """Reference combination: evaluate both inputs at every refined
+    breakpoint and at the midpoint of every refined interval."""
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
+    pvs = [op(f(b), g(b)) for b in bps]
+    ivs = [op(f((a + b) / 2), g((a + b) / 2)) for a, b in zip(bps, bps[1:])]
+    return StepFunction.make(tuple(bps), tuple(pvs), tuple(ivs))
+
+
+def midpoint_join(a, b):
+    term1 = midpoint_zip_with(min, a, sup_left(b))
+    term2 = midpoint_zip_with(min, sup_left(a), b)
+    return midpoint_zip_with(max, term1, term2)
+
+
+def midpoint_meet(a, b):
+    term1 = midpoint_zip_with(min, a, sup_right(b))
+    term2 = midpoint_zip_with(min, sup_right(a), b)
+    return midpoint_zip_with(max, term1, term2)
+
+
+class TestMergeAgainstMidpointSampling:
+    def check(self, a, b):
+        assert t2_join(a, b) == midpoint_join(a, b)
+        assert t2_meet(a, b) == midpoint_meet(a, b)
+
+    def test_unrelated_denominators(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            self.check(random_step(rng, max_denominator=16), random_step(rng, max_denominator=17))
+        for _ in range(30):
+            # interior breakpoints on the 16-grid and the 27-grid never coincide
+            self.check(random_grid_step(rng, 16), random_grid_step(rng, 27))
+
+    def test_identical_breakpoint_lists(self):
+        rng = random.Random(22)
+        same = 0
+        for _ in range(80):
+            a = random_step(rng)
+            b = StepFunction.make(
+                a.breakpoints,
+                [F(rng.randint(0, 4), 4) for _ in a.point_values],
+                [F(rng.randint(0, 4), 4) for _ in a.interval_values],
+            )
+            same += b.breakpoints == a.breakpoints
+            self.check(a, b)
+            self.check(a, a)
+        assert same >= 40
+
+    def test_constants_on_either_side(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            a = random_step(rng)
+            for c in t2_constants():
+                self.check(a, c)
+                self.check(c, a)
+        for c in t2_constants():
+            for d in t2_constants():
+                self.check(c, d)
+
+
 class TestSampling:
+    def test_matches_pointwise_evaluation(self):
+        rng = random.Random(24)
+        for n in (1, 2, 3, 7, 16, 48):
+            for _ in range(15):
+                f = random_grid_step(rng, n)
+                g = step_from_grid(sample_to_grid(random_grid_step(rng, n), n))
+                for h in (f, g):
+                    assert sample_to_grid(h, n).values == tuple(h(F(k, n)) for k in range(n + 1))
+            # a coarser step function sampled on a refining grid
+            assert sample_to_grid(f, 2 * n).values == tuple(
+                f(F(k, 2 * n)) for k in range(2 * n + 1)
+            )
+
     def test_zero_spike_on_grid(self):
         z, _ = t2_constants()
         assert sample_to_grid(z, 4).values == (F(1), F(0), F(0), F(0), F(0))
