@@ -34,7 +34,8 @@ from .formats import (
     parse_subset,
     parse_topology,
 )
-from .lattice import check_heyting_laws, chain_lattice, open_set_heyting
+from .lattice import MAX_LAW_CHECKS, chain_lattice, check_heyting_laws, law_check_count
+from .lattice import open_set_heyting
 from .terms import format_equation, same_equations_report
 from .type2 import crosscheck, t2_join, t2_meet, t2_neg
 
@@ -47,12 +48,15 @@ def _read(path):
 
 
 def _load_lattice(selector):
-    """`chain:N` or a topology file path."""
+    """`chain:N` or a topology file path. A chain whose order laws alone
+    exceed ``MAX_LAW_CHECKS`` is refused before it is built."""
     if selector.startswith("chain:"):
         try:
             n = int(selector.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad chain size in {selector!r}") from None
+        if law_check_count(n + 1, 0) > MAX_LAW_CHECKS:
+            raise CapacityError(f"{selector} is longer than the law-check bound allows")
         return chain_lattice(n)
     return open_set_heyting(parse_topology(_read(selector), selector))
 
@@ -83,7 +87,7 @@ def cmd_conv_eval(args):
         parse_lattice_map(_read(p), structure.carrier, lattice, p) for p in args.arg or []
     ]
     result = conv_op(lattice, structure, args.relation, maps)
-    records = [(f"result.{x}", format_element(result.values[x])) for x in result.carrier]
+    records = [(f"result.{x}", format_element(v)) for x, v in result.values.items()]
     return 0, records, format_map(result)
 
 
@@ -164,21 +168,21 @@ def cmd_type2_crosscheck(args):
 
 def cmd_paper_demo(args):
     topology, lattice, structure, (alpha1, alpha2) = worked_example()
-    conv = conv_op(lattice, structure, "f", [alpha1, alpha2])
+    conv = conv_op(lattice, structure, "f", [alpha1, alpha2]).values
     rel_etale = ConstantRelationalEtale(structure, topology)
     sub_args = [phi(lattice, alpha1), phi(lattice, alpha2)]
     fiber = per_fiber_rel_image(rel_etale, "f", sub_args)
     sections = fiberwise_rel_image(rel_etale, "f", sub_args)
     routes = [
-        ("conv", "convolution over the open-set lattice", conv.values),
+        ("conv", "convolution over the open-set lattice", conv),
         ("fiber", "relational image computed fiber by fiber", fiber.sections),
         ("etale", "sectionwise image of the lifted relation", sections.sections),
     ]
-    agree = conv.values == fiber.sections == sections.sections
+    agree = conv == fiber.sections == sections.sections
     records, lines = [], []
     for label, title, values in routes:
         lines.append(f"{title}:")
-        for x in conv.carrier:
+        for x in structure.carrier:
             records.append((f"{label}.{x}", format_element(values[x])))
             lines.append(f"  {x} -> {format_element(values[x])}")
     records.append(("agree", agree))

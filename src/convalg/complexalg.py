@@ -53,16 +53,15 @@ def all_subsets(carrier):
 def char_map(two, carrier, subset):
     """Characteristic map of a subset over the two-element lattice."""
     subset = frozenset(subset)
-    return LatticeMap(
-        tuple(carrier),
-        two,
-        {x: (two.top if x in subset else two.bottom) for x in carrier},
+    return LatticeMap.from_values(
+        carrier, two, {x: (two.top if x in subset else two.bottom) for x in carrier}
     )
 
 
 def subset_from_map(m):
     """Inverse of ``char_map``: the set of points with value top."""
-    return frozenset(x for x in m.carrier if m.values[x] == m.lattice.top)
+    top = m.lattice.top_code
+    return frozenset(x for x, c in zip(m.carrier, m.codes) if c == top)
 
 
 @dataclass

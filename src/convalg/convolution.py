@@ -12,42 +12,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-
-class CapacityError(Exception):
-    """An enumeration would exceed the configured bound."""
+from .lattice import CapacityError
 
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """A total map from a structure carrier into a lattice.
+    """A total map from a structure carrier into a lattice, stored as codes.
 
-    Construction checks that every carrier element gets a lattice
-    element and records the codes of the values: their positions in the
-    lattice's element order, in carrier order.
+    ``codes[i]`` is the position in ``lattice.elements`` of the value at
+    ``carrier[i]``. Construction checks that there is one int code per
+    carrier element and that each names an element. ``values`` and
+    calling the map derive lattice elements on demand; use
+    :meth:`from_values` to build a map from element values.
     """
 
     carrier: tuple
     lattice: object
-    values: dict
+    codes: tuple
 
     def __post_init__(self):
-        values = dict(self.values)
-        object.__setattr__(self, "values", values)
-        if values.keys() != set(self.carrier):
+        codes, size = self.codes, len(self.lattice.elements)
+        if type(codes) is not tuple or len(codes) != len(self.carrier):
+            raise ValueError("codes must be a tuple with one entry per carrier element")
+        for c in codes:
+            if type(c) is not int or not 0 <= c < size:
+                raise ValueError(f"code {c!r} is not a position in a lattice of {size} elements")
+
+    @classmethod
+    def from_values(cls, carrier, lattice, values):
+        """The map sending each carrier element x to the lattice element ``values[x]``."""
+        carrier, values = tuple(carrier), dict(values)
+        if values.keys() != set(carrier):
             raise ValueError("map must assign a value to every carrier element")
-        index = self.lattice.index
+        index = lattice.index
         try:
-            codes = tuple([index[values[x]] for x in self.carrier])
+            codes = tuple([index[values[x]] for x in carrier])
         except KeyError as e:
             raise ValueError(f"{e.args[0]!r} is not an element of the lattice") from None
-        object.__setattr__(self, "_codes", codes)
+        return cls(carrier, lattice, codes)
+
+    @property
+    def values(self):
+        """A fresh dict from carrier elements to lattice elements."""
+        els = self.lattice.elements
+        return {x: els[c] for x, c in zip(self.carrier, self.codes)}
 
     def __call__(self, x):
         return self.values[x]
 
     def key(self):
         """Hashable identity over one lattice and carrier: the codes."""
-        return self._codes
+        return self.codes
 
 
 def _check_compatible(a, b):
@@ -77,45 +92,44 @@ def conv_op(lattice, structure, name, args):
             raise ValueError("argument lattice mismatch")
     meet, join = lattice.meet_table, lattice.join_table
     bottom, top = lattice.bottom_code, lattice.top_code
-    codes = [c for a in args for c in a._codes]
-    els = lattice.elements
-    values = {}
-    for x, group in zip(carrier, groups):
+    codes = [c for a in args for c in a.codes]
+    out = []
+    for group in groups:
         acc = bottom
         for t in group:
             m = top
             for k in t:
                 m = meet[m][codes[k]]
             acc = join[acc][m]
-        values[x] = els[acc]
-    return LatticeMap(carrier, lattice, values)
+        out.append(acc)
+    return LatticeMap(carrier, lattice, tuple(out))
+
+
+def _combine(table, a, b):
+    _check_compatible(a, b)
+    return LatticeMap(a.carrier, a.lattice, tuple([table[i][j] for i, j in zip(a.codes, b.codes)]))
 
 
 def pointwise_join(a, b):
-    _check_compatible(a, b)
-    lat = a.lattice
-    return LatticeMap(a.carrier, lat, {x: lat.join(a.values[x], b.values[x]) for x in a.carrier})
+    return _combine(a.lattice.join_table, a, b)
 
 
 def pointwise_meet(a, b):
-    _check_compatible(a, b)
-    lat = a.lattice
-    return LatticeMap(a.carrier, lat, {x: lat.meet(a.values[x], b.values[x]) for x in a.carrier})
+    return _combine(a.lattice.meet_table, a, b)
 
 
 def pointwise_impl(a, b):
-    _check_compatible(a, b)
-    lat = a.lattice
-    return LatticeMap(a.carrier, lat, {x: lat.impl(a.values[x], b.values[x]) for x in a.carrier})
+    return _combine(a.lattice.impl_table, a, b)
 
 
 def pointwise_neg(a):
     lat = a.lattice
-    return LatticeMap(a.carrier, lat, {x: lat.neg(a.values[x]) for x in a.carrier})
+    bottom, impl = lat.bottom_code, lat.impl_table
+    return LatticeMap(a.carrier, lat, tuple([impl[i][bottom] for i in a.codes]))
 
 
 def constant_map(carrier, lattice, value):
-    return LatticeMap(tuple(carrier), lattice, {x: value for x in carrier})
+    return LatticeMap.from_values(carrier, lattice, {x: value for x in carrier})
 
 
 def bottom_map(carrier, lattice):
@@ -129,7 +143,8 @@ def top_map(carrier, lattice):
 def map_leq(a, b):
     """Pointwise order on maps."""
     _check_compatible(a, b)
-    return all(a.lattice.leq(a.values[x], b.values[x]) for x in a.carrier)
+    els, leq = a.lattice.elements, a.lattice.leq
+    return all(leq(els[i], els[j]) for i, j in zip(a.codes, b.codes))
 
 
 def enumerate_maps(lattice, carrier, max_maps=10**6):
@@ -142,8 +157,8 @@ def enumerate_maps(lattice, carrier, max_maps=10**6):
     """
     carrier = tuple(carrier)
     count_maps(lattice, carrier, max_maps)
-    for combo in product(lattice.elements, repeat=len(carrier)):
-        yield LatticeMap(carrier, lattice, dict(zip(carrier, combo)))
+    for codes in product(range(len(lattice.elements)), repeat=len(carrier)):
+        yield LatticeMap(carrier, lattice, codes)
 
 
 def count_maps(lattice, carrier, max_maps=10**6):
@@ -156,5 +171,7 @@ def count_maps(lattice, carrier, max_maps=10**6):
 
 
 def random_map(rng, lattice, carrier):
-    """Uniformly random map, driven by the caller's rng for determinism."""
-    return LatticeMap(tuple(carrier), lattice, {x: rng.choice(lattice.elements) for x in carrier})
+    """Uniformly random map, driven by the caller's rng for determinism;
+    the draws are those of ``rng.choice(lattice.elements)`` per element."""
+    positions = range(len(lattice.elements))
+    return LatticeMap(tuple(carrier), lattice, tuple([rng.choice(positions) for _ in carrier]))

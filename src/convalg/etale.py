@@ -88,7 +88,7 @@ def phi(lattice, alpha):
     if alpha.lattice is not lattice and alpha.lattice != lattice:
         raise ValueError("map does not live over the given lattice")
     parent = ConstantEtale(tuple(alpha.carrier), lattice.topology)
-    return EtaleSubobject(parent, dict(alpha.values))
+    return EtaleSubobject(parent, alpha.values)
 
 
 def phi_inverse(lattice, sub):
@@ -97,7 +97,7 @@ def phi_inverse(lattice, sub):
         raise ValueError("phi_inverse requires an open-set lattice")
     if sub.parent.base != lattice.topology:
         raise ValueError("subobject base does not match the lattice's topology")
-    return LatticeMap(sub.parent.fibers, lattice, dict(sub.sections))
+    return LatticeMap.from_values(sub.parent.fibers, lattice, sub.sections)
 
 
 def _check_args(rel_etale, name, args):
@@ -193,11 +193,9 @@ def sub_leq(a, b):
 
 
 def _format_map(m):
-    parts = []
-    for x in m.carrier:
-        v = m.values[x]
-        parts.append(f"{x}->{{{' '.join(str(p) for p in sorted(v))}}}")
-    return ", ".join(parts)
+    return ", ".join(
+        f"{x}->{{{' '.join(str(p) for p in sorted(v))}}}" for x, v in m.values.items()
+    )
 
 
 @dataclass
@@ -266,36 +264,17 @@ def worked_example():
     topology = make_topology(("t1", "t2", "t3"), [{"t1"}, {"t2"}, {"t3"}])
     lattice = open_set_heyting(topology)
     carrier = ("x1", "x2", "x3", "x4")
-    structure = RelationalStructure(
-        carrier,
-        Signature((("f", 2),)),
-        {
-            "f": {
-                ("x1", "x1", "x1"),
-                ("x2", "x2", "x3"),
-                ("x1", "x3", "x4"),
-                ("x3", "x2", "x4"),
-            }
-        },
+    f = {("x1", "x1", "x1"), ("x2", "x2", "x3"), ("x1", "x3", "x4"), ("x3", "x2", "x4")}
+    structure = RelationalStructure(carrier, Signature((("f", 2),)), {"f": f})
+    fs = frozenset
+    thirds = {  # x: (alpha1(x), alpha2(x))
+        "x1": (fs({"t1", "t2"}), fs({"t2", "t3"})),
+        "x2": (fs({"t1", "t2"}), fs({"t3"})),
+        "x3": (fs({"t2", "t3"}), fs({"t1"})),
+        "x4": (fs({"t1", "t2", "t3"}), fs({"t1", "t2"})),
+    }
+    alphas = tuple(
+        LatticeMap.from_values(carrier, lattice, {x: v[i] for x, v in thirds.items()})
+        for i in (0, 1)
     )
-    alpha1 = LatticeMap(
-        carrier,
-        lattice,
-        {
-            "x1": frozenset({"t1", "t2"}),
-            "x2": frozenset({"t1", "t2"}),
-            "x3": frozenset({"t2", "t3"}),
-            "x4": frozenset({"t1", "t2", "t3"}),
-        },
-    )
-    alpha2 = LatticeMap(
-        carrier,
-        lattice,
-        {
-            "x1": frozenset({"t2", "t3"}),
-            "x2": frozenset({"t3"}),
-            "x3": frozenset({"t1"}),
-            "x4": frozenset({"t1", "t2"}),
-        },
-    )
-    return topology, lattice, structure, (alpha1, alpha2)
+    return topology, lattice, structure, alphas

@@ -145,7 +145,7 @@ def parse_lattice_map(text, carrier, lattice, path=None):
     missing = set(carrier) - set(values)
     if missing:
         raise ParseError(f"missing entries for {sorted(missing)}", None, path)
-    return LatticeMap(tuple(carrier), lattice, values)
+    return LatticeMap.from_values(carrier, lattice, values)
 
 
 def _parse_fraction(token, i, path):
@@ -278,7 +278,7 @@ def format_subset(s):
 
 
 def format_map(m):
-    return "\n".join(f"{x} -> {format_element(m.values[x])}" for x in m.carrier)
+    return "\n".join(f"{x} -> {format_element(v)}" for x, v in m.values.items())
 
 
 def format_step_function(f):

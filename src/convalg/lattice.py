@@ -11,7 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
+
+# Planned checks above which check_heyting_laws refuses to start.
+MAX_LAW_CHECKS = 10**7
+
+
+class CapacityError(Exception):
+    """An enumeration would exceed the configured bound."""
 
 
 @dataclass(frozen=True)
@@ -35,12 +43,11 @@ class FiniteTopology:
             raise ValueError("the empty set must be open")
         if self.points not in self.opens:
             raise ValueError("the full point set must be open")
-        for a in self.opens:
-            for b in self.opens:
-                if a | b not in self.opens:
-                    raise ValueError("opens are not closed under union")
-                if a & b not in self.opens:
-                    raise ValueError("opens are not closed under intersection")
+        for a, b in product(self.opens, repeat=2):
+            if a | b not in self.opens:
+                raise ValueError("opens are not closed under union")
+            if a & b not in self.opens:
+                raise ValueError("opens are not closed under intersection")
 
     def impl(self, a, b):
         """Heyting implication of opens: the union of the opens W with W & a <= b."""
@@ -66,14 +73,11 @@ def make_topology(points, generators=()):
         if unknown:
             raise ValueError(f"generator mentions unknown points: {sorted(unknown)}")
         opens.add(g)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in combinations(list(opens), 2):
-            for c in (a | b, a & b):
-                if c not in opens:
-                    opens.add(c)
-                    changed = True
+    while True:
+        new = {c for a, b in combinations(opens, 2) for c in (a | b, a & b)} - opens
+        if not new:
+            break
+        opens |= new
     return FiniteTopology(pts, frozenset(opens))
 
 
@@ -94,16 +98,11 @@ def enumerate_topologies(points):
         for i, s in enumerate(middles):
             if mask >> i & 1:
                 family.add(s)
-        if _closed_family(family):
-            yield FiniteTopology(full, frozenset(family))
-
-
-def _closed_family(family):
-    for a in family:
-        for b in family:
-            if a | b not in family or a & b not in family:
-                return False
-    return True
+        try:
+            topology = FiniteTopology(full, frozenset(family))
+        except ValueError:  # not closed under union and intersection
+            continue
+        yield topology
 
 
 class FiniteLattice:
@@ -192,6 +191,11 @@ class FiniteLattice:
         """``join_table[i][j]`` is the position of the join of elements i and j."""
         return self._position_table(self.join)
 
+    @cached_property
+    def impl_table(self):
+        """``impl_table[i][j]`` is the position of the implication i -> j."""
+        return self._position_table(self.impl)
+
     def _position_table(self, op):
         els, index = self.elements, self.index
         rows = []
@@ -258,11 +262,8 @@ class OpenSetLattice(FiniteLattice):
         return out
 
     def meet_all(self, items):
-        items = tuple(items)
-        if not items:
-            return self.topology.points
-        out = items[0]
-        for a in items[1:]:
+        out = self.topology.points
+        for a in items:
             out = out & a
         return out
 
@@ -338,6 +339,12 @@ class LawReport:
         return f"{self.failure.law} failed after {self.checks} checks: {self.failure.detail}"
 
 
+def law_check_count(n, max_subset_size):
+    """Checks :func:`check_heyting_laws` makes on a lawful n-element lattice."""
+    subsets = 1 + sum(comb(n, k) for k in range(1, min(max_subset_size, n) + 1))
+    return 2 * n**3 + 2 * n**2 + 2 * n + 2 + subsets * (3 * n + 2)
+
+
 def check_heyting_laws(lat, max_subset_size=2):
     """Exhaustively verify the lattice, distributivity and adjunction laws.
 
@@ -345,11 +352,16 @@ def check_heyting_laws(lat, max_subset_size=2):
     the infinite distributive law) are checked over all subsets of size
     up to ``max_subset_size`` plus the full element set; order, bound,
     and adjunction checks are exhaustive over elements. Returns a report
-    carrying the first counterexample instead of raising.
+    carrying the first counterexample instead of raising. Raises
+    CapacityError before checking anything when the planned check count
+    exceeds ``MAX_LAW_CHECKS``.
     """
     if max_subset_size < 0:
         raise ValueError(f"max_subset_size must be nonnegative, got {max_subset_size}")
     els = lat.elements
+    planned = law_check_count(len(els), max_subset_size)
+    if planned > MAX_LAW_CHECKS:
+        raise CapacityError(f"{planned} law checks exceed the bound {MAX_LAW_CHECKS}")
     checks = 0
 
     def fail(law, detail):
@@ -359,17 +371,14 @@ def check_heyting_laws(lat, max_subset_size=2):
         checks += 1
         if not lat.leq(a, a):
             return fail("order", f"not reflexive at {a!r}")
-    for a in els:
-        for b in els:
-            checks += 1
-            if a != b and lat.leq(a, b) and lat.leq(b, a):
-                return fail("order", f"not antisymmetric at {a!r}, {b!r}")
-    for a in els:
-        for b in els:
-            for c in els:
-                checks += 1
-                if lat.leq(a, b) and lat.leq(b, c) and not lat.leq(a, c):
-                    return fail("order", f"not transitive at {a!r}, {b!r}, {c!r}")
+    for a, b in product(els, repeat=2):
+        checks += 1
+        if a != b and lat.leq(a, b) and lat.leq(b, a):
+            return fail("order", f"not antisymmetric at {a!r}, {b!r}")
+    for a, b, c in product(els, repeat=3):
+        checks += 1
+        if lat.leq(a, b) and lat.leq(b, c) and not lat.leq(a, c):
+            return fail("order", f"not transitive at {a!r}, {b!r}, {c!r}")
 
     for a in els:
         checks += 1
@@ -404,26 +413,21 @@ def check_heyting_laws(lat, max_subset_size=2):
             if all(lat.leq(u, x) for x in s) and not lat.leq(u, m):
                 return fail("glb", f"meet of {s!r} is not greatest (witness {u!r})")
 
-    for a in els:
-        for s in subsets:
-            checks += 1
-            lhs = lat.meet(a, lat.join_all(s))
-            rhs = lat.join_all([lat.meet(a, x) for x in s])
-            if lhs != rhs:
-                return fail("distributivity", f"{a!r} meet join{s!r}: {lhs!r} != {rhs!r}")
+    for a, s in product(els, subsets):
+        checks += 1
+        lhs = lat.meet(a, lat.join_all(s))
+        rhs = lat.join_all([lat.meet(a, x) for x in s])
+        if lhs != rhs:
+            return fail("distributivity", f"{a!r} meet join{s!r}: {lhs!r} != {rhs!r}")
 
-    for a in els:
-        for b in els:
-            c = lat.impl(a, b)
+    for a, b in product(els, repeat=2):
+        c = lat.impl(a, b)
+        checks += 1
+        if c not in lat.index:
+            return fail("adjunction", f"impl({a!r}, {b!r}) left the lattice")
+        for w in els:
             checks += 1
-            if c not in lat.index:
-                return fail("adjunction", f"impl({a!r}, {b!r}) left the lattice")
-            for w in els:
-                checks += 1
-                if lat.leq(lat.meet(w, a), b) != lat.leq(w, c):
-                    return fail(
-                        "adjunction",
-                        f"w={w!r}, a={a!r}, b={b!r}, impl={c!r}",
-                    )
+            if lat.leq(lat.meet(w, a), b) != lat.leq(w, c):
+                return fail("adjunction", f"w={w!r}, a={a!r}, b={b!r}, impl={c!r}")
 
     return LawReport(True, checks, None)

@@ -131,24 +131,20 @@ def relation_from_operation(carrier, table):
     n-fold power of the carrier; nullary operations use the empty tuple
     as their single key.
     """
-    carrier = tuple(carrier)
     cset = set(carrier)
-    keys = list(table)
-    if not keys:
+    if not table:
         raise ValueError("operation table is empty")
-    n = len(keys[0])
-    for k in keys:
+    n = len(next(iter(table)))
+    for k, v in table.items():
         if len(k) != n:
             raise ValueError("operation table keys have mixed arities")
-        for entry in k:
-            if entry not in cset:
-                raise ValueError(f"table key {k!r} mentions unknown element")
-    for k, v in table.items():
+        if not cset.issuperset(k):
+            raise ValueError(f"table key {k!r} mentions unknown element")
         if v not in cset:
             raise ValueError(f"table value {v!r} is not a carrier element")
-    if len(keys) != len(cset) ** n:
-        raise ValueError(f"operation table is partial: {len(keys)} of {len(cset) ** n} entries")
-    return frozenset(tuple(k) + (table[k],) for k in keys)
+    if len(table) != len(cset) ** n:
+        raise ValueError(f"operation table is partial: {len(table)} of {len(cset) ** n} entries")
+    return frozenset(tuple(k) + (v,) for k, v in table.items())
 
 
 def interval_structure(n):

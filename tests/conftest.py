@@ -50,7 +50,7 @@ def thirds_lattice(thirds_topology):
 @pytest.fixture(scope="session")
 def thirds_args(four_point_structure, thirds_lattice):
     carrier = four_point_structure.carrier
-    alpha1 = LatticeMap(
+    alpha1 = LatticeMap.from_values(
         carrier,
         thirds_lattice,
         {
@@ -60,7 +60,7 @@ def thirds_args(four_point_structure, thirds_lattice):
             "x4": frozenset({"t1", "t2", "t3"}),
         },
     )
-    alpha2 = LatticeMap(
+    alpha2 = LatticeMap.from_values(
         carrier,
         thirds_lattice,
         {

@@ -1,8 +1,11 @@
+import time
 from pathlib import Path
 
 import pytest
 
-from convalg.cli import main
+from convalg import cli
+from convalg.cli import _load_lattice, main
+from convalg.lattice import CapacityError
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
@@ -204,6 +207,37 @@ class TestLatticeCheck:
         rc, out, _ = run(capsys, ["lattice", "check", "--lattice", "chain:4", "--records"])
         assert rc == 0
         assert "ok=true" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--lattice", "chain:400"],
+            ["--lattice", "chain:1000000000000"],
+            ["--lattice", "chain:18", "--max-subset-size", "18"],
+        ],
+        ids=["chain-400", "chain-10^12", "subset-size-18"],
+    )
+    def test_over_capacity_is_input_error(self, capsys, monkeypatch, argv):
+        real = cli.chain_lattice
+
+        def chain_lattice(n):
+            # a guard that stopped working must fail here, not allocate 10**12 elements
+            assert n <= 400, f"chain:{n} reached the chain constructor"
+            return real(n)
+
+        monkeypatch.setattr(cli, "chain_lattice", chain_lattice)
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["lattice", "check", *argv, "--records"])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "bound" in err
+
+    def test_chain_selector_bound(self):
+        # chain:169 is the longest chain whose order laws fit MAX_LAW_CHECKS
+        assert len(_load_lattice("chain:169").elements) == 170
+        with pytest.raises(CapacityError):
+            _load_lattice("chain:170")
 
     def test_negative_subset_size_is_usage_error(self, capsys):
         rc, out, err = run(

@@ -58,7 +58,7 @@ class TestConvOp:
 
     def test_lattice_mismatch(self, four_point_structure, thirds_args):
         other = chain_lattice(2)
-        bad = LatticeMap(
+        bad = LatticeMap.from_values(
             four_point_structure.carrier, other, {x: Fraction(0) for x in four_point_structure.carrier}
         )
         with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ class TestConvOp:
         for a in subsets:
             for b in subsets:
                 maps = [
-                    LatticeMap(s.carrier, two, {x: two.top if x in sub else two.bottom for x in s.carrier})
+                    LatticeMap.from_values(s.carrier, two, {x: two.top if x in sub else two.bottom for x in s.carrier})
                     for sub in (a, b)
                 ]
                 image = rel_image(s, "join", [a, b])
@@ -119,13 +119,13 @@ class TestPointwise:
 
     def test_componentwise_meet_example(self, wedge_lattice, wedge_topology):
         carrier = ("p", "q")
-        a = LatticeMap(carrier, wedge_lattice, {"p": fs("a", "b"), "q": wedge_topology.points})
-        b = LatticeMap(carrier, wedge_lattice, {"p": fs("b", "c"), "q": fs()})
+        a = LatticeMap.from_values(carrier, wedge_lattice, {"p": fs("a", "b"), "q": wedge_topology.points})
+        b = LatticeMap.from_values(carrier, wedge_lattice, {"p": fs("b", "c"), "q": fs()})
         assert pointwise_meet(a, b).values == {"p": fs("b"), "q": fs()}
 
     def test_carrier_mismatch(self, wedge_lattice):
-        a = LatticeMap(("p",), wedge_lattice, {"p": fs()})
-        b = LatticeMap(("q",), wedge_lattice, {"q": fs()})
+        a = LatticeMap.from_values(("p",), wedge_lattice, {"p": fs()})
+        b = LatticeMap.from_values(("q",), wedge_lattice, {"q": fs()})
         with pytest.raises(ValueError):
             pointwise_join(a, b)
 
@@ -151,8 +151,54 @@ class TestEnumerateMaps:
 class TestLatticeMap:
     def test_must_be_total(self, wedge_lattice):
         with pytest.raises(ValueError):
-            LatticeMap(("p", "q"), wedge_lattice, {"p": fs()})
+            LatticeMap.from_values(("p", "q"), wedge_lattice, {"p": fs()})
 
     def test_values_must_be_elements(self, wedge_lattice):
         with pytest.raises(ValueError):
-            LatticeMap(("p",), wedge_lattice, {"p": fs("a")})
+            LatticeMap.from_values(("p",), wedge_lattice, {"p": fs("a")})
+
+
+class TestCodeConstructor:
+    """The stored field is ``codes``: one position in ``lattice.elements`` per
+    carrier element, checked by the one constructor."""
+
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            (0,), (0, 1, 2), (-1, 0), (0, 5), (0, 99),
+            (0, "1"), (0, 1.0), (True, 0), [0, 1], {"p": 0, "q": 1},
+        ],
+        ids=[
+            "short", "long", "negative", "just-out-of-range", "far-out-of-range",
+            "str", "float", "bool", "list", "dict",
+        ],
+    )
+    def test_rejects_malformed_codes(self, wedge_lattice, codes):
+        with pytest.raises(ValueError):
+            LatticeMap(("p", "q"), wedge_lattice, codes)
+
+    def test_values_call_and_key_agree(self, wedge_lattice):
+        carrier = ("p", "q", "r")
+        m = LatticeMap(carrier, wedge_lattice, (4, 0, 2))
+        els = wedge_lattice.elements
+        assert m.key() == m.codes == (4, 0, 2)
+        assert m.values == {"p": els[4], "q": els[0], "r": els[2]}
+        assert [m(x) for x in carrier] == [els[4], els[0], els[2]]
+        assert LatticeMap.from_values(carrier, wedge_lattice, m.values) == m
+
+    def test_values_is_a_fresh_dict(self, wedge_lattice):
+        m = LatticeMap(("p",), wedge_lattice, (1,))
+        m.values["p"] = fs()
+        assert m.values == {"p": wedge_lattice.elements[1]}
+
+    def test_every_constructed_map_agrees_with_its_codes(self, wedge_lattice):
+        rng = random.Random(4)
+        carrier = ("p", "q", "r", "s")
+        for _ in range(50):
+            m = random_map(rng, wedge_lattice, carrier)
+            assert tuple(wedge_lattice.index[m(x)] for x in carrier) == m.key()
+            assert hash(m) == hash(LatticeMap(carrier, wedge_lattice, m.codes))
+
+    def test_from_values_rejects_extra_keys(self, wedge_lattice):
+        with pytest.raises(ValueError):
+            LatticeMap.from_values(("p",), wedge_lattice, {"p": fs(), "q": fs()})

@@ -65,7 +65,7 @@ class TestPhi:
             "x3": segments[1],
             "x4": segments[0],
         }
-        alpha = LatticeMap(carrier, lat, bars)
+        alpha = LatticeMap.from_values(carrier, lat, bars)
         assert phi(lat, alpha).sections == bars
 
     def test_round_trip_exhaustive(self, wedge_lattice):

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convalg import (
+    LatticeMap,
+    Signature,
     StepFunction,
     chain_lattice,
+    format_equation,
     interval_structure,
+    make_topology,
     open_set_heyting,
+    random_equations,
     random_step,
     t2_constants,
 )
@@ -212,3 +217,51 @@ class TestElementFormatting:
     def test_fraction_plain(self):
         assert format_element(F(3, 4)) == "3/4"
         assert format_element(F(0)) == "0"
+
+
+# point and carrier labels: any token free of whitespace, braces, `#` and `->`
+NAMES = st.text("abxyz01_.", min_size=1, max_size=5)
+
+
+@st.composite
+def lattice_maps(draw):
+    """A map over a chain or a small open-set lattice, on distinct named points."""
+    if draw(st.booleans()):
+        lattice = chain_lattice(draw(st.integers(min_value=1, max_value=8)))
+    else:
+        gens = draw(st.lists(st.frozensets(st.sampled_from("abcd")), max_size=4))
+        lattice = open_set_heyting(make_topology("abcd", gens))
+    carrier = tuple(draw(st.lists(NAMES, unique=True, max_size=5)))
+    codes = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=len(lattice.elements) - 1),
+            min_size=len(carrier),
+            max_size=len(carrier),
+        )
+    )
+    return LatticeMap(carrier, lattice, tuple(codes))
+
+
+@st.composite
+def signatures(draw):
+    suffixes = draw(st.lists(NAMES, unique=True, min_size=1, max_size=4))
+    names = [f"op{s}" for s in suffixes]
+    return Signature(tuple((n, draw(st.integers(min_value=0, max_value=3))) for n in names))
+
+
+class TestRoundTrips:
+    @given(lattice_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_map(self, m):
+        assert parse_lattice_map(format_map(m), m.carrier, m.lattice) == m
+
+    @given(st.frozensets(NAMES, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_subset(self, s):
+        assert parse_subset(format_subset(s)) == s
+
+    @given(signatures(), st.integers(min_value=0, max_value=10**6), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_random_equations(self, signature, seed, depth):
+        for eq in random_equations(signature, 5, seed=seed, max_depth=depth):
+            assert parse_equation(format_equation(eq), signature) == eq

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convalg import (
+    CapacityError,
+    FiniteLattice,
     FiniteTopology,
     LatticeMap,
     RelationalStructure,
@@ -17,6 +19,7 @@ from convalg import (
     open_set_heyting,
     pointwise_join,
 )
+from convalg.lattice import MAX_LAW_CHECKS, law_check_count
 
 
 def fs(*labels):
@@ -188,6 +191,42 @@ class TestCheckHeytingLaws:
             assert check_heyting_laws(open_set_heyting(t)).ok
 
 
+class TestLawCheckCapacity:
+    def test_planned_count_is_the_count_made(self, wedge_lattice):
+        lattices = [chain_lattice(n) for n in range(1, 7)] + [wedge_lattice]
+        lattices += [open_set_heyting(t) for t in enumerate_topologies(("1", "2", "3"))]
+        for lat in lattices:
+            for size in range(4):
+                report = check_heyting_laws(lat, max_subset_size=size)
+                assert report.ok
+                assert report.checks == law_check_count(len(lat.elements), size)
+
+    def test_chain_12_count_unchanged(self):
+        assert check_heyting_laws(chain_lattice(12)).checks == 8532
+
+    def test_long_chain_refused_before_any_check(self):
+        calls = 0
+
+        def leq(a, b):
+            nonlocal calls
+            calls += 1
+            return a <= b
+
+        lat = FiniteLattice(range(200), leq)
+        calls = 0
+        with pytest.raises(CapacityError):
+            check_heyting_laws(lat)
+        assert calls == 0
+        with pytest.raises(CapacityError):
+            check_heyting_laws(chain_lattice(400))
+
+    def test_large_subset_size_refused(self):
+        assert law_check_count(19, 18) > MAX_LAW_CHECKS
+        with pytest.raises(CapacityError):
+            check_heyting_laws(chain_lattice(18), max_subset_size=18)
+        assert check_heyting_laws(chain_lattice(3), max_subset_size=30).ok
+
+
 class TestEnumerateTopologies:
     @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 4), (3, 29)])
     def test_labeled_counts(self, n, count):
@@ -212,8 +251,8 @@ class TestLatticeIdentity:
         up = lattice_from_order(("a", "b"), {("a", "b")})
         down = lattice_from_order(("a", "b"), {("b", "a")})
         s = RelationalStructure(("p",), Signature((("g", 1),)), {"g": {("p", "p")}})
-        over_up = LatticeMap(("p",), up, {"p": "a"})
-        over_down = LatticeMap(("p",), down, {"p": "a"})
+        over_up = LatticeMap.from_values(("p",), up, {"p": "a"})
+        over_down = LatticeMap.from_values(("p",), down, {"p": "a"})
         assert conv_op(up, s, "g", [over_up]).values == {"p": "a"}
         with pytest.raises(ValueError, match="lattice mismatch"):
             conv_op(down, s, "g", [over_up])

@@ -8,6 +8,9 @@ with the compiled relations or the meet and join tables.
 ``literal_grid_conv`` restates the type-2 grid convolution the same way:
 for each output point, a supremum over every argument tuple related to
 it. It is the reference of the single-pass ``grid_conv_oracle``.
+The ``literal_pointwise_*`` functions apply the lattice's own ``join``,
+``meet``, ``impl`` and ``neg`` value by value; they are the references of
+the code-space pointwise operations, which read position tables.
 """
 
 import random
@@ -35,9 +38,14 @@ from convalg import (
     holds_in,
     lattice_from_order,
     open_set_heyting,
+    pointwise_impl,
+    pointwise_join,
+    pointwise_meet,
+    pointwise_neg,
     random_map,
     rel_image,
 )
+from convalg.convolution import count_maps
 
 SIG = Signature((("c", 0), ("g", 1), ("f", 2), ("h", 3)))
 
@@ -143,9 +151,60 @@ def test_keys_are_positions_in_enumeration_order(lattice):
     assert values == list(product(lattice.elements, repeat=len(carrier)))
 
 
+@pytest.mark.parametrize("lattice", LATTICES, ids=repr)
+def test_enumeration_order_and_count(lattice):
+    for carrier in ((), ("p",), ("p", "q")):
+        maps = list(enumerate_maps(lattice, carrier))
+        assert len(maps) == count_maps(lattice, carrier) == len(lattice.elements) ** len(carrier)
+        assert [tuple(m.values.values()) for m in maps] == list(
+            product(lattice.elements, repeat=len(carrier))
+        )
+
+
+def literal_pointwise_join(a, b):
+    lat = a.lattice
+    return LatticeMap.from_values(
+        a.carrier, lat, {x: lat.join(a.values[x], b.values[x]) for x in a.carrier}
+    )
+
+
+def literal_pointwise_meet(a, b):
+    lat = a.lattice
+    return LatticeMap.from_values(
+        a.carrier, lat, {x: lat.meet(a.values[x], b.values[x]) for x in a.carrier}
+    )
+
+
+def literal_pointwise_impl(a, b):
+    lat = a.lattice
+    return LatticeMap.from_values(
+        a.carrier, lat, {x: lat.impl(a.values[x], b.values[x]) for x in a.carrier}
+    )
+
+
+def literal_pointwise_neg(a):
+    lat = a.lattice
+    return LatticeMap.from_values(a.carrier, lat, {x: lat.neg(a.values[x]) for x in a.carrier})
+
+
+HEYTING = [open_set_heyting(t) for k in range(4) for t in enumerate_topologies(range(k))]
+HEYTING += [chain_lattice(n) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("lattice", HEYTING, ids=repr)
+def test_pointwise_ops_match_literal_references(lattice):
+    maps = list(enumerate_maps(lattice, ("p", "q")))
+    for a in maps:
+        assert pointwise_neg(a) == literal_pointwise_neg(a)
+        for b in maps:
+            assert pointwise_join(a, b) == literal_pointwise_join(a, b)
+            assert pointwise_meet(a, b) == literal_pointwise_meet(a, b)
+            assert pointwise_impl(a, b) == literal_pointwise_impl(a, b)
+
+
 def test_key_of_constructed_map_matches_enumerated_map():
     lattice = n5()
-    built = LatticeMap(("p", "q"), lattice, {"p": "b", "q": "c"})
+    built = LatticeMap.from_values(("p", "q"), lattice, {"p": "b", "q": "c"})
     enumerated = [m for m in enumerate_maps(lattice, ("p", "q")) if m.key() == built.key()]
     assert enumerated == [built]
 

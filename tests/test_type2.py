@@ -172,8 +172,8 @@ class TestClosedFormVsOracle:
         for _ in range(50):
             ga = sample_to_grid(random_grid_step(rng, n, value_denominator=n), n)
             gb = sample_to_grid(random_grid_step(rng, n, value_denominator=n), n)
-            ma = LatticeMap(s.carrier, lat, {F(k, n): ga.values[k] for k in range(n + 1)})
-            mb = LatticeMap(s.carrier, lat, {F(k, n): gb.values[k] for k in range(n + 1)})
+            ma = LatticeMap.from_values(s.carrier, lat, {F(k, n): ga.values[k] for k in range(n + 1)})
+            mb = LatticeMap.from_values(s.carrier, lat, {F(k, n): gb.values[k] for k in range(n + 1)})
             for op, args, margs in (
                 ("join", (ga, gb), [ma, mb]),
                 ("meet", (ga, gb), [ma, mb]),
