@@ -16,6 +16,8 @@ from math import comb
 
 # Planned checks above which check_heyting_laws refuses to start.
 MAX_LAW_CHECKS = 10**7
+# Opens above which make_topology stops closing (256 opens exceed MAX_LAW_CHECKS).
+MAX_OPENS = 2**8
 
 
 class CapacityError(Exception):
@@ -63,7 +65,8 @@ def make_topology(points, generators=()):
 
     Adds the empty set and the full point set and closes under pairwise
     union and intersection. Idempotent: applied to the opens of an
-    existing topology it returns an equal topology.
+    existing topology it returns an equal topology. Raises CapacityError
+    as soon as the family grows past ``MAX_OPENS``.
     """
     pts = frozenset(points)
     opens = {frozenset(), pts}
@@ -74,6 +77,8 @@ def make_topology(points, generators=()):
             raise ValueError(f"generator mentions unknown points: {sorted(unknown)}")
         opens.add(g)
     while True:
+        if len(opens) > MAX_OPENS:
+            raise CapacityError(f"the topology has more than the bound of {MAX_OPENS} opens")
         new = {c for a, b in combinations(opens, 2) for c in (a | b, a & b)} - opens
         if not new:
             break
@@ -197,24 +202,17 @@ class FiniteLattice:
         return self._position_table(self.impl)
 
     def _position_table(self, op):
-        els, index = self.elements, self.index
-        rows = []
-        for a in els:
-            row = []
-            for b in els:
-                c = op(a, b)
-                pos = index.get(c)
-                if pos is None:
-                    raise ValueError(f"{op.__name__}({a!r}, {b!r}) = {c!r} left the lattice")
-                row.append(pos)
-            rows.append(tuple(row))
-        return tuple(rows)
+        def position(a, b):
+            c = op(a, b)
+            if c not in self.index:
+                raise ValueError(f"{op.__name__}({a!r}, {b!r}) = {c!r} left the lattice")
+            return self.index[c]
+
+        return tuple(tuple(position(a, b) for b in self.elements) for a in self.elements)
 
     @cached_property
     def _order(self):
-        """The order relation over positions: one bitmask of upper bounds per element."""
-        els, leq = self.elements, self._leq
-        return tuple(sum(1 << j for j, b in enumerate(els) if leq(a, b)) for a in els)
+        return tuple(_up_sets(self.elements, self._leq))
 
     def __eq__(self, other):
         if self is other:
@@ -230,6 +228,11 @@ class FiniteLattice:
 
     def __repr__(self):
         return f"{type(self).__name__}({len(self.elements)} elements)"
+
+
+def _up_sets(elements, leq):
+    """The order over positions: bit j of entry i is set when elements[i] <= elements[j]."""
+    return [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
 
 
 def lattice_from_order(elements, below):
@@ -354,12 +357,15 @@ def check_heyting_laws(lat, max_subset_size=2):
     and adjunction checks are exhaustive over elements. Returns a report
     carrying the first counterexample instead of raising. Raises
     CapacityError before checking anything when the planned check count
-    exceeds ``MAX_LAW_CHECKS``.
+    exceeds ``MAX_LAW_CHECKS``. Asks n^2 ``leq``, ``meet`` and ``impl``
+    questions each; every scan over elements is a mask test whose lowest
+    bit is the first witness. Answers outside ``elements`` go to ``leq``.
     """
     if max_subset_size < 0:
         raise ValueError(f"max_subset_size must be nonnegative, got {max_subset_size}")
     els = lat.elements
-    planned = law_check_count(len(els), max_subset_size)
+    n, full = len(els), (1 << len(els)) - 1
+    planned = law_check_count(n, max_subset_size)
     if planned > MAX_LAW_CHECKS:
         raise CapacityError(f"{planned} law checks exceed the bound {MAX_LAW_CHECKS}")
     checks = 0
@@ -367,67 +373,86 @@ def check_heyting_laws(lat, max_subset_size=2):
     def fail(law, detail):
         return LawReport(False, checks, LawFailure(law, detail))
 
-    for a in els:
-        checks += 1
-        if not lat.leq(a, a):
-            return fail("order", f"not reflexive at {a!r}")
-    for a, b in product(els, repeat=2):
-        checks += 1
-        if a != b and lat.leq(a, b) and lat.leq(b, a):
-            return fail("order", f"not antisymmetric at {a!r}, {b!r}")
-    for a, b, c in product(els, repeat=3):
-        checks += 1
-        if lat.leq(a, b) and lat.leq(b, c) and not lat.leq(a, c):
-            return fail("order", f"not transitive at {a!r}, {b!r}, {c!r}")
+    def scan(bad):  # count a scan stopping at bad's lowest bit; that bit, or -1 if none
+        nonlocal checks
+        k = (bad & -bad).bit_length() - 1
+        checks += k + 1 if bad else n
+        return k
 
-    for a in els:
-        checks += 1
-        if not lat.leq(lat.bottom, a) or not lat.leq(a, lat.top):
-            return fail("bounds", f"{a!r} not between bottom and top")
+    up = _up_sets(els, lat.leq)
+    down = [sum(1 << i for i, u in enumerate(up) if u >> j & 1) for j in range(n)]
+    pos, vals = dict(lat.index), list(els)
+
+    def code(v):
+        p = pos.get(v)
+        if p is None:
+            p = pos[v] = len(vals)
+            vals.append(v)
+            up.append(sum(1 << k for k, u in enumerate(els) if lat.leq(v, u)))
+            down.append(sum(1 << k for k, u in enumerate(els) if lat.leq(u, v)))
+        return p
+
+    if (k := scan(sum(1 << i for i in range(n) if not up[i] >> i & 1))) >= 0:
+        return fail("order", f"not reflexive at {els[k]!r}")
+    for i in range(n):
+        if (k := scan(up[i] & down[i] & ~(1 << i))) >= 0:
+            return fail("order", f"not antisymmetric at {els[i]!r}, {els[k]!r}")
+    for i, j in product(range(n), repeat=2):
+        if (k := scan(up[j] & ~up[i] if up[i] >> j & 1 else 0)) >= 0:
+            return fail("order", f"not transitive at {els[i]!r}, {els[j]!r}, {els[k]!r}")
+
+    if (k := scan(full & ~(up[code(lat.bottom)] & down[code(lat.top)]))) >= 0:
+        return fail("bounds", f"{els[k]!r} not between bottom and top")
     checks += 2
     if lat.join_all(()) != lat.bottom:
         return fail("bounds", "empty join is not bottom")
     if lat.meet_all(()) != lat.top:
         return fail("bounds", "empty meet is not top")
 
-    subsets = []
-    for size in range(1, max_subset_size + 1):
-        subsets.extend(combinations(els, size))
-    subsets.append(els)
-
-    for s in subsets:
-        j = lat.join_all(s)
-        m = lat.meet_all(s)
+    subsets = [ps for k in range(1, max_subset_size + 1) for ps in combinations(range(n), k)]
+    subsets = [(ps, tuple(els[p] for p in ps)) for ps in subsets + [tuple(range(n))]]
+    joins = []
+    for ps, s in subsets:
+        j, m = code(lat.join_all(s)), code(lat.meet_all(s))
+        joins.append(j)
+        members, uppers, lowers = sum(1 << p for p in ps), full, full
+        for p in ps:
+            uppers, lowers = uppers & up[p], lowers & down[p]
         checks += 1
-        if not all(lat.leq(x, j) for x in s):
+        if members & ~down[j]:
             return fail("lub", f"join of {s!r} is not an upper bound")
-        for u in els:
-            checks += 1
-            if all(lat.leq(x, u) for x in s) and not lat.leq(j, u):
-                return fail("lub", f"join of {s!r} is not least (witness {u!r})")
+        if (k := scan(uppers & ~up[j])) >= 0:
+            return fail("lub", f"join of {s!r} is not least (witness {els[k]!r})")
         checks += 1
-        if not all(lat.leq(m, x) for x in s):
+        if members & ~up[m]:
             return fail("glb", f"meet of {s!r} is not a lower bound")
-        for u in els:
-            checks += 1
-            if all(lat.leq(u, x) for x in s) and not lat.leq(u, m):
-                return fail("glb", f"meet of {s!r} is not greatest (witness {u!r})")
+        if (k := scan(lowers & ~down[m])) >= 0:
+            return fail("glb", f"meet of {s!r} is not greatest (witness {els[k]!r})")
 
-    for a, s in product(els, subsets):
+    meet = [[code(lat.meet(a, b)) for b in els] for a in els]
+    rhs_of = {}  # join of the meets, by their positions
+    for (i, a), ((ps, s), j) in product(enumerate(els), zip(subsets, joins)):
         checks += 1
-        lhs = lat.meet(a, lat.join_all(s))
-        rhs = lat.join_all([lat.meet(a, x) for x in s])
+        lhs = meet[i][j] if j < n else code(lat.meet(a, vals[j]))
+        key = tuple(map(meet[i].__getitem__, ps))
+        if (rhs := rhs_of.get(key)) is None:
+            rhs = rhs_of[key] = code(lat.join_all([vals[p] for p in key]))
         if lhs != rhs:
-            return fail("distributivity", f"{a!r} meet join{s!r}: {lhs!r} != {rhs!r}")
+            return fail("distributivity", f"{a!r} meet join{s!r}: {vals[lhs]!r} != {vals[rhs]!r}")
 
-    for a, b in product(els, repeat=2):
-        c = lat.impl(a, b)
-        checks += 1
-        if c not in lat.index:
-            return fail("adjunction", f"impl({a!r}, {b!r}) left the lattice")
-        for w in els:
+    # below[j] holds the w with (w meet a) <= els[j]: the up-sets of the meets as
+    # binary strings, w = n - 1 first, transposed by zip and read back as masks
+    bits = [format(u, f"0{n}b") for u in up]
+    for i, a in enumerate(els):
+        rows = [bits[meet[w][i]] for w in reversed(range(n))]
+        below = [int("".join(col), 2) for col in zip(*rows)][::-1]
+        for j, b in enumerate(els):
+            c = lat.impl(a, b)
+            p = lat.index.get(c)
             checks += 1
-            if lat.leq(lat.meet(w, a), b) != lat.leq(w, c):
-                return fail("adjunction", f"w={w!r}, a={a!r}, b={b!r}, impl={c!r}")
+            if p is None:
+                return fail("adjunction", f"impl({a!r}, {b!r}) left the lattice")
+            if (k := scan(below[j] ^ down[p])) >= 0:
+                return fail("adjunction", f"w={els[k]!r}, a={a!r}, b={b!r}, impl={c!r}")
 
     return LawReport(True, checks, None)

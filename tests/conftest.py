@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from convalg import (
     LatticeMap,
@@ -7,6 +8,11 @@ from convalg import (
     make_topology,
     open_set_heyting,
 )
+
+# Every run draws the same Hypothesis examples, so two runs of the suite
+# execute the same checks; per-test settings still set the example counts.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

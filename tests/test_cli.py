@@ -239,6 +239,19 @@ class TestLatticeCheck:
         with pytest.raises(CapacityError):
             _load_lattice("chain:170")
 
+    def test_large_topology_file_is_input_error(self, capsys, tmp_path):
+        # the discrete topology on 20 points has 2**20 opens
+        points = [f"p{i}" for i in range(20)]
+        topology = tmp_path / "discrete.txt"
+        lines = [f"points: {' '.join(points)}"] + [f"open: {p}" for p in points]
+        topology.write_text("\n".join(lines) + "\n")
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["lattice", "check", "--lattice", str(topology), "--records"])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "bound" in err
+
     def test_negative_subset_size_is_usage_error(self, capsys):
         rc, out, err = run(
             capsys, ["lattice", "check", "--lattice", "chain:2", "--max-subset-size", "-5"]

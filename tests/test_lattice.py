@@ -1,3 +1,5 @@
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from convalg import (
     open_set_heyting,
     pointwise_join,
 )
-from convalg.lattice import MAX_LAW_CHECKS, law_check_count
+from convalg.lattice import MAX_LAW_CHECKS, MAX_OPENS, law_check_count
 
 
 def fs(*labels):
@@ -50,6 +52,19 @@ class TestMakeTopology:
             frozenset(c) for r in range(4) for c in combinations(("1", "2", "3"), r)
         }
         assert t.opens == expected
+
+    def test_too_many_opens_refused(self):
+        assert len(make_topology(range(8), [{i} for i in range(8)]).opens) == MAX_OPENS
+        for points in (9, 20):
+            t0 = time.perf_counter()
+            with pytest.raises(CapacityError, match=f"bound of {MAX_OPENS} opens"):
+                make_topology(range(points), [{i} for i in range(points)])
+            assert time.perf_counter() - t0 < 1.0
+        # a generator list past the bound is refused before any closing round
+        gens = [{i, j} for i in range(24) for j in range(i + 1, 24)]
+        assert len(gens) > MAX_OPENS
+        with pytest.raises(CapacityError):
+            make_topology(range(24), gens)
 
     def test_unknown_generator_point(self):
         with pytest.raises(ValueError):
@@ -219,6 +234,37 @@ class TestLawCheckCapacity:
         assert calls == 0
         with pytest.raises(CapacityError):
             check_heyting_laws(chain_lattice(400))
+
+    def test_each_question_asked_once(self):
+        """On a lawful lattice the checker makes n^2 calls each of leq,
+        meet and impl; ``literal_check_heyting_laws`` in test_oracle.py,
+        which scans element by element, makes about 2n^3."""
+        calls = Counter()
+
+        class CountingChain(FiniteLattice):
+            def leq(self, a, b):
+                calls["leq"] += 1
+                return a <= b
+
+            def join_all(self, items):
+                return max(items, default=0)
+
+            def meet_all(self, items):
+                return min(items, default=n - 1)
+
+            def meet(self, a, b):
+                calls["meet"] += 1
+                return min(a, b)
+
+            def impl(self, a, b):
+                calls["impl"] += 1
+                return n - 1 if a <= b else b
+
+        n = 30
+        lat = CountingChain(range(n), lambda a, b: a <= b)
+        assert check_heyting_laws(lat).ok
+        assert calls["leq"] <= n * n + 2 * n
+        assert calls["meet"] == calls["impl"] == n * n
 
     def test_large_subset_size_refused(self):
         assert law_check_count(19, 18) > MAX_LAW_CHECKS

@@ -11,19 +11,25 @@ it. It is the reference of the single-pass ``grid_conv_oracle``.
 The ``literal_pointwise_*`` functions apply the lattice's own ``join``,
 ``meet``, ``impl`` and ``neg`` value by value; they are the references of
 the code-space pointwise operations, which read position tables.
+``literal_check_heyting_laws`` is the law checker as it was written
+before it read masks: every quantifier a loop over elements, every
+question a fresh ``leq``, ``meet`` or ``impl`` call. The mask checker
+must return the same report, failure detail and check count included.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from convalg import (
     App,
     ComplexAlgebra,
     ConvolutionAlgebra,
     Equation,
+    FiniteLattice,
     GridFunction,
     LatticeMap,
     RelationalStructure,
@@ -46,6 +52,14 @@ from convalg import (
     rel_image,
 )
 from convalg.convolution import count_maps
+from convalg.lattice import (
+    MAX_LAW_CHECKS,
+    CapacityError,
+    LawFailure,
+    LawReport,
+    check_heyting_laws,
+    law_check_count,
+)
 
 SIG = Signature((("c", 0), ("g", 1), ("f", 2), ("h", 3)))
 
@@ -275,3 +289,220 @@ def test_grid_conv_oracle_matches_literal_scan(n):
     zero = GridFunction(n, (Fraction(0),) * (n + 1))
     for op in ("join", "meet"):
         assert grid_conv_oracle(n, op, zero, zero) == literal_grid_conv(n, op, zero, zero) == zero
+
+
+def literal_check_heyting_laws(lat, max_subset_size=2):
+    """Exhaustively verify the lattice, distributivity and adjunction laws.
+
+    Subset-quantified laws (least upper bounds, greatest lower bounds,
+    the infinite distributive law) are checked over all subsets of size
+    up to ``max_subset_size`` plus the full element set; order, bound,
+    and adjunction checks are exhaustive over elements. Returns a report
+    carrying the first counterexample instead of raising. Raises
+    CapacityError before checking anything when the planned check count
+    exceeds ``MAX_LAW_CHECKS``.
+    """
+    if max_subset_size < 0:
+        raise ValueError(f"max_subset_size must be nonnegative, got {max_subset_size}")
+    els = lat.elements
+    planned = law_check_count(len(els), max_subset_size)
+    if planned > MAX_LAW_CHECKS:
+        raise CapacityError(f"{planned} law checks exceed the bound {MAX_LAW_CHECKS}")
+    checks = 0
+
+    def fail(law, detail):
+        return LawReport(False, checks, LawFailure(law, detail))
+
+    for a in els:
+        checks += 1
+        if not lat.leq(a, a):
+            return fail("order", f"not reflexive at {a!r}")
+    for a, b in product(els, repeat=2):
+        checks += 1
+        if a != b and lat.leq(a, b) and lat.leq(b, a):
+            return fail("order", f"not antisymmetric at {a!r}, {b!r}")
+    for a, b, c in product(els, repeat=3):
+        checks += 1
+        if lat.leq(a, b) and lat.leq(b, c) and not lat.leq(a, c):
+            return fail("order", f"not transitive at {a!r}, {b!r}, {c!r}")
+
+    for a in els:
+        checks += 1
+        if not lat.leq(lat.bottom, a) or not lat.leq(a, lat.top):
+            return fail("bounds", f"{a!r} not between bottom and top")
+    checks += 2
+    if lat.join_all(()) != lat.bottom:
+        return fail("bounds", "empty join is not bottom")
+    if lat.meet_all(()) != lat.top:
+        return fail("bounds", "empty meet is not top")
+
+    subsets = []
+    for size in range(1, max_subset_size + 1):
+        subsets.extend(combinations(els, size))
+    subsets.append(els)
+
+    for s in subsets:
+        j = lat.join_all(s)
+        m = lat.meet_all(s)
+        checks += 1
+        if not all(lat.leq(x, j) for x in s):
+            return fail("lub", f"join of {s!r} is not an upper bound")
+        for u in els:
+            checks += 1
+            if all(lat.leq(x, u) for x in s) and not lat.leq(j, u):
+                return fail("lub", f"join of {s!r} is not least (witness {u!r})")
+        checks += 1
+        if not all(lat.leq(m, x) for x in s):
+            return fail("glb", f"meet of {s!r} is not a lower bound")
+        for u in els:
+            checks += 1
+            if all(lat.leq(u, x) for x in s) and not lat.leq(u, m):
+                return fail("glb", f"meet of {s!r} is not greatest (witness {u!r})")
+
+    for a, s in product(els, subsets):
+        checks += 1
+        lhs = lat.meet(a, lat.join_all(s))
+        rhs = lat.join_all([lat.meet(a, x) for x in s])
+        if lhs != rhs:
+            return fail("distributivity", f"{a!r} meet join{s!r}: {lhs!r} != {rhs!r}")
+
+    for a, b in product(els, repeat=2):
+        c = lat.impl(a, b)
+        checks += 1
+        if c not in lat.index:
+            return fail("adjunction", f"impl({a!r}, {b!r}) left the lattice")
+        for w in els:
+            checks += 1
+            if lat.leq(lat.meet(w, a), b) != lat.leq(w, c):
+                return fail("adjunction", f"w={w!r}, a={a!r}, b={b!r}, impl={c!r}")
+
+    return LawReport(True, checks, None)
+
+
+def law_outcome(checker, lat, size):
+    """The report, or the type and message of what the checker raised."""
+    try:
+        return checker(lat, max_subset_size=size)
+    except (ValueError, CapacityError) as e:
+        return type(e), str(e)
+
+
+def assert_same_laws(lat):
+    for size in range(4):
+        expected = law_outcome(literal_check_heyting_laws, lat, size)
+        assert law_outcome(check_heyting_laws, lat, size) == expected
+
+
+def m3():
+    """The non-distributive diamond 0 < p, q, r < 1."""
+    els = ("0", "p", "q", "r", "1")
+    return lattice_from_order(els, {("0", x) for x in els} | {(x, "1") for x in els})
+
+
+LAW_LATTICES = [open_set_heyting(t) for k in range(4) for t in enumerate_topologies(range(k))]
+LAW_LATTICES += [chain_lattice(n) for n in range(1, 14)] + [m3(), n5()]
+
+
+@pytest.mark.parametrize("lattice", LAW_LATTICES, ids=repr)
+def test_law_checker_matches_literal_checker(lattice):
+    assert_same_laws(lattice)
+
+
+def chain_order(below=(), drop=()):
+    """The chain 0 < 1 < 2 < 3 < 4 as an explicit relation, edited by pairs."""
+    rel = ({(a, b) for a in range(5) for b in range(5) if a <= b} | set(below)) - set(drop)
+    return FiniteLattice(range(5), lambda a, b: (a, b) in rel)
+
+
+class BrokenChain(FiniteLattice):
+    """The chain 0 < 1 < 2 < 3 < 4 with one operation answering wrongly.
+
+    ``wrong`` names the operation, ``at`` the arguments (a tuple for
+    ``join_all``/``meet_all``, a pair for ``meet``/``impl``), ``value``
+    the answer given there. Values outside the chain are allowed.
+    """
+
+    def __init__(self, wrong, at, value):
+        self.wrong, self.at, self.value = wrong, at, value
+        super().__init__(range(5), lambda a, b: a <= b)
+
+    def _answer(self, op, args, right):
+        return self.value if (op, tuple(args)) == (self.wrong, self.at) else right
+
+    def join_all(self, items):
+        items = tuple(items)
+        return self._answer("join_all", items, max(items, default=0))
+
+    def meet_all(self, items):
+        items = tuple(items)
+        return self._answer("meet_all", items, min(items, default=4))
+
+    def meet(self, a, b):
+        return self._answer("meet", (a, b), min(a, b))
+
+    def impl(self, a, b):
+        return self._answer("impl", (a, b), 4 if a <= b else b)
+
+
+def shifted_bounds(bottom, top):
+    lat = FiniteLattice(range(1, 4), lambda a, b: a <= b)
+    lat.bottom, lat.top = bottom, top
+    return lat
+
+
+BROKEN = {
+    "not reflexive": (FiniteLattice(range(4), lambda a, b: a < b or a == b != 2), "order"),
+    "not antisymmetric": (chain_order(below={(3, 1)}), "order"),
+    "not transitive": (chain_order(drop={(1, 3)}), "order"),
+    "a bound": (shifted_bounds(2, 3), "bounds"),
+    "empty join": (shifted_bounds(0, 3), "bounds"),
+    "empty meet": (shifted_bounds(1, 4), "bounds"),
+    "lub not upper": (BrokenChain("join_all", (1, 3), 2), "lub"),
+    "lub not least": (BrokenChain("join_all", (0, 2), 3), "lub"),
+    "lub outside, not least": (BrokenChain("join_all", (1, 2), Fraction(5, 2)), "lub"),
+    "glb not lower": (BrokenChain("meet_all", (1, 3), 2), "glb"),
+    "glb not greatest": (BrokenChain("meet_all", (2, 4), 1), "glb"),
+    "glb outside, not greatest": (BrokenChain("meet_all", (2, 3), Fraction(3, 2)), "glb"),
+    "distributivity": (n5(), "distributivity"),
+    "meet outside, distributivity": (BrokenChain("meet", (1, 3), Fraction(1, 2)), "distributivity"),
+    "meet outside, adjunction": (BrokenChain("meet", (3, 2), Fraction(5, 2)), "adjunction"),
+    "impl leaves the lattice": (BrokenChain("impl", (3, 1), 7), "adjunction"),
+    "adjunction mismatch": (BrokenChain("impl", (3, 1), 2), "adjunction"),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_law_checker_matches_literal_checker_on_broken_lattices(name):
+    lat, law = BROKEN[name]
+    assert literal_check_heyting_laws(lat, max_subset_size=3).failure.law == law
+    assert_same_laws(lat)
+
+
+@st.composite
+def perturbed_orders(draw):
+    """An order on 2-5 points, a chain or a Boolean square under a top,
+    with a few pairs added or removed, mostly between inner points, and
+    relabelled so the bounds need not come first. Removing a pair at a
+    bound can leave no least or greatest element; then nothing is built."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        rel = {(a, b) for a in range(n) for b in range(n) if a <= b}
+    else:
+        rel = {(a, b) for a in range(n) for b in range(n) if a & b == a or b == n - 1}
+    rel ^= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=1))
+    if n > 2:
+        inner = st.tuples(st.integers(1, n - 2), st.integers(1, n - 2))
+        rel ^= draw(st.sets(inner, max_size=4))
+    label = draw(st.permutations(range(n)))
+    rel = {(label[a], label[b]) for a, b in rel}
+    try:
+        return FiniteLattice(range(n), lambda a, b: (a, b) in rel)
+    except ValueError:  # no least or no greatest element
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_orders())
+def test_law_checker_matches_literal_checker_on_perturbed_orders(lat):
+    assume(lat is not None)
+    assert_same_laws(lat)
