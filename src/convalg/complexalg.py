@@ -16,30 +16,33 @@ from .convolution import LatticeMap, conv_op
 from .lattice import chain_lattice
 
 
+def image_mask(groups, inside):
+    """Relational image over masks: bit r is set when some tuple mask in ``groups[r]``
+    (``RelationalStructure.slot_masks``) lies inside the slot mask ``inside``."""
+    out = 0
+    for r, group in enumerate(groups):
+        for t in group:
+            if t & inside == t:
+                out |= 1 << r
+                break
+    return out
+
+
 def rel_image(structure, name, args):
     """Relational image: last coordinates of relation tuples whose argument
     entries come from the given subsets. Nullary relations return their
     own elements as a subset."""
-    n, groups = structure.compiled(name)
+    n, groups = structure.slot_masks(name)
     if len(args) != n:
         raise ValueError(f"{name} expects {n} arguments, got {len(args)}")
-    carrier = structure.carrier_set
-    args = [frozenset(a) for a in args]
-    for a in args:
-        if not a <= carrier:
-            raise ValueError(f"subset {sorted(a)} is not contained in the carrier")
-    elems = structure.carrier
-    inside = [x in a for a in args for x in elems]
-    out = []
-    for x, group in zip(elems, groups):
-        for t in group:
-            for k in t:
-                if not inside[k]:
-                    break
-            else:
-                out.append(x)
-                break
-    return frozenset(out)
+    bits, inside = structure.carrier_bits, 0
+    for i, a in enumerate(map(frozenset, args)):
+        try:
+            inside |= sum(map(bits.__getitem__, a)) << i * len(bits)
+        except KeyError:
+            raise ValueError(f"subset {sorted(a)} is not contained in the carrier") from None
+    hits = image_mask(groups, inside)
+    return frozenset([x for x, b in bits.items() if hits & b])
 
 
 def all_subsets(carrier):
@@ -52,10 +55,8 @@ def all_subsets(carrier):
 
 def char_map(two, carrier, subset):
     """Characteristic map of a subset over the two-element lattice."""
-    subset = frozenset(subset)
-    return LatticeMap.from_values(
-        carrier, two, {x: (two.top if x in subset else two.bottom) for x in carrier}
-    )
+    subset, top, bottom = frozenset(subset), two.top_code, two.bottom_code
+    return LatticeMap(tuple(carrier), two, tuple([top if x in subset else bottom for x in carrier]))
 
 
 def subset_from_map(m):

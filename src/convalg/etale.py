@@ -1,7 +1,7 @@
 """Constant bundles over a finite base space and their open subobjects.
 
 A subobject of the constant bundle X x Y is stored in canonical form as
-an indexed family of opens of Y, one cross-section per fiber label.
+one open of Y per fiber label, each a bitmask over the sorted points.
 Relations lift to constant subobjects of powers without materializing
 the product space: the image of a lifted relation is computed either
 sectionwise (union of intersections over relation tuples) or point by
@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from .complexalg import rel_image
+from .complexalg import image_mask
 from .convolution import (
     LatticeMap,
     conv_op,
@@ -39,31 +40,44 @@ class ConstantEtale:
 
 @dataclass(frozen=True)
 class EtaleSubobject:
-    """An open subobject of a constant bundle, as a family of cross-sections.
-
-    ``sections[x]`` is the open subset of the base cut out over fiber
-    label x; every section must be open, which makes equality of
-    subobjects plain dictionary equality.
-    """
+    """An open subobject of a constant bundle: ``masks[i]`` is the open cross-section over
+    ``parent.fibers[i]`` as its ``FiniteTopology.mask_of`` mask, so equality is mask
+    equality. ``sections`` derives the opens on demand; :meth:`from_sections` takes them."""
 
     parent: ConstantEtale
-    sections: dict
+    masks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sections", dict(self.sections))
-        if set(self.sections) != set(self.parent.fibers):
+        masks, open_of = self.masks, self.parent.base.open_of
+        if type(masks) is not tuple or len(masks) != len(self.parent.fibers):
+            raise ValueError("masks must be a tuple with one entry per fiber label")
+        for m in masks:
+            if type(m) is not int or m not in open_of:
+                raise ValueError(f"mask {m!r} does not name an open set")
+
+    @classmethod
+    def from_sections(cls, parent, sections):
+        """The subobject whose cross-section at x is the open ``sections[x]``."""
+        sections, base = dict(sections), parent.base
+        if set(sections) != set(parent.fibers):
             raise ValueError("sections must cover every fiber label")
-        for x, a in self.sections.items():
-            if a not in self.parent.base.opens:
+        for x, a in sections.items():
+            if a not in base.opens:
                 raise ValueError(f"section at {x!r} is not an open set: {sorted(a)}")
+        return cls(parent, tuple([base.mask_of[frozenset(sections[x])] for x in parent.fibers]))
+
+    @property
+    def sections(self):
+        """A fresh dict from fiber labels to their cross-sections as open sets."""
+        return dict(zip(self.parent.fibers, map(self.parent.base.open_of.get, self.masks)))
 
 
 def whole_subobject(parent):
-    return EtaleSubobject(parent, {x: parent.base.points for x in parent.fibers})
+    return EtaleSubobject(parent, (parent.base.mask_of[parent.base.points],) * len(parent.fibers))
 
 
 def empty_subobject(parent):
-    return EtaleSubobject(parent, {x: frozenset() for x in parent.fibers})
+    return EtaleSubobject(parent, (0,) * len(parent.fibers))
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,7 @@ class ConstantRelationalEtale:
     structure: object
     base: FiniteTopology
 
-    @property
+    @cached_property
     def etale(self):
         return ConstantEtale(tuple(self.structure.carrier), self.base)
 
@@ -88,7 +102,8 @@ def phi(lattice, alpha):
     if alpha.lattice is not lattice and alpha.lattice != lattice:
         raise ValueError("map does not live over the given lattice")
     parent = ConstantEtale(tuple(alpha.carrier), lattice.topology)
-    return EtaleSubobject(parent, alpha.values)
+    els, mask_of = lattice.elements, lattice.topology.mask_of
+    return EtaleSubobject(parent, tuple([mask_of[els[c]] for c in alpha.codes]))
 
 
 def phi_inverse(lattice, sub):
@@ -106,55 +121,48 @@ def _check_args(rel_etale, name, args):
         raise ValueError(f"{name} expects {n} arguments, got {len(args)}")
     parent = rel_etale.etale
     for a in args:
-        if a.parent != parent:
+        if a.parent is not parent and a.parent != parent:
             raise ValueError("argument subobject lives over a different bundle")
     return n, parent
 
 
 def fiberwise_rel_image(rel_etale, name, args):
-    """Image of a lifted relation, computed sectionwise.
-
-    The cross-section at x is the union, over relation tuples ending in
-    x, of the intersections of the argument sections at the tuple
-    entries; nullary relations give the whole base or the empty set.
-    """
+    """Image of a lifted relation, computed sectionwise: the cross-section at x
+    is the union (OR of masks), over relation tuples ending in x, of the
+    intersections (AND) of the argument sections at the tuple entries."""
     n, parent = _check_args(rel_etale, name, args)
-    full = parent.base.points
-    sections = {}
-    for x in parent.fibers:
-        out = frozenset()
-        for t in rel_etale.structure.relations[name]:
-            if t[-1] != x:
-                continue
-            piece = full
-            for i in range(n):
-                piece = piece & args[i].sections[t[i]]
-                if not piece:
-                    break
-            out = out | piece
-        sections[x] = out
-    return EtaleSubobject(parent, sections)
+    position, masks = {x: i for i, x in enumerate(parent.fibers)}, [a.masks for a in args]
+    full, out = parent.base.mask_of[parent.base.points], [0] * len(parent.fibers)
+    for t in rel_etale.structure.relations[name]:
+        piece = full
+        for i in range(n):
+            piece &= masks[i][position[t[i]]]
+        out[position[t[-1]]] |= piece
+    return EtaleSubobject(parent, tuple(out))
 
 
 def per_fiber_rel_image(rel_etale, name, args):
     """Image of a lifted relation, computed fiber by fiber over the base.
 
-    At every base point the argument subobjects restrict to plain
-    subsets of the fiber set; their relational image gives the fiber of
-    the result, and the fibers are reassembled into cross-sections. The
-    reassembled sections are open (subobject construction would fail
-    otherwise), so this is a genuinely independent route to the same
-    subobject as :func:`fiberwise_rel_image`.
+    At each base point the arguments restrict to subsets of the fibers, held
+    as one slot mask; :func:`image_mask` gives the result's fiber there. The
+    reassembled sections must be open; no image code is shared with the other route.
     """
     n, parent = _check_args(rel_etale, name, args)
-    hit = {x: set() for x in parent.fibers}
-    for y in sorted(parent.base.points):
-        fiber_args = [
-            frozenset(x for x in parent.fibers if y in a.sections[x]) for a in args
-        ]
-        for x in rel_image(rel_etale.structure, name, fiber_args):
-            hit[x].add(y)
-    return EtaleSubobject(parent, {x: frozenset(ys) for x, ys in hit.items()})
+    groups = rel_etale.structure.slot_masks(name)[1]
+    inside = _transpose([m for a in args for m in a.masks], len(parent.base.points))
+    hits = [image_mask(groups, m) for m in inside]
+    return EtaleSubobject(parent, tuple(_transpose(hits, len(parent.fibers))))
+
+
+def _transpose(masks, width):
+    """Bit-matrix transpose: bit i of entry j is bit j of ``masks[i]``."""
+    out = [0] * width
+    for i, m in enumerate(masks):
+        while m:
+            out[(m & -m).bit_length() - 1] |= 1 << i
+            m &= m - 1
+    return out
 
 
 def _check_same_parent(a, b):
@@ -164,32 +172,28 @@ def _check_same_parent(a, b):
 
 def sub_union(a, b):
     _check_same_parent(a, b)
-    return EtaleSubobject(a.parent, {x: a.sections[x] | b.sections[x] for x in a.parent.fibers})
+    return EtaleSubobject(a.parent, tuple([p | q for p, q in zip(a.masks, b.masks)]))
 
 
 def sub_intersection(a, b):
     _check_same_parent(a, b)
-    return EtaleSubobject(a.parent, {x: a.sections[x] & b.sections[x] for x in a.parent.fibers})
+    return EtaleSubobject(a.parent, tuple([p & q for p, q in zip(a.masks, b.masks)]))
 
 
 def sub_impl(a, b):
     _check_same_parent(a, b)
     base = a.parent.base
-    return EtaleSubobject(
-        a.parent, {x: base.impl(a.sections[x], b.sections[x]) for x in a.parent.fibers}
-    )
+    pairs = zip(map(base.open_of.get, a.masks), map(base.open_of.get, b.masks))
+    return EtaleSubobject(a.parent, tuple([base.mask_of[base.impl(p, q)] for p, q in pairs]))
 
 
 def sub_neg(a):
-    base = a.parent.base
-    return EtaleSubobject(
-        a.parent, {x: base.impl(a.sections[x], frozenset()) for x in a.parent.fibers}
-    )
+    return sub_impl(a, empty_subobject(a.parent))
 
 
 def sub_leq(a, b):
     _check_same_parent(a, b)
-    return all(a.sections[x] <= b.sections[x] for x in a.parent.fibers)
+    return all(p & q == p for p, q in zip(a.masks, b.masks))
 
 
 def _format_map(m):

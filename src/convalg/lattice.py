@@ -59,6 +59,17 @@ class FiniteTopology:
                 out = out | w
         return out
 
+    @cached_property
+    def mask_of(self):
+        """Open -> its mask, with bit k for the k-th of ``sorted(points)``; built on first use."""
+        bit = {p: 1 << k for k, p in enumerate(sorted(self.points))}
+        return {a: sum(bit[p] for p in a) for a in self.opens}
+
+    @cached_property
+    def open_of(self):
+        """Mask -> the open it names; only the masks of opens are keys."""
+        return {m: a for a, m in self.mask_of.items()}
+
 
 def make_topology(points, generators=()):
     """Smallest topology on ``points`` containing every generator.
@@ -299,10 +310,10 @@ class ChainLattice(FiniteLattice):
         super().__init__((Fraction(k, n) for k in range(n + 1)), lambda a, b: a <= b)
 
     def join_all(self, items):
-        return max(items, default=Fraction(0))
+        return max(items, default=self.elements[0])
 
     def meet_all(self, items):
-        return min(items, default=Fraction(1))
+        return min(items, default=self.elements[-1])
 
     def join(self, a, b):
         return a if a >= b else b

@@ -56,14 +56,16 @@ class RelationalStructure:
         }
         object.__setattr__(self, "relations", normalized)
         object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_masks", {})
 
     # Derived views, cached on the instance outside the dataclass fields so
     # that equality, hashing and repr see only the carrier, signature and
     # relations.
 
     @cached_property
-    def carrier_set(self):
-        return frozenset(self.carrier)
+    def carrier_bits(self):
+        """Carrier element -> ``1 << position``."""
+        return {x: 1 << p for p, x in enumerate(self.carrier)}
 
     def compiled(self, name):
         """Relation ``name`` in argument slots, compiled once: ``(arity, groups)``.
@@ -89,6 +91,13 @@ class RelationalStructure:
                 groups[index[t[-1]]].append(slots)
             plan = self._plans[name] = (arity, tuple(tuple(sorted(g)) for g in groups))
         return plan
+
+    def slot_masks(self, name):
+        """:meth:`compiled` with each tuple's argument slots as one int bitmask, cached."""
+        if name not in self._masks:
+            n, groups = self.compiled(name)
+            self._masks[name] = n, tuple(tuple(sum(1 << k for k in t) for t in g) for g in groups)
+        return self._masks[name]
 
 
 @dataclass(frozen=True)

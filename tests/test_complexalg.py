@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from convalg import (
+    LatticeMap,
     RelationalStructure,
     Signature,
     all_subsets,
@@ -95,6 +96,13 @@ class TestCharacteristicIso:
         for a in subsets:
             for b in subsets:
                 assert (a <= b) == map_leq(char_map(two, carrier, a), char_map(two, carrier, b))
+
+    def test_char_map_matches_values(self, four_point_structure):
+        carrier = four_point_structure.carrier
+        for two in (chain_lattice(1), chain_lattice(3)):
+            for a in all_subsets(carrier):
+                values = {x: two.top if x in a else two.bottom for x in carrier}
+                assert char_map(two, carrier, a) == LatticeMap.from_values(carrier, two, values)
 
     def test_round_trip(self, four_point_structure):
         two = chain_lattice(1)

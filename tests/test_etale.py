@@ -33,6 +33,7 @@ from convalg import (
     verify_main_iso,
     whole_subobject,
 )
+from convalg.etale import worked_example
 
 
 def fs(*labels):
@@ -89,9 +90,64 @@ class TestPhi:
             phi(lat, alpha)
 
     def test_sections_must_be_open(self, wedge_topology):
-        parent = ConstantEtale(("p",), wedge_topology)
-        with pytest.raises(ValueError):
-            EtaleSubobject(parent, {"p": fs("a")})
+        parent = ConstantEtale(("p", "q"), wedge_topology)
+        with pytest.raises(ValueError, match="section at 'p' is not an open set"):
+            EtaleSubobject.from_sections(parent, {"p": fs("a"), "q": fs("b")})
+
+
+class TestSubobjectConstruction:
+    """``from_sections`` validates open sets by label; the constructor
+    validates the masks themselves. Wedge masks over sorted points a, b, c:
+    {} 0, {b} 2, {a b} 3, {b c} 6, {a b c} 7."""
+
+    @pytest.mark.parametrize(
+        "sections",
+        [{"p": fs("b")}, {"p": fs("b"), "q": fs(), "r": fs()}],
+        ids=["missing", "extra"],
+    )
+    def test_from_sections_needs_every_label_once(self, wedge_topology, sections):
+        parent = ConstantEtale(("p", "q"), wedge_topology)
+        with pytest.raises(ValueError, match="every fiber label"):
+            EtaleSubobject.from_sections(parent, sections)
+
+    def test_from_sections_stores_masks(self, wedge_topology):
+        parent = ConstantEtale(("p", "q"), wedge_topology)
+        sections = {"q": fs("b"), "p": fs("a", "b")}
+        sub = EtaleSubobject.from_sections(parent, sections)
+        assert sub.masks == (3, 2)
+        assert sub.sections == sections
+        assert sub == EtaleSubobject(parent, (3, 2))
+
+    @pytest.mark.parametrize("masks", [(1, 0), (4, 2), (8, 0), (-1, 0)], ids=repr)
+    def test_mask_must_name_an_open(self, wedge_topology, masks):
+        parent = ConstantEtale(("p", "q"), wedge_topology)
+        with pytest.raises(ValueError, match="does not name an open set"):
+            EtaleSubobject(parent, masks)
+
+    def test_mask_must_be_an_int(self, thirds_topology):
+        # mask 1 is the open {t1}, so only the type check rejects True and 1.0
+        parent = ConstantEtale(("p",), thirds_topology)
+        assert EtaleSubobject(parent, (1,)).sections == {"p": fs("t1")}
+        for bad in (True, 1.0, fs("t1")):
+            with pytest.raises(ValueError, match="does not name an open set"):
+                EtaleSubobject(parent, (bad,))
+
+    @pytest.mark.parametrize(
+        "masks", [[3, 2], (3,), (3, 2, 0), {"p": fs("a", "b"), "q": fs("b")}],
+        ids=["list", "short", "long", "sections-dict"],
+    )
+    def test_masks_must_be_a_tuple_per_label(self, wedge_topology, masks):
+        parent = ConstantEtale(("p", "q"), wedge_topology)
+        with pytest.raises(ValueError, match="one entry per fiber label"):
+            EtaleSubobject(parent, masks)
+
+    def test_mutating_sections_leaves_the_subobject_unchanged(self):
+        topology, lattice, structure, (alpha1, _) = worked_example()
+        sub = phi(lattice, alpha1)
+        sections = sub.sections
+        sections["x1"] = frozenset()
+        assert sub.sections == alpha1.values
+        assert sub == phi(lattice, alpha1)
 
 
 class TestFiberwiseRelImage:

@@ -167,6 +167,13 @@ class TestChainLattice:
         with pytest.raises(ValueError):
             chain_lattice(0)
 
+    def test_empty_join_and_meet_are_the_chain_ends(self):
+        # the chain's own end elements, not a fresh Fraction per call
+        lat = chain_lattice(4)
+        assert lat.join_all(()) is lat.elements[0]
+        assert lat.meet_all(()) is lat.elements[-1]
+        assert lat.join_all([Fraction(1, 4)]) == Fraction(1, 4)
+
     def test_negation_involution_and_antisymmetry(self):
         lat = chain_lattice(7)
         for x in lat.elements:

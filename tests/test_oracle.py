@@ -15,6 +15,10 @@ the code-space pointwise operations, which read position tables.
 before it read masks: every quantifier a loop over elements, every
 question a fresh ``leq``, ``meet`` or ``impl`` call. The mask checker
 must return the same report, failure detail and check count included.
+``literal_fiberwise_rel_image`` and ``literal_per_fiber_rel_image`` are
+the two étale image routes as they were written over frozensets, before
+subobjects stored masks; they take and return section dicts (fiber label
+to open set), and the per-fiber one reads ``literal_image``.
 """
 
 import random
@@ -27,6 +31,7 @@ from hypothesis import assume, given, settings, strategies as st
 from convalg import (
     App,
     ComplexAlgebra,
+    ConstantRelationalEtale,
     ConvolutionAlgebra,
     Equation,
     FiniteLattice,
@@ -36,20 +41,26 @@ from convalg import (
     Signature,
     Var,
     all_subsets,
+    bottom_map,
     chain_lattice,
     conv_op,
     enumerate_maps,
     enumerate_topologies,
+    fiberwise_rel_image,
     grid_conv_oracle,
     holds_in,
     lattice_from_order,
+    make_topology,
     open_set_heyting,
+    per_fiber_rel_image,
+    phi,
     pointwise_impl,
     pointwise_join,
     pointwise_meet,
     pointwise_neg,
     random_map,
     rel_image,
+    top_map,
 )
 from convalg.convolution import count_maps
 from convalg.lattice import (
@@ -152,6 +163,112 @@ def test_rel_image_matches_literal_image():
                     tuples = [[rng.choice(subsets) for _ in range(3)] for _ in range(40)]
                 for args in tuples:
                     assert rel_image(s, name, list(args)) == literal_image(s, name, args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 6), st.integers(0, 2**32 - 1))
+def test_rel_image_matches_literal_image_on_wider_carriers(size, seed):
+    # up to 18 argument slots, so the slot masks span several carrier widths
+    rng = random.Random(seed)
+    s = random_structure(rng, size)
+    for name, arity in SIG.symbols:
+        for _ in range(8):
+            args = [frozenset(x for x in s.carrier if rng.random() < 0.6) for _ in range(arity)]
+            assert rel_image(s, name, args) == literal_image(s, name, args)
+
+
+def literal_fiberwise_rel_image(rel_etale, name, args):
+    n = rel_etale.structure.signature.arity(name)
+    fibers, full = tuple(rel_etale.structure.carrier), rel_etale.base.points
+    sections = {}
+    for x in fibers:
+        out = frozenset()
+        for t in rel_etale.structure.relations[name]:
+            if t[-1] != x:
+                continue
+            piece = full
+            for i in range(n):
+                piece = piece & args[i][t[i]]
+                if not piece:
+                    break
+            out = out | piece
+        sections[x] = out
+    return sections
+
+
+def literal_per_fiber_rel_image(rel_etale, name, args):
+    fibers = tuple(rel_etale.structure.carrier)
+    hit = {x: set() for x in fibers}
+    for y in sorted(rel_etale.base.points):
+        fiber_args = [frozenset(x for x in fibers if y in a[x]) for a in args]
+        for x in literal_image(rel_etale.structure, name, fiber_args):
+            hit[x].add(y)
+    return {x: frozenset(ys) for x, ys in hit.items()}
+
+
+def assert_etale_routes_agree(lattice, structure, name, args):
+    """Mask routes, frozenset oracles and the convolution give one section dict."""
+    rel_etale = ConstantRelationalEtale(structure, lattice.topology)
+    want = literal_conv(lattice, structure, name, args)
+    sections = [a.values for a in args]
+    subs = [phi(lattice, a) for a in args]
+    assert [sub.sections for sub in subs] == sections
+    sect = fiberwise_rel_image(rel_etale, name, subs)
+    fiber = per_fiber_rel_image(rel_etale, name, subs)
+    conv = phi(lattice, conv_op(lattice, structure, name, args))
+    assert sect.sections == fiber.sections == conv.sections == want
+    assert literal_fiberwise_rel_image(rel_etale, name, sections) == want
+    assert literal_per_fiber_rel_image(rel_etale, name, sections) == want
+    assert sect == fiber == conv
+
+
+def etale_structures(rng):
+    """Carriers of 1-3 elements with random relations of arities 0-3, and
+    the same carriers with every relation empty."""
+    out = [random_structure(rng, size) for size in (1, 2, 3)]
+    for size in (1, 2, 3):
+        carrier = tuple(f"x{i}" for i in range(size))
+        out.append(RelationalStructure(carrier, SIG, {name: () for name in SIG.names}))
+    return out
+
+
+SMALL_TOPOLOGIES = [t for k in range(4) for t in enumerate_topologies([f"y{i}" for i in range(k)])]
+
+
+@pytest.mark.parametrize(
+    "topology", SMALL_TOPOLOGIES, ids=lambda t: f"{len(t.points)}pt-{len(t.opens)}opens"
+)
+def test_etale_routes_match_literal_oracles(topology):
+    lattice = open_set_heyting(topology)
+    rng = random.Random(len(topology.opens))
+    for s in etale_structures(rng):
+        extremes = [[m(s.carrier, lattice) for _ in range(3)] for m in (bottom_map, top_map)]
+        for name, arity in SIG.symbols:
+            for args in extremes + [
+                [random_map(rng, lattice, s.carrier) for _ in range(3)] for _ in range(10)
+            ]:
+                assert_etale_routes_agree(lattice, s, name, args[:arity])
+
+
+@st.composite
+def larger_topologies(draw):
+    """Topologies on 5-6 points, closed by make_topology from random
+    generators (enumerate_topologies stops at 4 points)."""
+    points = tuple(f"y{i}" for i in range(draw(st.integers(5, 6))))
+    generators = draw(st.lists(st.frozensets(st.sampled_from(points)), min_size=2, max_size=7))
+    return make_topology(points, generators)
+
+
+@settings(max_examples=40, deadline=None)
+@given(larger_topologies(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_etale_routes_match_literal_oracles_on_larger_topologies(topology, size, seed):
+    lattice = open_set_heyting(topology)
+    rng = random.Random(seed)
+    s = random_structure(rng, size)
+    for name, arity in SIG.symbols:
+        for _ in range(6):
+            args = [random_map(rng, lattice, s.carrier) for _ in range(arity)]
+            assert_etale_routes_agree(lattice, s, name, args)
 
 
 @pytest.mark.parametrize("lattice", [chain_lattice(1), chain_lattice(3), n5(), DISCRETE_3], ids=repr)
