@@ -5,8 +5,9 @@ Covers the same ground as the acceptance suite but as a standalone run:
 Heyting laws on every topology with at most three points and on chains,
 the section-correspondence isomorphism (randomized, and exhaustive over
 both étale image routes), the two-valued characteristic isomorphism,
-equational agreement between the map and powerset algebras, and the
-step-function oracle crosschecks.
+equational agreement between the map and powerset algebras (with each
+lattice's lifted ``f`` table compared with one built by one ``apply`` per
+entry), and the step-function oracle crosschecks.
 """
 
 import argparse
@@ -16,6 +17,7 @@ from itertools import product
 
 from convalg import (
     ConstantRelationalEtale,
+    ConvolutionAlgebra,
     RelationalStructure,
     Signature,
     chain_lattice,
@@ -98,7 +100,7 @@ def characteristic():
 def equations():
     structure = worked_example()[2]
     eqs = random_equations(structure.signature, 20, seed=2024)
-    total = compared = 0
+    total = compared = entries = 0
     for lat in (chain_lattice(2), chain_lattice(3), open_set_heyting(
         make_topology({"a", "b", "c"}, [{"b"}, {"a", "b"}, {"b", "c"}])
     )):
@@ -107,7 +109,15 @@ def equations():
             return False, "disagreement found"
         compared += report.compared
         total += len(eqs)
-    return True, f"{compared}/{total} compared, rest capacity-skipped"
+        conv = ConvolutionAlgebra(lat, structure)
+        maps = conv.elements()
+        index = {m.key(): i for i, m in enumerate(maps)}
+        per_entry = [[index[conv.apply("f", [a, b]).key()] for b in maps] for a in maps]
+        if conv.table("f") != per_entry:
+            return False, f"the f table over {lat!r} differs from one built per entry"
+        entries += len(maps) ** 2
+    return True, (f"{compared}/{total} compared, rest capacity-skipped; "
+                  f"{entries} f-table entries match per-entry apply")
 
 
 def type2_oracle():

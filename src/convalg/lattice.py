@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, product
 from math import comb
 
@@ -224,6 +224,27 @@ class FiniteLattice:
     @cached_property
     def _order(self):
         return tuple(_up_sets(self.elements, self._leq))
+
+    @cached_property
+    def birkhoff_masks(self):
+        """Each position's down-set over the join-irreducibles (bit k for the k-th), or
+        None unless these masks turn meet into AND and join into OR, which by Birkhoff's
+        representation theorem holds exactly when the lattice is distributive."""
+        up, meet, join, bottom = self._order, self.meet_table, self.join_table, self.bottom_code
+        below = [[i for i, u in enumerate(up) if i != j and u >> j & 1] for j in range(len(up))]
+        # j is irreducible unless it is the join of the positions strictly below it
+        irr = [j for j, b in enumerate(below) if reduce(lambda a, i: join[a][i], b, bottom) != j]
+        masks = [sum(1 << k for k, j in enumerate(irr) if up[j] >> i & 1) for i in range(len(up))]
+        lawful = not masks[bottom] and masks[self.top_code] == (1 << len(irr)) - 1 and all(
+            masks[meet[a][b]] == ma & mb and masks[join[a][b]] == ma | mb
+            for (a, ma), (b, mb) in product(enumerate(masks), repeat=2)
+        )
+        return tuple(masks) if lawful else None
+
+    @cached_property
+    def heyting_report(self):
+        """:func:`check_heyting_laws` with its default arguments, run once per lattice."""
+        return check_heyting_laws(self)
 
     def __eq__(self, other):
         if self is other:

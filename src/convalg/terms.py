@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import product
+from operator import or_
 
 from .complexalg import all_subsets, rel_image
 from .convolution import CapacityError, conv_op, count_maps, enumerate_maps
-from .lattice import check_heyting_laws
+from .lattice import chain_lattice
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,18 @@ class ConvolutionAlgebra(_TabledAlgebra):
     def apply(self, name, args):
         return conv_op(self.lattice, self.structure, name, list(args))
 
+    def table(self, name):
+        """Over a distributive lattice of more than two elements, unary and binary
+        tables are lifted from the two-valued algebra's (see :func:`_lift_table`)."""
+        lat, arity = self.lattice, self.signature.arity(name)
+        masks = lat.birkhoff_masks if arity in (1, 2) and len(lat.elements) > 2 else None
+        if name in self.tables or masks is None:
+            return super().table(name)
+        self.size()
+        two = ConvolutionAlgebra(chain_lattice(1), self.structure, self.max_elements)
+        self.tables[name] = _lift_table(two.table(name), masks, len(self.structure.carrier), arity)
+        return self.tables[name]
+
     def size(self):
         """Element count; raises CapacityError above ``max_elements``."""
         return count_maps(self.lattice, self.structure.carrier, self.max_elements)
@@ -126,6 +140,30 @@ class ConvolutionAlgebra(_TabledAlgebra):
 
     def element_key(self, el):
         return el.key()
+
+
+def _lift_table(fibers, masks, size, arity):
+    """A symbol's table over maps into a distributive lattice, lifted from its table
+    ``fibers`` over maps into the two-element chain. ``masks`` are the lattice's down-sets
+    over its join-irreducibles; fiber k of a map, the carrier elements valued above the
+    k-th irreducible, is a two-valued map's position. Convolution acts fiber by fiber,
+    and a map's key packs its fibers, fiber k shifted by k * size bits."""
+    fibs = []  # fibs[k][i]: fiber k of the i-th map in enumeration order
+    for k in range(max(masks).bit_length()):
+        col = [0]
+        for _ in range(size):
+            col = [2 * f + (m >> k & 1) for f in col for m in masks]
+        fibs.append(col)
+    position = {sum(f << k * size for k, f in enumerate(fs)): i for i, fs in enumerate(zip(*fibs))}
+
+    def lifted(parts):
+        return list(map(position.__getitem__, reduce(partial(map, or_), parts)))
+
+    if arity == 1:
+        return lifted([[fibers[f] << k * size for f in col] for k, col in enumerate(fibs)])
+    # rows[k][f]: the binary fiber table's row f, read at fiber k of every map, shifted
+    rows = [[[row[f] << k * size for f in col] for row in fibers] for k, col in enumerate(fibs)]
+    return [lifted(map(list.__getitem__, rows, fs)) for fs in zip(*fibs)]
 
 
 class ComplexAlgebra(_TabledAlgebra):
@@ -214,8 +252,9 @@ def holds_in(algebra, equation, max_assignments=10**6):
     ops = _term_ops(equation.lhs) | _term_ops(equation.rhs)
     tabulable = all(algebra.signature.arity(op) <= 2 for op in ops)
     if tabulable:
-        # building a table costs one apply per entry, so only tabulate when
-        # the scan is large enough to amortize it (existing tables are free)
+        # a missing table costs n^arity entries (one apply each, or a few
+        # lookups each when lifted from the two-valued table), so only
+        # tabulate when the scan amortizes it (existing tables are free)
         pending = sum(
             n ** algebra.signature.arity(op) for op in ops if op not in algebra.tables
         )
@@ -273,7 +312,7 @@ def same_equations_report(lattice, structure, equations, max_assignments=10**6, 
         raise ValueError(f"max_assignments must be nonnegative, got {max_assignments}")
     if len(lattice.elements) < 2:
         raise ValueError("requires a lattice with at least two elements")
-    law = check_heyting_laws(lattice)
+    law = lattice.heyting_report
     if not law.ok:
         raise ValueError(f"lattice is not Heyting: {law.failure.law} fails")
     conv = ConvolutionAlgebra(lattice, structure, max_elements)

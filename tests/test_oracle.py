@@ -19,6 +19,9 @@ must return the same report, failure detail and check count included.
 the two étale image routes as they were written over frozensets, before
 subobjects stored masks; they take and return section dicts (fiber label
 to open set), and the per-fiber one reads ``literal_image``.
+``per_entry_table`` builds an operation table with one ``apply`` per
+entry; it is the reference of the tables that ``ConvolutionAlgebra``
+lifts from the two-valued table over distributive lattices.
 """
 
 import random
@@ -66,8 +69,10 @@ from convalg.convolution import count_maps
 from convalg.lattice import (
     MAX_LAW_CHECKS,
     CapacityError,
+    ChainLattice,
     LawFailure,
     LawReport,
+    OpenSetLattice,
     check_heyting_laws,
     law_check_count,
 )
@@ -623,3 +628,93 @@ def perturbed_orders(draw):
 def test_law_checker_matches_literal_checker_on_perturbed_orders(lat):
     assume(lat is not None)
     assert_same_laws(lat)
+
+
+def per_entry_table(algebra, name):
+    """The operation table with one ``apply`` per entry, over the algebra's
+    own element enumeration: the reference of the lifted tables."""
+    els = algebra.elements()
+    index = {algebra.element_key(e): i for i, e in enumerate(els)}
+
+    def entry(*args):
+        return index[algebra.element_key(algebra.apply(name, list(args)))]
+
+    arity = algebra.signature.arity(name)
+    if arity == 0:
+        return entry()
+    if arity == 1:
+        return [entry(a) for a in els]
+    return [[entry(a, b) for b in els] for a in els]
+
+
+def chain_product(m, n):
+    """The product of the chains 0 < ... < m-1 and 0 < ... < n-1, by its order."""
+    els = list(product(range(m), range(n)))
+    below = {(a, b) for a, b in product(els, repeat=2) if a[0] <= b[0] and a[1] <= b[1]}
+    return lattice_from_order(els, below)
+
+
+DISTRIBUTIVE = [open_set_heyting(t) for t in SMALL_TOPOLOGIES]
+DISTRIBUTIVE += [chain_lattice(n) for n in range(1, 5)] + [chain_product(2, 2), chain_product(2, 3)]
+KERNEL_LATTICES = DISTRIBUTIVE + [n5(), m3()]
+# maps per algebra above which a carrier size is left out: the reference
+# table costs one conv_op per entry, (|L|^|X|)^2 of them
+MAX_REFERENCE_MAPS = 125
+
+
+def assert_tables_match_per_entry(lattice, structure):
+    conv = ConvolutionAlgebra(lattice, structure)
+    reference = ConvolutionAlgebra(lattice, structure)
+    for name, arity in structure.signature.symbols:
+        if arity <= 2:
+            assert conv.table(name) == per_entry_table(reference, name), name
+
+
+@pytest.mark.parametrize("lattice", KERNEL_LATTICES, ids=repr)
+def test_lifted_tables_match_per_entry_tables(lattice):
+    """Arities 0-2 on carriers of 1-3 elements, random and all-empty relations."""
+    rng = random.Random(len(lattice.elements))
+    for s in etale_structures(rng):
+        if len(lattice.elements) ** len(s.carrier) <= MAX_REFERENCE_MAPS:
+            assert_tables_match_per_entry(lattice, s)
+
+
+@st.composite
+def small_topologies(draw):
+    """Topologies on 3-4 points, closed by make_topology from random generators."""
+    points = range(draw(st.integers(3, 4)))
+    opens = st.frozensets(st.sampled_from(points), min_size=1, max_size=len(points) - 1)
+    generators = draw(st.lists(opens, min_size=2, max_size=6))
+    return make_topology(points, generators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_topologies(), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_lifted_tables_match_per_entry_tables_on_random_topologies(topology, size, seed):
+    lattice = open_set_heyting(topology)
+    assume(len(lattice.elements) ** size <= MAX_REFERENCE_MAPS)
+    assert_tables_match_per_entry(lattice, random_structure(random.Random(seed), size))
+
+
+def minimal_neighbourhoods(topology):
+    """The smallest open around each point; distinct ones are the join-irreducible opens."""
+    return {frozenset.intersection(*[u for u in topology.opens if p in u]) for p in topology.points}
+
+
+@pytest.mark.parametrize("lattice", KERNEL_LATTICES, ids=repr)
+def test_birkhoff_masks(lattice):
+    masks = lattice.birkhoff_masks
+    if lattice in (n5(), m3()):
+        assert masks is None
+        return
+    els = lattice.elements
+    assert masks is not None and len(set(masks)) == len(masks) == len(els)
+    for (i, a), (j, b) in product(enumerate(els), repeat=2):
+        assert masks[lattice.index[lattice.meet(a, b)]] == masks[i] & masks[j]
+        assert masks[lattice.index[lattice.join(a, b)]] == masks[i] | masks[j]
+    width = masks[lattice.top_code].bit_length()
+    if isinstance(lattice, OpenSetLattice):
+        assert width == len(minimal_neighbourhoods(lattice.topology))
+    elif isinstance(lattice, ChainLattice):
+        assert width == lattice.size
+    assert masks[lattice.bottom_code] == 0 and masks[lattice.top_code] == (1 << width) - 1

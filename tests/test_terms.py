@@ -14,6 +14,7 @@ from convalg import (
     format_equation,
     holds_in,
     interval_structure,
+    lattice_from_order,
     make_topology,
     open_set_heyting,
     random_equations,
@@ -149,6 +150,23 @@ class TestHoldsIn:
         assert algebra.calls == 16 * 16
         assert algebra.table("f") is algebra.tables["f"]
 
+    def test_lifted_table_applies_only_on_two_valued_maps(
+        self, monkeypatch, four_point_structure, wedge_lattice
+    ):
+        # the 625^2 entries over the wedge come from the 16^2 two-valued ones
+        applied = []
+        apply = ConvolutionAlgebra.apply
+
+        def counting(self, name, args):
+            applied.append(len(self.lattice.elements))
+            return apply(self, name, args)
+
+        monkeypatch.setattr(ConvolutionAlgebra, "apply", counting)
+        table = ConvolutionAlgebra(wedge_lattice, four_point_structure).table("f")
+        assert len(table) == 625 and {len(row) for row in table} == {625}
+        assert len(applied) <= 16 * 16
+        assert set(applied) == {2}
+
 
 class TestTwoValuedAgreement:
     def test_agreement_for_two_element_lattice(self, four_point_structure):
@@ -171,6 +189,30 @@ class TestSameEquationsReport:
         assert report.ok
         assert report.compared == len(eqs)
         assert report.skipped == 0
+
+    def test_laws_checked_once_per_lattice(self, monkeypatch, four_point_structure):
+        import convalg.lattice
+
+        checked = []
+        check = convalg.lattice.check_heyting_laws
+
+        def counting(lat):
+            checked.append(lat)
+            return check(lat)
+
+        monkeypatch.setattr(convalg.lattice, "check_heyting_laws", counting)
+        lat = chain_lattice(2)
+        for _ in range(3):
+            assert same_equations_report(lat, four_point_structure, []).ok
+        assert checked == [lat]
+        assert lat.heyting_report == check(lat)
+
+    def test_non_heyting_lattice_rejected_every_time(self, four_point_structure):
+        els = ("0", "p", "q", "r", "1")
+        m3 = lattice_from_order(els, {("0", x) for x in els} | {(x, "1") for x in els})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^lattice is not Heyting: distributivity fails$"):
+                same_equations_report(m3, four_point_structure, [])
 
     def test_trivial_lattice_rejected(self, four_point_structure):
         one = open_set_heyting(make_topology([], []))
