@@ -169,6 +169,8 @@ def parse_step_function(text, path=None):
             raise ParseError("expected `point ... -> v` or `interval ... -> v`", i, path)
         left, right = line.split("->", 1)
         value = _parse_fraction(right.strip(), i, path)
+        if not (_ZERO <= value <= _ONE):
+            raise ParseError(f"value {right.strip()} outside [0, 1]", i, path)
         parts = left.split(None, 1)
         if len(parts) != 2:
             raise ParseError("expected `point X` or `interval (A,B)`", i, path)

@@ -12,8 +12,11 @@ turns the defining suprema into running envelopes, so each closed form
 is one merge of breakpoint lists. The closed forms are cross-validated
 against :func:`grid_conv_oracle`, a literal brute-force convolution on
 finite grids that shares no code with them and visits each of the
-(n + 1)**2 argument pairs of an n-grid once; :func:`crosscheck` refuses
-grids whose pair count exceeds :data:`MAX_GRID_PAIRS`.
+(n + 1)**2 argument pairs of an n-grid once, comparing value ranks;
+:func:`crosscheck` refuses grids whose pair count exceeds
+:data:`MAX_GRID_PAIRS`. Piece lists are validated where they enter, by
+the constructor or :meth:`StepFunction.make`; the operations build their
+results from validated pieces and do not check them again.
 """
 
 from __future__ import annotations
@@ -63,21 +66,8 @@ class StepFunction:
     @classmethod
     def make(cls, breakpoints, point_values, interval_values):
         """Build in canonical form, merging redundant interior breakpoints."""
-        bps = [Fraction(b) for b in breakpoints]
-        pvs = [Fraction(v) for v in point_values]
-        ivs = [Fraction(v) for v in interval_values]
-        raw = cls(tuple(bps), tuple(pvs), tuple(ivs))
-        out_b = [bps[0]]
-        out_p = [pvs[0]]
-        out_i = []
-        for i in range(1, len(bps)):
-            left = ivs[i - 1]
-            if i < len(bps) - 1 and left == pvs[i] == ivs[i]:
-                continue
-            out_i.append(left)
-            out_b.append(bps[i])
-            out_p.append(pvs[i])
-        return cls(tuple(out_b), tuple(out_p), tuple(out_i))
+        raw = cls(_fractions(breakpoints), _fractions(point_values), _fractions(interval_values))
+        return _canonical(raw.breakpoints, raw.point_values, raw.interval_values)
 
     @property
     def is_canonical(self):
@@ -97,6 +87,24 @@ class StepFunction:
 
     def sup(self):
         return max(max(self.point_values), max(self.interval_values, default=_ZERO))
+
+
+def _fractions(values):
+    return tuple([v if isinstance(v, Fraction) else Fraction(v) for v in values])
+
+
+def _canonical(bps, pvs, ivs):
+    """Canonical form of validated pieces, built without checking them again."""
+    last = len(bps) - 1
+    keep = [0, *(i for i in range(1, last) if not ivs[i - 1] == pvs[i] == ivs[i]), last]
+    f = object.__new__(StepFunction)
+    # From lists: tuple() of a generator guesses its size and resizes.
+    f.__dict__.update(
+        breakpoints=tuple([bps[i] for i in keep]),
+        point_values=tuple([pvs[i] for i in keep]),
+        interval_values=tuple([ivs[i - 1] for i in keep[1:]]),
+    )
+    return f
 
 
 def _require_canonical(f):
@@ -130,7 +138,7 @@ def sup_left(f):
         if i < last:
             run = max(run, f.interval_values[i])
             ivs.append(run)
-    return StepFunction.make(f.breakpoints, tuple(pvs), tuple(ivs))
+    return _canonical(f.breakpoints, pvs, ivs)
 
 
 def sup_right(f):
@@ -147,7 +155,7 @@ def sup_right(f):
         if i > 0:
             run = max(run, f.interval_values[i - 1])
             ivs.append(run)
-    return StepFunction.make(f.breakpoints, tuple(reversed(pvs)), tuple(reversed(ivs)))
+    return _canonical(f.breakpoints, pvs[::-1], ivs[::-1])
 
 
 def _zip_with(op, f, g):
@@ -174,7 +182,7 @@ def _zip_with(op, f, g):
         if i > last:
             break
         ivs.append(op(fi[i - 1], gi[j - 1]))
-    return StepFunction.make(tuple(bps), tuple(pvs), tuple(ivs))
+    return _canonical(bps, pvs, ivs)
 
 
 def t2_join(a, b):
@@ -213,10 +221,8 @@ def t2_neg(a):
     machinery in the convolution module instead.
     """
     _require_canonical(a)
-    bps = tuple(1 - b for b in reversed(a.breakpoints))
-    pvs = tuple(reversed(a.point_values))
-    ivs = tuple(reversed(a.interval_values))
-    return StepFunction.make(bps, pvs, ivs)
+    bps = [1 - b for b in reversed(a.breakpoints)]
+    return _canonical(bps, a.point_values[::-1], a.interval_values[::-1])
 
 
 @dataclass(frozen=True)
@@ -250,28 +256,35 @@ def grid_conv_oracle(n, op, *args):
     output point the defining relation sends it to, and raises the value
     there to the meet of the arguments when that is larger. Every output
     point thus ends at the supremum over the tuples related to it. This
-    is the oracle the closed forms are validated against.
+    is the oracle the closed forms are validated against. Join and meet
+    compare each value's rank among the values that occur (0 included):
+    min and max commute with that order embedding, so this is exact.
     """
     for g in args:
         if g.size != n:
             raise ValueError("grid size mismatch")
-    values = [_ZERO] * (n + 1)
     if op in ("join", "meet"):
         if len(args) != 2:
             raise ValueError(f"{op} takes two arguments")
         a, b = args
-        combine = max if op == "join" else min
-        for y, ay in enumerate(a.values):
-            for z, bz in enumerate(b.values):
-                x = combine(y, z)
-                v = min(ay, bz)
-                if v > values[x]:
-                    values[x] = v
-        return GridFunction(n, tuple(values))
+        levels = sorted({_ZERO, *a.values, *b.values})
+        rank = {v: r for r, v in enumerate(levels)}
+        ra = [rank[v] for v in a.values]
+        rb = [rank[v] for v in b.values]
+        join = op == "join"
+        best = [0] * (n + 1)
+        for y, ay in enumerate(ra):
+            for z, bz in enumerate(rb):
+                x = (y if y > z else z) if join else (y if y < z else z)
+                v = ay if ay < bz else bz
+                if v > best[x]:
+                    best[x] = v
+        return GridFunction(n, tuple(levels[r] for r in best))
     if op == "neg":
         if len(args) != 1:
             raise ValueError("neg takes one argument")
         (a,) = args
+        values = [_ZERO] * (n + 1)
         for y, ay in enumerate(a.values):
             x = n - y
             if ay > values[x]:

@@ -287,6 +287,20 @@ class TestType2Commands:
         rc, _, err = run(capsys, ["type2", "eval", "--op", "join", "-a", str(f)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["interval (0,1) -> 2\n", "point 0 -> 1\npoint 1/2 -> -1/3\n"],
+        ids=["interval", "point"],
+    )
+    def test_value_outside_unit_interval_names_line(self, capsys, tmp_path, text):
+        f = tmp_path / "f.txt"
+        f.write_text(text)
+        rc, out, err = run(capsys, ["type2", "eval", "--op", "neg", "-a", str(f)])
+        assert rc == 2
+        assert out == ""
+        line = text.count("\n")
+        assert err.startswith(f"error: {f}:{line}: value ") and "outside [0, 1]" in err
+
     def test_crosscheck_deterministic(self, capsys):
         argv = ["type2", "crosscheck", "--n", "6", "--trials", "10", "--seed", "3", "--records"]
         rc1, out1, _ = run(capsys, argv)

@@ -7,7 +7,8 @@ the tuples whose entries lie in the argument subsets. They share no code
 with the compiled relations or the meet and join tables.
 ``literal_grid_conv`` restates the type-2 grid convolution the same way:
 for each output point, a supremum over every argument tuple related to
-it. It is the reference of the single-pass ``grid_conv_oracle``.
+it. It is the reference of ``grid_conv_oracle``, which makes one pass
+over the argument pairs on value ranks.
 The ``literal_pointwise_*`` functions apply the lattice's own ``join``,
 ``meet``, ``impl`` and ``neg`` value by value; they are the references of
 the code-space pointwise operations, which read position tables.
@@ -400,11 +401,31 @@ def random_grid_function(rng, n):
     return GridFunction(n, tuple(Fraction(rng.randint(0, 3), 3) for _ in range(n + 1)))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+# Mixed denominators, with int 0 and 1 beside Fraction(0) and Fraction(1).
+MIXED = [0, 1, *(Fraction(k, d) for d in (3, 12, 60) for k in range(d + 1))]
+SIXTIETHS = [Fraction(k, 60) for k in range(61)]
+# Value pools for the two arguments, each pair also tried swapped: shared
+# mixed values; disjoint value sets, every value of one argument below every
+# value of the other; and disjoint value sets that interleave.
+VALUE_POOLS = [
+    (MIXED, MIXED),
+    (SIXTIETHS[:30], SIXTIETHS[30:]),
+    (SIXTIETHS[::2], SIXTIETHS[1::2]),
+]
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 32, 48])
 def test_grid_conv_oracle_matches_literal_scan(n):
     rng = random.Random(100 + n)
-    for _ in range(15):
-        a, b = random_grid_function(rng, n), random_grid_function(rng, n)
+    pairs = [
+        (random_grid_function(rng, n), random_grid_function(rng, n))
+        for _ in range(15 if n <= 12 else 3)
+    ]
+    for pool_a, pool_b in VALUE_POOLS:
+        a = GridFunction(n, tuple(rng.choice(pool_a) for _ in range(n + 1)))
+        b = GridFunction(n, tuple(rng.choice(pool_b) for _ in range(n + 1)))
+        pairs += [(a, b), (b, a)]
+    for a, b in pairs:
         for op in ("join", "meet"):
             assert grid_conv_oracle(n, op, a, b) == literal_grid_conv(n, op, a, b)
         assert grid_conv_oracle(n, "neg", a) == literal_grid_conv(n, "neg", a)

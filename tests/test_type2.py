@@ -337,6 +337,46 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             StepFunction((F(0), F(1, 2), F(1, 2), F(1)), (F(0),) * 4, (F(0),) * 3)
 
+    def test_make_validates_raw_pieces(self):
+        zeros4, zeros3 = (F(0),) * 4, (F(0),) * 3
+        bad = [
+            # breakpoints out of order or repeated: a merge would drop both
+            # interior ones and leave a valid function
+            ((0, F(1, 2), F(1, 3), 1), zeros4, zeros3),
+            ((0, F(1, 2), F(1, 2), 1), zeros4, zeros3),
+            # breakpoints not running from 0 to 1
+            ((F(-1, 2), 0, 1), (0, 0, 0), (0, 0)),
+            ((0, F(1, 2)), (0, 0), (0,)),
+            # wrong tuple lengths
+            ((0, 1), (0,), (0,)),
+            ((0, 1), (0, 0), (0, 0)),
+            ((0, F(1, 2), 1), zeros4, (0, 0)),
+            # values outside [0, 1]
+            ((0, 1), (0, 2), (0,)),
+            ((0, 1), (0, 0), (F(-1, 3),)),
+            ((0, F(1, 2), 1), (0, F(5, 4), 0), (0, 0)),
+        ]
+        for pieces in bad:
+            with pytest.raises(ValueError):
+                StepFunction.make(*pieces)
+
+    def test_make_converts_to_fractions(self):
+        f = StepFunction.make((0, 0.5, 1), (1, 0, 1), (0, F(1, 2)))
+        assert f == StepFunction((F(0), F(1, 2), F(1)), (F(1), F(0), F(1)), (F(0), F(1, 2)))
+        assert all(type(v) is F for v in f.breakpoints + f.point_values + f.interval_values)
+
+    def test_operation_outputs_pass_full_validation(self):
+        rng = random.Random(31)
+        for k in range(80):
+            a = random_step(rng, max_denominator=(3, 16)[k % 2])
+            b = random_grid_step(rng, 12) if k % 3 else random_step(rng, max_denominator=4)
+            outputs = [t2_join(a, b), t2_meet(a, b), t2_neg(a), sup_left(a), sup_right(b)]
+            for r in outputs:
+                rebuilt = StepFunction(r.breakpoints, r.point_values, r.interval_values)
+                assert rebuilt == r and rebuilt.is_canonical
+                pieces = r.breakpoints + r.point_values + r.interval_values
+                assert all(type(v) is F for v in pieces)
+
     def test_evaluation_outside_domain(self):
         z, _ = t2_constants()
         with pytest.raises(ValueError):
