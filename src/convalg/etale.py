@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .complexalg import image_mask
 from .convolution import (
@@ -181,10 +182,11 @@ def sub_intersection(a, b):
 
 
 def sub_impl(a, b):
+    """Heyting implication per fiber: the union of the open masks w with w & p <= q."""
     _check_same_parent(a, b)
-    base = a.parent.base
-    pairs = zip(map(base.open_of.get, a.masks), map(base.open_of.get, b.masks))
-    return EtaleSubobject(a.parent, tuple([base.mask_of[base.impl(p, q)] for p, q in pairs]))
+    opens = a.parent.base.open_of
+    masks = [reduce(or_, [w for w in opens if not w & p & ~q], 0) for p, q in zip(a.masks, b.masks)]
+    return EtaleSubobject(a.parent, tuple(masks))
 
 
 def sub_neg(a):

@@ -299,7 +299,7 @@ class SameEquationsReport:
     skipped: int
 
 
-def same_equations_report(lattice, structure, equations, max_assignments=10**6, max_elements=10**6):
+def same_equations_report(lattice, structure, equations, max_assignments=10**6):
     """Decide each equation in the map algebra and the powerset algebra and
     compare the verdicts.
 
@@ -315,8 +315,8 @@ def same_equations_report(lattice, structure, equations, max_assignments=10**6, 
     law = lattice.heyting_report
     if not law.ok:
         raise ValueError(f"lattice is not Heyting: {law.failure.law} fails")
-    conv = ConvolutionAlgebra(lattice, structure, max_elements)
-    comp = ComplexAlgebra(structure, max_elements)
+    conv = ConvolutionAlgebra(lattice, structure)
+    comp = ComplexAlgebra(structure)
     outcomes = []
     disagreements = 0
     skipped = 0

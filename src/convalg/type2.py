@@ -14,9 +14,10 @@ against :func:`grid_conv_oracle`, a literal brute-force convolution on
 finite grids that shares no code with them and visits each of the
 (n + 1)**2 argument pairs of an n-grid once, comparing value ranks;
 :func:`crosscheck` refuses grids whose pair count exceeds
-:data:`MAX_GRID_PAIRS`. Piece lists are validated where they enter, by
-the constructor or :meth:`StepFunction.make`; the operations build their
-results from validated pieces and do not check them again.
+:data:`MAX_GRID_PAIRS`. Every :class:`StepFunction` is canonical with
+``int`` or ``Fraction`` pieces: the constructor and
+:meth:`StepFunction.make` check the pieces once where they enter, and the
+operations build their results from such pieces and check nothing again.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .convolution import CapacityError
 
@@ -40,10 +42,10 @@ class StepFunction:
 
     ``point_values[i]`` is the value at ``breakpoints[i]``;
     ``interval_values[i]`` is the value on the open interval between
-    breakpoints i and i+1. 0 and 1 are always breakpoints. Canonical
-    form has no interior breakpoint whose point value equals both
-    neighbouring interval values; operations require canonical inputs,
-    use :meth:`make` to normalize.
+    breakpoints i and i+1. 0 and 1 are always breakpoints, and every
+    piece is an ``int`` or a ``Fraction``. The constructor accepts only
+    canonical form, with no interior breakpoint whose point value equals
+    both neighbouring interval values; use :meth:`make` to normalize.
     """
 
     breakpoints: tuple
@@ -51,30 +53,17 @@ class StepFunction:
     interval_values: tuple
 
     def __post_init__(self):
-        bps = self.breakpoints
-        if len(self.point_values) != len(bps) or len(self.interval_values) != len(bps) - 1:
-            raise ValueError("value tuples do not match the breakpoint count")
-        if bps[0] != _ZERO or bps[-1] != _ONE:
-            raise ValueError("0 and 1 must be breakpoints")
-        for a, b in zip(bps, bps[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
-        for v in self.point_values + self.interval_values:
-            if not (_ZERO <= v <= _ONE):
-                raise ValueError(f"value {v} outside [0, 1]")
+        bps, pvs, ivs = self.breakpoints, self.point_values, self.interval_values
+        _check_pieces(bps, pvs, ivs)
+        if any(ivs[i - 1] == pvs[i] == ivs[i] for i in range(1, len(bps) - 1)):
+            raise ValueError("redundant interior breakpoint; use StepFunction.make")
 
     @classmethod
     def make(cls, breakpoints, point_values, interval_values):
         """Build in canonical form, merging redundant interior breakpoints."""
-        raw = cls(_fractions(breakpoints), _fractions(point_values), _fractions(interval_values))
-        return _canonical(raw.breakpoints, raw.point_values, raw.interval_values)
-
-    @property
-    def is_canonical(self):
-        for i in range(1, len(self.breakpoints) - 1):
-            if self.interval_values[i - 1] == self.point_values[i] == self.interval_values[i]:
-                return False
-        return True
+        bps, pvs, ivs = _fractions(breakpoints), _fractions(point_values), _fractions(interval_values)
+        _check_pieces(bps, pvs, ivs)
+        return _canonical(bps, pvs, ivs)
 
     def __call__(self, x):
         x = Fraction(x)
@@ -87,6 +76,26 @@ class StepFunction:
 
     def sup(self):
         return max(max(self.point_values), max(self.interval_values, default=_ZERO))
+
+
+def _check_values(values):
+    """Every value must be an exact rational in [0, 1]."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise ValueError(f"value {v!r} is not an int or a Fraction")
+        if not (_ZERO <= v <= _ONE):
+            raise ValueError(f"value {v} outside [0, 1]")
+
+
+def _check_pieces(bps, pvs, ivs):
+    if len(pvs) != len(bps) or len(ivs) != len(bps) - 1:
+        raise ValueError("value tuples do not match the breakpoint count")
+    _check_values((*bps, *pvs, *ivs))
+    if bps[0] != _ZERO or bps[-1] != _ONE:
+        raise ValueError("0 and 1 must be breakpoints")
+    for a, b in zip(bps, bps[1:]):
+        if not a < b:
+            raise ValueError("breakpoints must be strictly increasing")
 
 
 def _fractions(values):
@@ -107,55 +116,30 @@ def _canonical(bps, pvs, ivs):
     return f
 
 
-def _require_canonical(f):
-    if not f.is_canonical:
-        raise ValueError("step function is not in canonical form")
-
-
-def _spike(at):
-    """The function that is 1 at a single endpoint and 0 elsewhere."""
-    if at == _ZERO:
-        return StepFunction((_ZERO, _ONE), (_ONE, _ZERO), (_ZERO,))
-    return StepFunction((_ZERO, _ONE), (_ZERO, _ONE), (_ZERO,))
-
-
 def t2_constants():
     """The two distinguished elements: the unit spikes at 0 and at 1."""
-    return _spike(_ZERO), _spike(_ONE)
+    ends, zero = (_ZERO, _ONE), (_ZERO,)
+    return StepFunction(ends, (_ONE, _ZERO), zero), StepFunction(ends, (_ZERO, _ONE), zero)
+
+
+def _envelope(f, backward):
+    """Running maximum of f's pieces, taken in order from 0 or, backward, from 1."""
+    pieces = [None] * (2 * len(f.breakpoints) - 1)
+    pieces[::2], pieces[1::2] = f.point_values, f.interval_values
+    run = list(accumulate(reversed(pieces) if backward else pieces, max))
+    if backward:
+        run.reverse()
+    return _canonical(f.breakpoints, run[::2], run[1::2])
 
 
 def sup_left(f):
     """Running-maximum envelope from the left: value at x is max of f on [0, x]."""
-    _require_canonical(f)
-    pvs = []
-    ivs = []
-    run = None
-    last = len(f.interval_values)
-    for i, _ in enumerate(f.breakpoints):
-        p = f.point_values[i]
-        run = p if run is None else max(run, p)
-        pvs.append(run)
-        if i < last:
-            run = max(run, f.interval_values[i])
-            ivs.append(run)
-    return _canonical(f.breakpoints, pvs, ivs)
+    return _envelope(f, backward=False)
 
 
 def sup_right(f):
     """Running-maximum envelope from the right: value at x is max of f on [x, 1]."""
-    _require_canonical(f)
-    pvs = []
-    ivs = []
-    run = None
-    n = len(f.breakpoints)
-    for i in range(n - 1, -1, -1):
-        p = f.point_values[i]
-        run = p if run is None else max(run, p)
-        pvs.append(run)
-        if i > 0:
-            run = max(run, f.interval_values[i - 1])
-            ivs.append(run)
-    return _canonical(f.breakpoints, pvs[::-1], ivs[::-1])
+    return _envelope(f, backward=True)
 
 
 def _zip_with(op, f, g):
@@ -185,6 +169,11 @@ def _zip_with(op, f, g):
     return _canonical(bps, pvs, ivs)
 
 
+def _convolve(a, b, envelope):
+    """max(a min envelope(b), envelope(a) min b), on the common refinement."""
+    return _zip_with(max, _zip_with(min, a, envelope(b)), _zip_with(min, envelope(a), b))
+
+
 def t2_join(a, b):
     """Convolution join: x maps to the supremum of min(a(y), b(z)) over
     pairs with max(y, z) = x.
@@ -193,22 +182,12 @@ def t2_join(a, b):
     with y below, giving max(a(x) min supL(b)(x), supL(a)(x) min b(x))
     with supL the left envelope.
     """
-    _require_canonical(a)
-    _require_canonical(b)
-    la, lb = sup_left(a), sup_left(b)
-    term1 = _zip_with(min, a, lb)
-    term2 = _zip_with(min, la, b)
-    return _zip_with(max, term1, term2)
+    return _convolve(a, b, sup_left)
 
 
 def t2_meet(a, b):
     """Convolution meet, dual to :func:`t2_join` with right envelopes."""
-    _require_canonical(a)
-    _require_canonical(b)
-    ra, rb = sup_right(a), sup_right(b)
-    term1 = _zip_with(min, a, rb)
-    term2 = _zip_with(min, ra, b)
-    return _zip_with(max, term1, term2)
+    return _convolve(a, b, sup_right)
 
 
 def t2_neg(a):
@@ -220,7 +199,6 @@ def t2_neg(a):
     collapse this way; those go through the generic convolution
     machinery in the convolution module instead.
     """
-    _require_canonical(a)
     bps = [1 - b for b in reversed(a.breakpoints)]
     return _canonical(bps, a.point_values[::-1], a.interval_values[::-1])
 
@@ -237,9 +215,7 @@ class GridFunction:
             raise ValueError("grid size must be a positive integer")
         if len(self.values) != self.size + 1:
             raise ValueError("value count must be size + 1")
-        for v in self.values:
-            if not (_ZERO <= v <= _ONE):
-                raise ValueError(f"value {v} outside [0, 1]")
+        _check_values(self.values)
 
     def __call__(self, x):
         k = Fraction(x) * self.size

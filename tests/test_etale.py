@@ -5,6 +5,7 @@ import pytest
 
 from convalg import (
     ConstantEtale,
+    FiniteTopology,
     ConstantRelationalEtale,
     EtaleSubobject,
     LatticeMap,
@@ -25,6 +26,7 @@ from convalg import (
     phi_inverse,
     random_map,
     rel_image,
+    sub_impl,
     sub_intersection,
     sub_leq,
     sub_neg,
@@ -225,6 +227,18 @@ class TestSubobjectOps:
         }
         assert len(subs) == 25
 
+    @pytest.mark.parametrize(
+        "generators", [[], [{"a"}], [{"a"}, {"b"}], [{"a"}, {"a", "b"}], [{"b"}, {"a", "b"}, {"b", "c"}]]
+    )
+    def test_impl_matches_topological_impl(self, generators):
+        # one fiber per open a, holding a; the section at a of a => b is impl(a, b)
+        topo = make_topology({"a", "b", "c"}, generators)
+        parent = ConstantEtale(tuple(topo.opens), topo)
+        every = EtaleSubobject.from_sections(parent, {a: a for a in parent.fibers})
+        for b in topo.opens:
+            const = EtaleSubobject.from_sections(parent, {a: b for a in parent.fibers})
+            assert sub_impl(every, const).sections == {a: topo.impl(a, b) for a in parent.fibers}
+
     def test_union_parent_mismatch(self, wedge_topology, thirds_topology):
         a = whole_subobject(ConstantEtale(("p",), wedge_topology))
         b = whole_subobject(ConstantEtale(("p",), thirds_topology))
@@ -254,6 +268,15 @@ class TestVerifyMainIso:
         report = verify_main_iso(wedge_lattice, four_point_structure, wedge_topology, trials=0, seed=0)
         assert report.ok
         assert report.checks == 0
+
+    def test_wrong_topological_impl_is_caught(self, monkeypatch, four_point_structure):
+        # The mask route of sub_impl does not call FiniteTopology.impl, so a
+        # wrong implication reaches only the lattice side of the check.
+        monkeypatch.setattr(FiniteTopology, "impl", lambda self, a, b: a & b)
+        topo = make_topology(("t1", "t2", "t3"), [{"t1"}, {"t2"}, {"t3"}])
+        report = verify_main_iso(open_set_heyting(topo), four_point_structure, topo, trials=20, seed=0)
+        assert not report.ok
+        assert "pointwise impl" in report.counterexample
 
     def test_negative_trials_rejected(self, wedge_topology, wedge_lattice, four_point_structure):
         with pytest.raises(ValueError, match="trials"):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from convalg import (
     LatticeMap,
+    RelationalStructure,
     Signature,
     StepFunction,
     chain_lattice,
@@ -51,10 +52,47 @@ x1 x3 x4
 x3 x2 x4
 """
 
+# Point, carrier and symbol names: any whitespace-free token without `#`.
+LABELS = ("a", "x1", "t_2", "p-3", "ω")
+
+
+@st.composite
+def topology_texts(draw):
+    """A topology on at most 5 points and a file listing every open, in any order."""
+    points = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5, unique=True))
+    topo = make_topology(points, draw(st.lists(st.frozensets(st.sampled_from(points)), max_size=4)))
+    opens = draw(st.permutations(sorted(topo.opens, key=sorted)))
+    lines = ["# generated", "points: " + " ".join(draw(st.permutations(points)))]
+    lines += ["open: " + " ".join(sorted(o)) for o in opens]
+    return topo, "\n".join(lines) + "\n"
+
+
+@st.composite
+def structure_texts(draw):
+    """A structure with up to three relations of arity at most 2, and its file."""
+    carrier = tuple(draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True)))
+    names = draw(st.lists(st.sampled_from(("f", "g", "rel_2", "ψ")), max_size=3, unique=True))
+    symbols = tuple((name, draw(st.integers(min_value=0, max_value=2))) for name in names)
+    relations = {
+        name: draw(st.frozensets(st.tuples(*[st.sampled_from(carrier)] * (n + 1)), max_size=6))
+        for name, n in symbols
+    }
+    lines = ["carrier: " + " ".join(carrier)]
+    for name, n in symbols:
+        lines.append(f"relation {name} arity {n}")
+        lines += [" ".join(t) for t in draw(st.permutations(sorted(relations[name])))]
+    return RelationalStructure(carrier, Signature(symbols), relations), "\n".join(lines) + "\n"
+
 
 class TestTopologyFormat:
     def test_round_trip(self, wedge_topology):
         assert parse_topology(WEDGE_TOPOLOGY) == wedge_topology
+
+    @given(topology_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_generated(self, case):
+        topo, text = case
+        assert parse_topology(text) == topo
 
     def test_closure_applied(self):
         t = parse_topology("points: a b\nopen: a\nopen: b\n")
@@ -77,6 +115,12 @@ class TestTopologyFormat:
 class TestStructureFormat:
     def test_round_trip(self, four_point_structure):
         assert parse_structure(FOUR_POINT_STRUCTURE) == four_point_structure
+
+    @given(structure_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_generated(self, case):
+        structure, text = case
+        assert parse_structure(text) == structure
 
     def test_tuple_length_checked(self):
         bad = "carrier: a b\nrelation f arity 2\na b\n"
@@ -138,7 +182,7 @@ class TestStepFunctionFormat:
     @given(canonical_step_functions())
     @settings(max_examples=150, deadline=None)
     def test_round_trip(self, f):
-        assert f.is_canonical
+        assert StepFunction(f.breakpoints, f.point_values, f.interval_values) == f
         assert parse_step_function(format_step_function(f)) == f
 
     def test_pieces_with_defaults(self):

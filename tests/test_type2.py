@@ -322,12 +322,31 @@ class TestRepresentation:
         assert f.breakpoints == (F(0), F(1))
         assert f.interval_values == (F(1, 4),)
 
-    def test_operations_reject_non_canonical(self):
-        raw = StepFunction((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1)), (F(1, 4), F(1, 4)))
-        assert not raw.is_canonical
-        z, _ = t2_constants()
-        with pytest.raises(ValueError):
-            t2_join(raw, z)
+    def test_constructor_rejects_non_canonical(self):
+        # 1/2 is redundant: its point value equals both neighbouring interval values
+        pieces = ((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1)), (F(1, 4), F(1, 4)))
+        with pytest.raises(ValueError, match="redundant"):
+            StepFunction(*pieces)
+        assert StepFunction.make(*pieces) == StepFunction((F(0), F(1)), (F(0), F(1)), (F(1, 4),))
+
+    def test_float_pieces_rejected(self):
+        with pytest.raises(ValueError, match="Fraction"):
+            StepFunction((0, 0.5, 1), (0, 0, 0), (0, F(1, 2)))
+        with pytest.raises(ValueError, match="Fraction"):
+            StepFunction((0, 1), (0, 0.5), (0,))
+        with pytest.raises(ValueError, match="Fraction"):
+            StepFunction((0, 1), (0, 0), (0.25,))
+        with pytest.raises(ValueError, match="Fraction"):
+            GridFunction(2, (F(0), 0.5, F(1)))
+        # the inexact input never reaches an operation: 1 - 0.1 would be the float 0.9
+        with pytest.raises(ValueError, match="Fraction"):
+            t2_neg(StepFunction((0, 0.1, 1), (0, 0, 0), (0, F(1, 2))))
+
+    def test_int_pieces_accepted(self):
+        z, o = t2_constants()
+        assert StepFunction((0, 1), (1, 0), (0,)) == z
+        assert t2_neg(StepFunction((0, 1), (1, 0), (0,))) == o
+        assert GridFunction(1, (0, 1)) == GridFunction(1, (F(0), F(1)))
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -373,7 +392,7 @@ class TestRepresentation:
             outputs = [t2_join(a, b), t2_meet(a, b), t2_neg(a), sup_left(a), sup_right(b)]
             for r in outputs:
                 rebuilt = StepFunction(r.breakpoints, r.point_values, r.interval_values)
-                assert rebuilt == r and rebuilt.is_canonical
+                assert rebuilt == r
                 pieces = r.breakpoints + r.point_values + r.interval_values
                 assert all(type(v) is F for v in pieces)
 
