@@ -7,13 +7,17 @@ the section-correspondence isomorphism (randomized, and exhaustive over
 both étale image routes), the two-valued characteristic isomorphism,
 equational agreement between the map and powerset algebras (with each
 lattice's lifted ``f`` table compared with one built by one ``apply`` per
-entry), and the step-function oracle crosschecks.
+entry), and the step-function oracle crosschecks, on grid-aligned inputs
+and on inputs with arbitrary rational breakpoints sampled on the grid of
+twice the breakpoints' common denominator.
 """
 
 import argparse
+import random
 import sys
 import time
 from itertools import product
+from math import lcm
 
 from convalg import (
     ConstantRelationalEtale,
@@ -28,13 +32,19 @@ from convalg import (
     enumerate_maps,
     enumerate_topologies,
     fiberwise_rel_image,
+    grid_conv_oracle,
     interval_structure,
     make_topology,
     open_set_heyting,
     per_fiber_rel_image,
     phi,
     random_equations,
+    random_step,
     same_equations_report,
+    sample_to_grid,
+    t2_join,
+    t2_meet,
+    t2_neg,
     verify_main_iso,
 )
 from convalg.etale import worked_example
@@ -130,6 +140,25 @@ def type2_oracle():
     return True, f"{checks} checks"
 
 
+def type2_arbitrary_breakpoints():
+    rng = random.Random(2018)
+    checks = 0
+    for _ in range(50):
+        a, b = random_step(rng, max_denominator=6), random_step(rng, max_denominator=6)
+        # Every piece of a, b and their results has a sample on this grid.
+        n = 2 * lcm(*(x.denominator for x in a.breakpoints + b.breakpoints))
+        ga, gb = sample_to_grid(a, n), sample_to_grid(b, n)
+        for op, closed, args in (
+            ("join", t2_join(a, b), (ga, gb)),
+            ("meet", t2_meet(a, b), (ga, gb)),
+            ("neg", t2_neg(a), (ga,)),
+        ):
+            if sample_to_grid(closed, n) != grid_conv_oracle(n, op, *args):
+                return False, f"{op} differs from the oracle on grid {n}"
+            checks += 1
+    return True, f"{checks} checks"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.parse_args(argv)
@@ -139,6 +168,7 @@ def main(argv=None):
         run("two-valued characteristic isomorphism", characteristic),
         run("map vs powerset equational agreement", equations),
         run("step-function closed forms vs grid oracle", type2_oracle),
+        run("arbitrary breakpoints vs 2*lcm-grid oracle", type2_arbitrary_breakpoints),
     ]
     return 0 if all(results) else 1
 

@@ -202,13 +202,17 @@ def parse_step_function(text, path=None):
         bps.add(b)
     bps = sorted(bps)
     pvs = [point_decls.get(b, _ZERO) for b in bps]
+    # Declarations in line order: the first on an interval has the lowest line.
+    index = {b: k for k, b in enumerate(bps)}
+    covering = [[] for _ in bps[1:]]
+    for a, b, v, i in interval_decls:
+        for k in range(index[a], index[b]):
+            covering[k].append((v, i))
     ivs = []
-    for lo, hi in zip(bps, bps[1:]):
-        covering = [(a, b, v, i) for a, b, v, i in interval_decls if a <= lo and hi <= b]
-        vals = {v for _, _, v, _ in covering}
+    for lo, hi, decls in zip(bps, bps[1:], covering):
+        vals = {v for v, _ in decls}
         if len(vals) > 1:
-            line = min(i for _, _, _, i in covering)
-            raise ParseError(f"conflicting values on ({lo},{hi})", line, path)
+            raise ParseError(f"conflicting values on ({lo},{hi})", decls[0][1], path)
         ivs.append(vals.pop() if vals else _ZERO)
     return StepFunction.make(tuple(bps), tuple(pvs), tuple(ivs))
 

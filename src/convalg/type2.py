@@ -9,10 +9,12 @@ three operations and everything here is exact rational arithmetic.
 The closed forms rest on one fact about chains: y join z = x forces one
 of y, z to equal x and the other to lie below (dually for meet), which
 turns the defining suprema into running envelopes, so each closed form
-is one merge of breakpoint lists. The closed forms are cross-validated
-against :func:`grid_conv_oracle`, a literal brute-force convolution on
-finite grids that shares no code with them and visits each of the
-(n + 1)**2 argument pairs of an n-grid once, comparing value ranks;
+is one merge of breakpoint lists; join and meet merge the int numerators
+of their pieces over the arguments' common denominator, which is exact,
+and reuse the input pieces. The closed forms are cross-validated against
+:func:`grid_conv_oracle`, a literal brute-force convolution on finite
+grids that shares no code with them and visits each of the (n + 1)**2
+argument pairs of an n-grid once, comparing value ranks;
 :func:`crosscheck` refuses grids whose pair count exceeds
 :data:`MAX_GRID_PAIRS`. Every :class:`StepFunction` is canonical with
 ``int`` or ``Fraction`` pieces: the constructor and
@@ -27,6 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .convolution import CapacityError
 
@@ -83,7 +86,8 @@ def _check_values(values):
     for v in values:
         if not isinstance(v, (int, Fraction)):
             raise ValueError(f"value {v!r} is not an int or a Fraction")
-        if not (_ZERO <= v <= _ONE):
+        # Normalized numerator and denominator: no Fraction comparison.
+        if not 0 <= v.numerator <= v.denominator:
             raise ValueError(f"value {v} outside [0, 1]")
 
 
@@ -102,17 +106,17 @@ def _fractions(values):
     return tuple([v if isinstance(v, Fraction) else Fraction(v) for v in values])
 
 
-def _canonical(bps, pvs, ivs):
-    """Canonical form of validated pieces, built without checking them again."""
+def _canonical(bps, pvs, ivs, decode=None):
+    """Canonical form of validated pieces, built without checking them again.
+    With ``decode``, the values are int codes and the result holds their values."""
     last = len(bps) - 1
     keep = [0, *(i for i in range(1, last) if not ivs[i - 1] == pvs[i] == ivs[i]), last]
-    f = object.__new__(StepFunction)
     # From lists: tuple() of a generator guesses its size and resizes.
-    f.__dict__.update(
-        breakpoints=tuple([bps[i] for i in keep]),
-        point_values=tuple([pvs[i] for i in keep]),
-        interval_values=tuple([ivs[i - 1] for i in keep[1:]]),
-    )
+    bps, pvs, ivs = [bps[i] for i in keep], [pvs[i] for i in keep], [ivs[i - 1] for i in keep[1:]]
+    if decode is not None:
+        pvs, ivs = [decode[c] for c in pvs], [decode[c] for c in ivs]
+    f = object.__new__(StepFunction)
+    f.__dict__.update(breakpoints=tuple(bps), point_values=tuple(pvs), interval_values=tuple(ivs))
     return f
 
 
@@ -122,13 +126,22 @@ def t2_constants():
     return StepFunction(ends, (_ONE, _ZERO), zero), StepFunction(ends, (_ZERO, _ONE), zero)
 
 
-def _envelope(f, backward):
-    """Running maximum of f's pieces, taken in order from 0 or, backward, from 1."""
+def _pieces(f):
+    """f's point and interval values interleaved, in order from 0."""
     pieces = [None] * (2 * len(f.breakpoints) - 1)
     pieces[::2], pieces[1::2] = f.point_values, f.interval_values
-    run = list(accumulate(reversed(pieces) if backward else pieces, max))
+    return pieces
+
+
+def _running_max(pieces, backward):
+    """Running maximum of pieces, taken in order from 0 or, backward, from 1."""
     if backward:
-        run.reverse()
+        return list(accumulate(pieces[::-1], max))[::-1]
+    return list(accumulate(pieces, max))
+
+
+def _envelope(f, backward):
+    run = _running_max(_pieces(f), backward)
     return _canonical(f.breakpoints, run[::2], run[1::2])
 
 
@@ -142,36 +155,34 @@ def sup_right(f):
     return _envelope(f, backward=True)
 
 
-def _zip_with(op, f, g):
-    """Pointwise combination on the common breakpoint refinement.
-
-    One merge of the two breakpoint lists. At a breakpoint of only one
-    input the other input contributes the value of the open interval
-    that contains it, and each refined interval lies inside one open
-    interval of each input, so no point is ever evaluated.
-    """
-    fb, fp, fi = f.breakpoints, f.point_values, f.interval_values
-    gb, gp, gi = g.breakpoints, g.point_values, g.interval_values
+def _convolve(a, b, backward):
+    """max(a min env(b), env(a) min b), env the running maximum from 0 or,
+    backward, from 1, in one merge of the breakpoint lists. Pieces become
+    numerators over the common denominator, an exact order embedding, so
+    only ints are compared; the result holds the inputs' own pieces."""
+    fbo, gbo, fpo, gpo = pieces = a.breakpoints, b.breakpoints, _pieces(a), _pieces(b)
+    d = lcm(*{v.denominator for vs in pieces for v in vs})
+    fb, gb, fv, gv = [[v.numerator * (d // v.denominator) for v in vs] for vs in pieces]
+    decode = dict(zip(fv, fpo)) | dict(zip(gv, gpo))
+    fe, ge = _running_max(fv, backward), _running_max(gv, backward)
     last = len(fb) - 1
-    bps, pvs, ivs = [], [], []
+    bps, vals = [], []
     i = j = 0
     while True:
         x, y = fb[i], gb[j]
         at_f, at_g = x <= y, y <= x
-        bps.append(x if at_f else y)
-        pvs.append(op(fp[i] if at_f else fi[i - 1], gp[j] if at_g else gi[j - 1]))
+        bps.append(fbo[i] if at_f else gbo[j])
+        # An input without a breakpoint here contributes the open interval around it.
+        p, q = 2 * i - (not at_f), 2 * j - (not at_g)
+        vals.append(max(min(fv[p], ge[q]), min(fe[p], gv[q])))
         i += at_f
         j += at_g
         # Both lists end at 1, so f runs out exactly when g does.
         if i > last:
             break
-        ivs.append(op(fi[i - 1], gi[j - 1]))
-    return _canonical(bps, pvs, ivs)
-
-
-def _convolve(a, b, envelope):
-    """max(a min envelope(b), envelope(a) min b), on the common refinement."""
-    return _zip_with(max, _zip_with(min, a, envelope(b)), _zip_with(min, envelope(a), b))
+        p, q = 2 * i - 1, 2 * j - 1
+        vals.append(max(min(fv[p], ge[q]), min(fe[p], gv[q])))
+    return _canonical(bps, vals[::2], vals[1::2], decode)
 
 
 def t2_join(a, b):
@@ -182,12 +193,12 @@ def t2_join(a, b):
     with y below, giving max(a(x) min supL(b)(x), supL(a)(x) min b(x))
     with supL the left envelope.
     """
-    return _convolve(a, b, sup_left)
+    return _convolve(a, b, backward=False)
 
 
 def t2_meet(a, b):
     """Convolution meet, dual to :func:`t2_join` with right envelopes."""
-    return _convolve(a, b, sup_right)
+    return _convolve(a, b, backward=True)
 
 
 def t2_neg(a):

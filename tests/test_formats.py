@@ -208,6 +208,12 @@ class TestStepFunctionFormat:
         with pytest.raises(ParseError):
             parse_step_function(text)
 
+    def test_first_conflict_reported_at_lowest_covering_line(self):
+        text = "interval (1/2,1) -> 1/3\ninterval (0,1/4) -> 1\ninterval (0,1) -> 1/2\n"
+        with pytest.raises(ParseError) as info:
+            parse_step_function(text, path="f.txt")
+        assert str(info.value) == "f.txt:2: conflicting values on (0,1/4)"
+
     def test_bad_interval_spec(self):
         with pytest.raises(ParseError):
             parse_step_function("interval 0,1 -> 1/2\n")

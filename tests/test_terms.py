@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,25 @@ class TestRandomEquations:
         sig = four_point_structure.signature
         assert random_equations(sig, 10, seed=4) == random_equations(sig, 10, seed=4)
         assert random_equations(sig, 10, seed=4) != random_equations(sig, 10, seed=5)
+
+    def test_draw_order_pinned(self):
+        sig = interval_structure(1).signature
+        assert [format_equation(eq) for eq in random_equations(sig, 3, seed=13, max_depth=2)] == [
+            "(join (join w w) u) = (meet u u)",
+            "w = (meet (join v (zero)) u)",
+            "v = (join u w)",
+        ]
+
+    def test_leaves_no_cyclic_garbage(self, four_point_structure):
+        sig = four_point_structure.signature
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in range(10):
+                random_equations(sig, 20, seed=seed)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_respects_bounds(self):
         sig = interval_structure(1).signature

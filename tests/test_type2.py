@@ -278,6 +278,78 @@ class TestMergeAgainstMidpointSampling:
                 self.check(c, d)
 
 
+# Value pools with unrelated denominators; int 0 and 1 sit beside Fraction(0) and Fraction(1).
+VALUE_POOLS = (
+    tuple(F(k, 3) for k in range(4)),
+    tuple(F(k, 7) for k in range(8)),
+    tuple(F(k, 12) for k in range(13)),
+    tuple(F(k, 60) for k in range(61)),
+    (0, 1, F(0), F(1)),
+)
+DIVISORS_OF_60 = (2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60)
+
+
+def mixed_step(rng, max_interior=5):
+    """Canonical step function whose breakpoints have denominators dividing
+    60, with pieces drawn from VALUE_POOLS and built without conversion."""
+    dens = rng.choices(DIVISORS_OF_60, k=rng.randint(0, max_interior))
+    bps = [0, *sorted({F(rng.randint(1, d - 1), d) for d in dens}), 1]
+    pvs = [rng.choice(rng.choice(VALUE_POOLS)) for _ in bps]
+    ivs = [rng.choice(rng.choice(VALUE_POOLS)) for _ in bps[1:]]
+    last = len(bps) - 1
+    keep = [0, *(i for i in range(1, last) if not ivs[i - 1] == pvs[i] == ivs[i]), last]
+    return StepFunction(
+        tuple(bps[i] for i in keep),
+        tuple(pvs[i] for i in keep),
+        tuple(ivs[i - 1] for i in keep[1:]),
+    )
+
+
+class TestArbitraryBreakpointsVsOracle:
+    def test_closed_forms_match_oracle_on_double_lcm_grid(self):
+        # Breakpoint denominators divide 60, so the 120-grid has a sample
+        # inside every piece of the inputs and of the results.
+        n = 120
+        assert (n + 1) ** 2 <= MAX_GRID_PAIRS
+        rng = random.Random(60)
+        mixed_denominators = int_pieces = 0
+        for _ in range(100):
+            a, b = mixed_step(rng), mixed_step(rng)
+            ga, gb = sample_to_grid(a, n), sample_to_grid(b, n)
+            assert sample_to_grid(t2_join(a, b), n) == grid_conv_oracle(n, "join", ga, gb)
+            assert sample_to_grid(t2_meet(a, b), n) == grid_conv_oracle(n, "meet", ga, gb)
+            assert sample_to_grid(t2_neg(a), n) == grid_conv_oracle(n, "neg", ga)
+            mixed_denominators += len({x.denominator for x in a.breakpoints + b.breakpoints}) > 2
+            int_pieces += any(type(v) is int for v in a.point_values + a.interval_values)
+        assert mixed_denominators >= 50 and int_pieces >= 20
+
+    def test_join_and_meet_compare_no_fractions(self, monkeypatch):
+        rng = random.Random(61)
+        pairs = [(random_step(rng, max_denominator=17), mixed_step(rng)) for _ in range(30)]
+        pairs += [(c, mixed_step(rng)) for c in t2_constants() for _ in range(5)]
+        expected = [(midpoint_join(a, b), midpoint_meet(a, b)) for a, b in pairs]
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was compared or hashed")
+
+        with monkeypatch.context() as m:
+            for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
+                m.setattr(F, name, refuse)
+            results = [(t2_join(a, b), t2_meet(a, b)) for a, b in pairs]
+        assert results == expected
+
+    def test_join_and_meet_keep_input_breakpoints(self):
+        # A value equal to a breakpoint (True == 1, 1 == F(1)) must not
+        # stand in for it in the result.
+        a = StepFunction((0, 1), (0, True), (0,))
+        b = StepFunction((F(0), F(1, 2), F(1)), (True, 1, F(1)), (F(1, 3), 0))
+        for x, y in ((a, a), (a, b), (b, a), (b, b)):
+            ids = {id(v) for v in x.breakpoints + y.breakpoints}
+            for r in (t2_join(x, y), t2_meet(x, y)):
+                assert all(id(v) in ids for v in r.breakpoints)
+        assert [type(v) for v in t2_join(a, a).breakpoints] == [int, int]
+
+
 class TestSampling:
     def test_matches_pointwise_evaluation(self):
         rng = random.Random(24)
@@ -347,6 +419,19 @@ class TestRepresentation:
         assert StepFunction((0, 1), (1, 0), (0,)) == z
         assert t2_neg(StepFunction((0, 1), (1, 0), (0,))) == o
         assert GridFunction(1, (0, 1)) == GridFunction(1, (F(0), F(1)))
+
+    def test_value_check_on_every_numeric_type(self):
+        class Sub(F):
+            pass
+
+        for v in (0, 1, True, False, F(0), F(1), F(1, 2), Sub(1, 2)):
+            GridFunction(1, (v, v))
+            StepFunction((0, 1), (v, v), (v,))
+        for v in (-1, 2, F(-1, 2), F(3, 2), Sub(3, 2), Sub(-1, 2), 0.5, "1"):
+            with pytest.raises(ValueError):
+                GridFunction(1, (v, v))
+            with pytest.raises(ValueError):
+                StepFunction((0, 1), (v, v), (v,))
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

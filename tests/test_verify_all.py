@@ -13,5 +13,5 @@ def test_verify_all_passes(capsys):
     spec.loader.exec_module(module)
     assert module.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert all(" ok " in line for line in lines)
