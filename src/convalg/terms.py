@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property
 from itertools import product
-from operator import or_
 
 from .complexalg import all_subsets, rel_image
-from .convolution import CapacityError, conv_op, count_maps, enumerate_maps
+from .convolution import CapacityError, LatticeMap, conv_op, count_maps, enumerate_maps
 from .lattice import chain_lattice
 
 
@@ -70,6 +69,8 @@ class _TabledAlgebra:
     ``elements`` from each class's own ``__dict__``.
     """
 
+    two_valued = None  # a smaller algebra with the same equations, if any
+
     def __init__(self, structure, max_elements=10**6):
         self.structure = structure
         self.max_elements = max_elements
@@ -106,26 +107,27 @@ class _TabledAlgebra:
 
 class ConvolutionAlgebra(_TabledAlgebra):
     """The algebra of lattice-valued maps on a structure, symbols acting by
-    convolution."""
+    convolution.
+
+    Over a distributive lattice L of more than two elements, ``two_valued``
+    is the same structure's algebra over the two-element chain: the fibers
+    over L's join-irreducibles embed L^X into a power of it and the crisp
+    maps embed it into L^X, so both satisfy the same equations.
+    """
 
     def __init__(self, lattice, structure, max_elements=10**6):
         super().__init__(structure, max_elements)
         self.lattice = lattice
 
+    @cached_property
+    def two_valued(self):
+        lat = self.lattice
+        if len(lat.elements) > 2 and lat.birkhoff_masks is not None:
+            return ConvolutionAlgebra(chain_lattice(1), self.structure, self.max_elements)
+        return None
+
     def apply(self, name, args):
         return conv_op(self.lattice, self.structure, name, list(args))
-
-    def table(self, name):
-        """Over a distributive lattice of more than two elements, unary and binary
-        tables are lifted from the two-valued algebra's (see :func:`_lift_table`)."""
-        lat, arity = self.lattice, self.signature.arity(name)
-        masks = lat.birkhoff_masks if arity in (1, 2) and len(lat.elements) > 2 else None
-        if name in self.tables or masks is None:
-            return super().table(name)
-        self.size()
-        two = ConvolutionAlgebra(chain_lattice(1), self.structure, self.max_elements)
-        self.tables[name] = _lift_table(two.table(name), masks, len(self.structure.carrier), arity)
-        return self.tables[name]
 
     def size(self):
         """Element count; raises CapacityError above ``max_elements``."""
@@ -142,28 +144,10 @@ class ConvolutionAlgebra(_TabledAlgebra):
         return el.key()
 
 
-def _lift_table(fibers, masks, size, arity):
-    """A symbol's table over maps into a distributive lattice, lifted from its table
-    ``fibers`` over maps into the two-element chain. ``masks`` are the lattice's down-sets
-    over its join-irreducibles; fiber k of a map, the carrier elements valued above the
-    k-th irreducible, is a two-valued map's position. Convolution acts fiber by fiber,
-    and a map's key packs its fibers, fiber k shifted by k * size bits."""
-    fibs = []  # fibs[k][i]: fiber k of the i-th map in enumeration order
-    for k in range(max(masks).bit_length()):
-        col = [0]
-        for _ in range(size):
-            col = [2 * f + (m >> k & 1) for f in col for m in masks]
-        fibs.append(col)
-    position = {sum(f << k * size for k, f in enumerate(fs)): i for i, fs in enumerate(zip(*fibs))}
-
-    def lifted(parts):
-        return list(map(position.__getitem__, reduce(partial(map, or_), parts)))
-
-    if arity == 1:
-        return lifted([[fibers[f] << k * size for f in col] for k, col in enumerate(fibs)])
-    # rows[k][f]: the binary fiber table's row f, read at fiber k of every map, shifted
-    rows = [[[row[f] << k * size for f in col] for row in fibers] for k, col in enumerate(fibs)]
-    return [lifted(map(list.__getitem__, rows, fs)) for fs in zip(*fibs)]
+def _crisp(lattice, m):
+    """The map valued top where the two-valued map ``m`` is 1, bottom where it is 0."""
+    codes = (lattice.bottom_code, lattice.top_code)
+    return LatticeMap(m.carrier, lattice, tuple([codes[c] for c in m.codes]))
 
 
 class ComplexAlgebra(_TabledAlgebra):
@@ -232,12 +216,14 @@ def _term_ops(term):
 def holds_in(algebra, equation, max_assignments=10**6):
     """Exhaustively decide an equation over the algebra.
 
-    Assignments run in lexicographic order over the canonical element
-    enumeration, so a failing equation always yields the same witness.
-    Syntactically identical sides agree without enumeration. Raises
-    CapacityError when the algebra exceeds its element bound or the
+    Raises CapacityError when the algebra exceeds its element bound or the
     assignment space exceeds ``max_assignments``; both are decided from
-    the element count, before any element is built.
+    the algebra's own element count, before any element is built. With a
+    ``two_valued`` algebra the equation is decided there, and a witness is
+    lifted crisply and certified by one evaluation here; otherwise
+    assignments run in lexicographic order over the canonical element
+    enumeration. So a failing equation always yields the same witness.
+    Syntactically identical sides agree without enumeration.
     """
     if max_assignments < 0:
         raise ValueError(f"max_assignments must be nonnegative, got {max_assignments}")
@@ -248,12 +234,21 @@ def holds_in(algebra, equation, max_assignments=10**6):
     total = n ** len(names)
     if total > max_assignments:
         raise CapacityError(f"{total} assignments exceed the bound {max_assignments}")
+    if algebra.two_valued is not None:
+        check = holds_in(algebra.two_valued, equation, max_assignments)
+        if check.holds:
+            return check
+        lat = algebra.lattice
+        witness = {name: _crisp(lat, m) for name, m in check.witness.items()}
+        if eval_term(algebra, equation.lhs, witness) == eval_term(algebra, equation.rhs, witness):
+            raise RuntimeError(f"{format_equation(equation)} holds at the crisp lift "
+                               f"of its two-valued counterexample over {lat!r}")
+        return EquationCheck(False, witness)
     els = algebra.elements()
     ops = _term_ops(equation.lhs) | _term_ops(equation.rhs)
     tabulable = all(algebra.signature.arity(op) <= 2 for op in ops)
     if tabulable:
-        # a missing table costs n^arity entries (one apply each, or a few
-        # lookups each when lifted from the two-valued table), so only
+        # a missing table costs n^arity entries, one apply each, so only
         # tabulate when the scan amortizes it (existing tables are free)
         pending = sum(
             n ** algebra.signature.arity(op) for op in ops if op not in algebra.tables

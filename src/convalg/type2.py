@@ -46,9 +46,10 @@ class StepFunction:
     ``point_values[i]`` is the value at ``breakpoints[i]``;
     ``interval_values[i]`` is the value on the open interval between
     breakpoints i and i+1. 0 and 1 are always breakpoints, and every
-    piece is an ``int`` or a ``Fraction``. The constructor accepts only
-    canonical form, with no interior breakpoint whose point value equals
-    both neighbouring interval values; use :meth:`make` to normalize.
+    piece is an ``int`` (not a ``bool``) or a ``Fraction``. The
+    constructor accepts only canonical form, with no interior breakpoint
+    whose point value equals both neighbouring interval values; use
+    :meth:`make` to normalize.
     """
 
     breakpoints: tuple
@@ -84,7 +85,7 @@ class StepFunction:
 def _check_values(values):
     """Every value must be an exact rational in [0, 1]."""
     for v in values:
-        if not isinstance(v, (int, Fraction)):
+        if type(v) is bool or not isinstance(v, (int, Fraction)):
             raise ValueError(f"value {v!r} is not an int or a Fraction")
         # Normalized numerator and denominator: no Fraction comparison.
         if not 0 <= v.numerator <= v.denominator:

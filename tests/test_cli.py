@@ -201,6 +201,19 @@ class TestEquationsCheck:
         assert rc == 2
         assert "two elements" in err
 
+    def test_failed_certification_is_not_an_input_error(self, monkeypatch, demo_files):
+        # A two-valued counterexample whose lift holds falsifies the package,
+        # so it must escape main rather than exit 2 as a usage or input error.
+        import convalg.terms
+        from convalg import bottom_map
+
+        monkeypatch.setattr(convalg.terms, "_crisp", lambda lat, m: bottom_map(m.carrier, lat))
+        argv = ["equations", "check", "--lattice", "chain:2",
+                "--structure", demo_files["structure.txt"], "--eqs", demo_files["eqs.txt"]]
+        message = r"^\(f v w\) = \(f w v\) holds at the crisp lift of its two-valued counterexample"
+        with pytest.raises(RuntimeError, match=message):
+            main(argv)
+
 
 class TestLatticeCheck:
     def test_chain_passes(self, capsys):

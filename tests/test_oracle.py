@@ -20,13 +20,17 @@ must return the same report, failure detail and check count included.
 the two étale image routes as they were written over frozensets, before
 subobjects stored masks; they take and return section dicts (fiber label
 to open set), and the per-fiber one reads ``literal_image``.
-``per_entry_table`` builds an operation table with one ``apply`` per
-entry; it is the reference of the tables that ``ConvolutionAlgebra``
-lifts from the two-valued table over distributive lattices.
+``literal_holds`` decides an equation over L^X by brute force: every
+assignment from ``enumerate_maps``, both sides by ``eval_term``. It is the
+reference of ``holds_in``, which decides equations over a distributive
+lattice of more than two elements in the two-valued algebra;
+``fiber_positions`` reads a map's fibers over the join-irreducibles, by
+which the per-entry tables must reduce to the two-valued ones.
 """
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
@@ -50,7 +54,9 @@ from convalg import (
     conv_op,
     enumerate_maps,
     enumerate_topologies,
+    eval_term,
     fiberwise_rel_image,
+    format_equation,
     grid_conv_oracle,
     holds_in,
     lattice_from_order,
@@ -62,6 +68,7 @@ from convalg import (
     pointwise_join,
     pointwise_meet,
     pointwise_neg,
+    random_equations,
     random_map,
     rel_image,
     top_map,
@@ -651,23 +658,6 @@ def test_law_checker_matches_literal_checker_on_perturbed_orders(lat):
     assert_same_laws(lat)
 
 
-def per_entry_table(algebra, name):
-    """The operation table with one ``apply`` per entry, over the algebra's
-    own element enumeration: the reference of the lifted tables."""
-    els = algebra.elements()
-    index = {algebra.element_key(e): i for i, e in enumerate(els)}
-
-    def entry(*args):
-        return index[algebra.element_key(algebra.apply(name, list(args)))]
-
-    arity = algebra.signature.arity(name)
-    if arity == 0:
-        return entry()
-    if arity == 1:
-        return [entry(a) for a in els]
-    return [[entry(a, b) for b in els] for a in els]
-
-
 def chain_product(m, n):
     """The product of the chains 0 < ... < m-1 and 0 < ... < n-1, by its order."""
     els = list(product(range(m), range(n)))
@@ -678,26 +668,53 @@ def chain_product(m, n):
 DISTRIBUTIVE = [open_set_heyting(t) for t in SMALL_TOPOLOGIES]
 DISTRIBUTIVE += [chain_lattice(n) for n in range(1, 5)] + [chain_product(2, 2), chain_product(2, 3)]
 KERNEL_LATTICES = DISTRIBUTIVE + [n5(), m3()]
-# maps per algebra above which a carrier size is left out: the reference
-# table costs one conv_op per entry, (|L|^|X|)^2 of them
+# maps per algebra above which a carrier size is left out: a table costs one
+# conv_op per entry, (|L|^|X|)^2 of them, and the literal scan one eval_term
+# per side for each of the (|L|^|X|)^2 assignments of a two-variable equation
 MAX_REFERENCE_MAPS = 125
 
 
-def assert_tables_match_per_entry(lattice, structure):
+def fiber_positions(lattice, maps, k):
+    """Fiber k of each map, the carrier elements valued above the k-th
+    join-irreducible, as a position in the two-valued enumeration."""
+    masks = lattice.birkhoff_masks
+    return [reduce(lambda acc, c: 2 * acc + (masks[c] >> k & 1), m.codes, 0) for m in maps]
+
+
+def assert_tables_lift_fiber_by_fiber(lattice, structure):
+    """Over a distributive lattice, each fiber map sends every per-entry table
+    to the two-valued table: convolution acts fiber by fiber, which is why
+    ``holds_in`` may decide equations in the two-valued algebra."""
     conv = ConvolutionAlgebra(lattice, structure)
-    reference = ConvolutionAlgebra(lattice, structure)
-    for name, arity in structure.signature.symbols:
-        if arity <= 2:
-            assert conv.table(name) == per_entry_table(reference, name), name
+    distributive = lattice.birkhoff_masks is not None
+    assert (conv.two_valued is not None) == (distributive and len(lattice.elements) > 2)
+    if not distributive:
+        return
+    two = ConvolutionAlgebra(chain_lattice(1), structure)
+    maps = conv.elements()
+    for k in range(lattice.birkhoff_masks[lattice.top_code].bit_length()):
+        fiber = fiber_positions(lattice, maps, k)
+        for name, arity in structure.signature.symbols:
+            if arity > 2:
+                continue
+            table, fibers = conv.table(name), two.table(name)
+            if arity == 0:
+                assert fiber[table] == fibers, name
+            elif arity == 1:
+                assert [fiber[e] for e in table] == [fibers[f] for f in fiber], name
+            else:
+                lifted = [[fibers[f][g] for g in fiber] for f in fiber]
+                assert [[fiber[e] for e in row] for row in table] == lifted, name
 
 
 @pytest.mark.parametrize("lattice", KERNEL_LATTICES, ids=repr)
 def test_lifted_tables_match_per_entry_tables(lattice):
-    """Arities 0-2 on carriers of 1-3 elements, random and all-empty relations."""
+    """Arities 0-2 on carriers of 1-3 elements, random and all-empty relations;
+    N5 and M3 have no fibers and keep the literal scan."""
     rng = random.Random(len(lattice.elements))
     for s in etale_structures(rng):
         if len(lattice.elements) ** len(s.carrier) <= MAX_REFERENCE_MAPS:
-            assert_tables_match_per_entry(lattice, s)
+            assert_tables_lift_fiber_by_fiber(lattice, s)
 
 
 @st.composite
@@ -714,7 +731,72 @@ def small_topologies(draw):
 def test_lifted_tables_match_per_entry_tables_on_random_topologies(topology, size, seed):
     lattice = open_set_heyting(topology)
     assume(len(lattice.elements) ** size <= MAX_REFERENCE_MAPS)
-    assert_tables_match_per_entry(lattice, random_structure(random.Random(seed), size))
+    assert_tables_lift_fiber_by_fiber(lattice, random_structure(random.Random(seed), size))
+
+
+def literal_holds(algebra, equation):
+    """The equation decided over every assignment from ``enumerate_maps``, both
+    sides by ``eval_term``; no ``holds_in``, no tables, no two-valued algebra."""
+    names = equation.variables()
+    maps = list(enumerate_maps(algebra.lattice, algebra.structure.carrier))
+    for combo in product(maps, repeat=len(names)):
+        env = dict(zip(names, combo))
+        if eval_term(algebra, equation.lhs, env) != eval_term(algebra, equation.rhs, env):
+            return False
+    return True
+
+
+_c, _v, _w = App("c", ()), Var("v"), Var("w")
+SCAN_EQUATIONS = [
+    Equation(App("g", (_c,)), _c),
+    Equation(App("f", (_c, App("g", (_c,)))), App("g", (App("f", (_c, _c)),))),
+    Equation(App("f", (_v, _w)), App("f", (_w, _v))),
+]
+# In DISTRIBUTIVITY both sides are v(p) ∧ (w(q) ∨ w(r)) = (v(p) ∧ w(q)) ∨ (v(p) ∧ w(r))
+# at p and bottom elsewhere, so the equation holds exactly over distributive lattices.
+DISTRIBUTIVE_LAW = Equation(App("f", (_v, App("g", (_w,)))), App("h", (_v, _w, _w)))
+DISTRIBUTIVITY = RelationalStructure(("p", "q", "r"), SIG, {
+    "c": (),
+    "g": {("q", "p"), ("r", "p")},
+    "f": {("p", "p", "p")},
+    "h": {("p", "q", "q", "p"), ("p", "r", "r", "p")},
+})
+
+
+def assert_holds_in_matches_literal_scan(lattice, structure, eqs):
+    """The same verdict, and every witness of a failure fails in L^X itself."""
+    algebra = ConvolutionAlgebra(lattice, structure)
+    for eq in eqs:
+        check = holds_in(algebra, eq)
+        assert check.holds == literal_holds(algebra, eq), format_equation(eq)
+        if not check.holds:
+            env = check.witness
+            assert {m.lattice for m in env.values()} <= {lattice}
+            assert eval_term(algebra, eq.lhs, env) != eval_term(algebra, eq.rhs, env)
+
+
+@pytest.mark.parametrize("lattice", KERNEL_LATTICES, ids=repr)
+def test_holds_in_matches_literal_scan(lattice):
+    """Equations of 0 to 2 variables on random and all-empty relations, and
+    the distributive law, which N5 and M3 fail although 2 satisfies it."""
+    rng = random.Random(len(lattice.elements))
+    for i, s in enumerate(etale_structures(rng)):
+        if len(lattice.elements) ** len(s.carrier) <= MAX_REFERENCE_MAPS:
+            eqs = SCAN_EQUATIONS + random_equations(SIG, 4, seed=i, max_depth=1, max_vars=2)
+            assert_holds_in_matches_literal_scan(lattice, s, eqs)
+    if len(lattice.elements) ** 3 <= MAX_REFERENCE_MAPS:
+        assert_holds_in_matches_literal_scan(lattice, DISTRIBUTIVITY, [DISTRIBUTIVE_LAW])
+        distributive = lattice.birkhoff_masks is not None
+        assert holds_in(ConvolutionAlgebra(lattice, DISTRIBUTIVITY), DISTRIBUTIVE_LAW).holds == distributive
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_topologies(), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_holds_in_matches_literal_scan_on_random_topologies(topology, size, seed):
+    lattice = open_set_heyting(topology)
+    assume(len(lattice.elements) ** size <= MAX_REFERENCE_MAPS)
+    eqs = SCAN_EQUATIONS + random_equations(SIG, 4, seed=seed, max_depth=1, max_vars=2)
+    assert_holds_in_matches_literal_scan(lattice, random_structure(random.Random(seed), size), eqs)
 
 
 def minimal_neighbourhoods(topology):

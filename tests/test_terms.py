@@ -112,23 +112,44 @@ class TestHoldsIn:
         with pytest.raises(CapacityError, match="^256 subsets exceed the bound 100$"):
             holds_in(ComplexAlgebra(s, max_elements=100), comm)
 
-    def test_general_path_matches_indexed_path(self):
-        # an arity-3 symbol forces the object-level evaluation route
-        from convalg import RelationalStructure, Signature
+    def test_general_path_matches_brute_force(self):
+        # An arity-3 symbol forces the eval_term route. h is symmetric in its
+        # first two slots, so the first equation holds over every lattice; the
+        # second fails at v = {} and w = {a}, so also over every lattice.
+        from convalg import RelationalStructure, Signature, all_subsets, conv_op, enumerate_maps
+        from convalg import rel_image
 
         carrier = ("a", "b")
-        rel = {("a", "a", "a", "b"), ("b", "a", "b", "a")}
-        s3 = RelationalStructure(carrier, Signature((("h", 3),)), {"h": rel})
-        s2 = RelationalStructure(
-            carrier, Signature((("h", 2),)), {"h": {t[1:] for t in rel}}
-        )
-        eq3 = Equation(App("h", (Var("v"), Var("v"), Var("w"))), Var("w"))
-        eq2 = Equation(App("h", (Var("v"), Var("w"))), Var("w"))
-        # same relation up to a dummy first slot bound to v=a
-        out3 = holds_in(ComplexAlgebra(s3), eq3)
-        out2 = holds_in(ComplexAlgebra(s2), eq2)
-        assert isinstance(out3.holds, bool) and isinstance(out2.holds, bool)
-
+        rel = {("a", "a", "a", "b"), ("b", "a", "b", "a"), ("a", "b", "b", "a")}
+        s = RelationalStructure(carrier, Signature((("h", 3),)), {"h": rel})
+        v, w = Var("v"), Var("w")
+        sides = {
+            Equation(App("h", (v, w, w)), App("h", (w, v, w))): lambda h, a, b: (h(a, b, b), h(b, a, b)),
+            Equation(App("h", (v, v, w)), w): lambda h, a, b: (h(a, a, b), b),
+        }
+        els = ("0", "a", "b", "c", "1")
+        n5 = lattice_from_order(els, {("0", x) for x in els} | {(x, "1") for x in els} | {("a", "b")})
+        chain = chain_lattice(2)
+        cases = [
+            (ComplexAlgebra(s), all_subsets(carrier), lambda *a: rel_image(s, "h", list(a))),
+            (ConvolutionAlgebra(chain, s), list(enumerate_maps(chain, carrier)),
+             lambda *a: conv_op(chain, s, "h", list(a))),
+            (ConvolutionAlgebra(n5, s), list(enumerate_maps(n5, carrier)),
+             lambda *a: conv_op(n5, s, "h", list(a))),
+        ]
+        # chain:2 takes the two-valued route, N5 the literal scan
+        assert cases[1][0].two_valued is not None and cases[2][0].two_valued is None
+        for algebra, elements, h in cases:
+            for eq, side in sides.items():
+                failures = [{"v": a, "w": b} for a in elements for b in elements
+                            if side(h, a, b)[0] != side(h, a, b)[1]]
+                check = holds_in(algebra, eq)
+                assert check.holds == (not failures)
+                if algebra.two_valued is not None:
+                    # the first failure among the crisp maps, in enumeration order
+                    crisp = {algebra.lattice.bottom_code, algebra.lattice.top_code}
+                    failures = [f for f in failures if all(set(m.codes) <= crisp for m in f.values())]
+                assert check.witness == (failures[0] if failures else None)
 
     def test_negative_assignment_bound_rejected(self, four_point_structure):
         comm = Equation(App("f", (Var("v"), Var("w"))), App("f", (Var("w"), Var("v"))))
@@ -151,10 +172,11 @@ class TestHoldsIn:
         assert algebra.calls == 16 * 16
         assert algebra.table("f") is algebra.tables["f"]
 
-    def test_lifted_table_applies_only_on_two_valued_maps(
+    def test_reduced_route_applies_only_on_two_valued_maps(
         self, monkeypatch, four_point_structure, wedge_lattice
     ):
-        # the 625^2 entries over the wedge come from the 16^2 two-valued ones
+        # over the wedge, equations are decided among the 16 two-valued maps;
+        # a failing one adds one evaluation of each side on the wedge
         applied = []
         apply = ConvolutionAlgebra.apply
 
@@ -163,10 +185,16 @@ class TestHoldsIn:
             return apply(self, name, args)
 
         monkeypatch.setattr(ConvolutionAlgebra, "apply", counting)
-        table = ConvolutionAlgebra(wedge_lattice, four_point_structure).table("f")
-        assert len(table) == 625 and {len(row) for row in table} == {625}
-        assert len(applied) <= 16 * 16
-        assert set(applied) == {2}
+        v, w = Var("v"), Var("w")
+        holding = Equation(App("f", (v, App("f", (v, w)))), App("f", (v, App("f", (w, v)))))
+        failing = Equation(App("f", (v, w)), App("f", (w, v)))
+        algebra = ConvolutionAlgebra(wedge_lattice, four_point_structure)
+        assert holds_in(algebra, holding).holds
+        assert len(applied) == 16 * 16 and set(applied) == {2}
+        check = holds_in(algebra, failing)
+        assert not check.holds
+        assert len(applied) == 16 * 16 + 2 and applied[-2:] == [5, 5]
+        assert {m.lattice for m in check.witness.values()} == {wedge_lattice}
 
 
 class TestTwoValuedAgreement:
