@@ -204,12 +204,13 @@ def _compile_term(term, positions, algebra):
     return lambda asg: table[f0(asg)][f1(asg)]
 
 
-def _term_ops(term):
+def _term_apps(term):
+    """The op name of each App node, one per ``apply`` of an evaluation."""
     if isinstance(term, Var):
-        return set()
-    out = {term.op}
+        return []
+    out = [term.op]
     for a in term.args:
-        out |= _term_ops(a)
+        out += _term_apps(a)
     return out
 
 
@@ -222,7 +223,10 @@ def holds_in(algebra, equation, max_assignments=10**6):
     ``two_valued`` algebra the equation is decided there, and a witness is
     lifted crisply and certified by one evaluation here; otherwise
     assignments run in lexicographic order over the canonical element
-    enumeration. So a failing equation always yields the same witness.
+    enumeration. The scan reads operation tables only when their missing
+    entries number at most the applications it would make without them
+    (assignments times ``App`` nodes); else it evaluates both sides per
+    assignment. So a failing equation always yields the same witness.
     Syntactically identical sides agree without enumeration.
     """
     if max_assignments < 0:
@@ -245,15 +249,16 @@ def holds_in(algebra, equation, max_assignments=10**6):
                                f"of its two-valued counterexample over {lat!r}")
         return EquationCheck(False, witness)
     els = algebra.elements()
-    ops = _term_ops(equation.lhs) | _term_ops(equation.rhs)
+    apps = _term_apps(equation.lhs) + _term_apps(equation.rhs)
+    ops = set(apps)
     tabulable = all(algebra.signature.arity(op) <= 2 for op in ops)
     if tabulable:
-        # a missing table costs n^arity entries, one apply each, so only
-        # tabulate when the scan amortizes it (existing tables are free)
+        # tabulate only when the missing tables, n^arity applies each, cost
+        # no more than the scan's len(apps) applies per assignment
         pending = sum(
             n ** algebra.signature.arity(op) for op in ops if op not in algebra.tables
         )
-        tabulable = pending <= max(4 * total, 50_000)
+        tabulable = pending <= total * len(apps)
     if tabulable:
         positions = {name: i for i, name in enumerate(names)}
         lhs = _compile_term(equation.lhs, positions, algebra)

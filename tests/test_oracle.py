@@ -681,7 +681,7 @@ def fiber_positions(lattice, maps, k):
     return [reduce(lambda acc, c: 2 * acc + (masks[c] >> k & 1), m.codes, 0) for m in maps]
 
 
-def assert_tables_lift_fiber_by_fiber(lattice, structure):
+def assert_fiber_maps_carry_tables(lattice, structure):
     """Over a distributive lattice, each fiber map sends every per-entry table
     to the two-valued table: convolution acts fiber by fiber, which is why
     ``holds_in`` may decide equations in the two-valued algebra."""
@@ -714,7 +714,7 @@ def test_lifted_tables_match_per_entry_tables(lattice):
     rng = random.Random(len(lattice.elements))
     for s in etale_structures(rng):
         if len(lattice.elements) ** len(s.carrier) <= MAX_REFERENCE_MAPS:
-            assert_tables_lift_fiber_by_fiber(lattice, s)
+            assert_fiber_maps_carry_tables(lattice, s)
 
 
 @st.composite
@@ -731,7 +731,7 @@ def small_topologies(draw):
 def test_lifted_tables_match_per_entry_tables_on_random_topologies(topology, size, seed):
     lattice = open_set_heyting(topology)
     assume(len(lattice.elements) ** size <= MAX_REFERENCE_MAPS)
-    assert_tables_lift_fiber_by_fiber(lattice, random_structure(random.Random(seed), size))
+    assert_fiber_maps_carry_tables(lattice, random_structure(random.Random(seed), size))
 
 
 def literal_holds(algebra, equation):
@@ -797,6 +797,64 @@ def test_holds_in_matches_literal_scan_on_random_topologies(topology, size, seed
     assume(len(lattice.elements) ** size <= MAX_REFERENCE_MAPS)
     eqs = SCAN_EQUATIONS + random_equations(SIG, 4, seed=seed, max_depth=1, max_vars=2)
     assert_holds_in_matches_literal_scan(lattice, random_structure(random.Random(seed), size), eqs)
+
+
+def app_nodes(term):
+    """The op name of every App node: one apply each when the term is evaluated."""
+    if isinstance(term, Var):
+        return []
+    return [term.op] + [op for a in term.args for op in app_nodes(a)]
+
+
+def assert_scan_paths_agree(make_algebra, eqs):
+    """``holds_in`` on a fresh algebra, which builds a table only when the
+    scan would cost more, against the same algebra once every table the
+    equation names is built: the same verdict and the same witness. A fresh
+    literal algebra makes at most min(pending, total × applications)
+    applies. Returns how many failures the fresh algebra found by evaluation."""
+    evaluated_failures = 0
+    for eq in eqs:
+        algebra = make_algebra()
+        scan = algebra.two_valued or algebra
+        ops = app_nodes(eq.lhs) + app_nodes(eq.rhs)
+        arity = scan.signature.arity
+        n = scan.size()
+        bound = n ** len(eq.variables()) * len(ops)
+        tabulable = all(arity(op) <= 2 for op in ops)
+        if tabulable:
+            bound = min(bound, sum(n ** arity(op) for op in set(ops)))
+        fresh = holds_in(algebra, eq)
+        if not fresh.holds and not all(op in scan.tables for op in ops):
+            evaluated_failures += 1
+        for op in set(ops):
+            if arity(op) <= 2:
+                scan.table(op)
+        tabled = holds_in(algebra, eq)
+        assert (tabled.holds, tabled.witness) == (fresh.holds, fresh.witness), format_equation(eq)
+        if algebra.two_valued is None:
+            assert count_applies(make_algebra(), eq) <= bound, format_equation(eq)
+            if tabulable:
+                assert count_applies(algebra, eq) == 0, format_equation(eq)
+    return evaluated_failures
+
+
+@pytest.mark.parametrize("lattice", [None, chain_lattice(1), n5(), chain_lattice(3)], ids=repr)
+def test_eval_path_matches_table_path(lattice):
+    """Equations of 0 to 2 variables, closed ones among them, in the powerset
+    algebra, the literal map algebras over 2 and N5, and the reduced route
+    over chain:3; N5 on three points (125 maps) is left to the literal scan tests."""
+    rng = random.Random(7)
+    evaluated_failures = 0
+    for i, s in enumerate(etale_structures(rng)):
+        if lattice is None:
+            make_algebra = lambda: ComplexAlgebra(s)
+        elif len(lattice.elements) ** len(s.carrier) <= 64:
+            make_algebra = lambda: ConvolutionAlgebra(lattice, s)
+        else:
+            continue
+        eqs = SCAN_EQUATIONS + random_equations(SIG, 8, seed=i, max_depth=2, max_vars=2)
+        evaluated_failures += assert_scan_paths_agree(make_algebra, eqs)
+    assert evaluated_failures > 0
 
 
 def minimal_neighbourhoods(topology):

@@ -172,6 +172,33 @@ class TestHoldsIn:
         assert algebra.calls == 16 * 16
         assert algebra.table("f") is algebra.tables["f"]
 
+    @pytest.mark.parametrize("holds", [True, False])
+    def test_closed_equation_builds_no_table(self, monkeypatch, holds):
+        # one assignment costs 8 applies, 4 App nodes a side, against 273
+        # table entries (256 for f, 16 for g, 1 for c) in the two-valued algebra
+        from convalg import RelationalStructure, Signature
+
+        applied = []
+        apply = ConvolutionAlgebra.apply
+
+        def counting(self, name, args):
+            applied.append(len(self.lattice.elements))
+            return apply(self, name, args)
+
+        monkeypatch.setattr(ConvolutionAlgebra, "apply", counting)
+        c = App("c", ())
+        eq = Equation(App("f", (c, App("g", (c,)))), App("g", (App("f", (c, c)),)))
+        rels = {"c": {("x1",)}, "g": {("x1", "x2")}, "f": {("x1", "x2", "x3"), ("x1", "x1", "x4")}}
+        if holds:
+            rels = {name: () for name in rels}
+        s = RelationalStructure(("x1", "x2", "x3", "x4"), Signature((("c", 0), ("g", 1), ("f", 2))), rels)
+        algebra = ConvolutionAlgebra(chain_lattice(3), s)
+        assert holds_in(algebra, eq).holds == holds
+        assert algebra.two_valued.tables == {} and algebra.tables == {}
+        # at most 8 in 2^X, then 8 more over chain:3 to certify a failure
+        assert applied.count(2) <= 8
+        assert applied.count(4) == (0 if holds else 8)
+
     def test_reduced_route_applies_only_on_two_valued_maps(
         self, monkeypatch, four_point_structure, wedge_lattice
     ):
