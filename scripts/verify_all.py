@@ -4,7 +4,8 @@
 Covers the same ground as the acceptance suite but as a standalone run:
 Heyting laws on every topology with at most three points and on chains,
 the section-correspondence isomorphism (randomized, and exhaustive over
-both étale image routes), the two-valued characteristic isomorphism,
+both étale image routes for a nullary, a unary and a binary relation on
+every topology of three points), the two-valued characteristic isomorphism,
 equational agreement between the map and powerset algebras (with each
 map-algebra verdict of at most 10**4 assignments compared with a literal
 scan of every assignment of maps, both sides by ``eval_term``), and the
@@ -83,21 +84,26 @@ def section_iso():
     checks = report.checks
     small = RelationalStructure(
         ("u", "v"),
-        Signature((("f", 2),)),
-        {"f": {("u", "u", "u"), ("u", "v", "v"), ("v", "u", "v"), ("v", "v", "v")}},
+        Signature((("f", 2), ("g", 1), ("c", 0))),
+        {
+            "f": {("u", "u", "u"), ("u", "v", "v"), ("v", "u", "v"), ("v", "v", "v")},
+            "g": {("u", "v"), ("v", "v"), ("v", "u")},
+            "c": {("v",)},
+        },
     )
     for topo in enumerate_topologies(("y0", "y1", "y2")):
         lat = open_set_heyting(topo)
         rel_etale = ConstantRelationalEtale(small, topo)
         maps = list(enumerate_maps(lat, small.carrier))
-        for a, b in product(maps, repeat=2):
-            lhs = phi(lat, conv_op(lat, small, "f", [a, b]))
-            subs = [phi(lat, a), phi(lat, b)]
-            sect = fiberwise_rel_image(rel_etale, "f", subs)
-            fiber = per_fiber_rel_image(rel_etale, "f", subs)
-            if not lhs == sect == fiber:
-                return False, "exhaustive mismatch"
-            checks += 1
+        for name, arity in small.signature.symbols:
+            for args in product(maps, repeat=arity):
+                lhs = phi(lat, conv_op(lat, small, name, list(args)))
+                subs = [phi(lat, a) for a in args]
+                sect = fiberwise_rel_image(rel_etale, name, subs)
+                fiber = per_fiber_rel_image(rel_etale, name, subs)
+                if not lhs == sect == fiber:
+                    return False, f"exhaustive mismatch on {name}"
+                checks += 1
     return True, f"{checks} checks"
 
 

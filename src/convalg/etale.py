@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property, lru_cache, partial, reduce
+from operator import and_, getitem, or_
 
 from .complexalg import image_mask
 from .convolution import (
@@ -28,7 +28,7 @@ from .convolution import (
     random_map,
 )
 from .lattice import FiniteTopology, OpenSetLattice, make_topology, open_set_heyting
-from .relstruct import RelationalStructure, Signature
+from .relstruct import RelationalStructure, Signature, _tuple_violations
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class ConstantEtale:
 class EtaleSubobject:
     """An open subobject of a constant bundle: ``masks[i]`` is the open cross-section over
     ``parent.fibers[i]`` as its ``FiniteTopology.mask_of`` mask, so equality is mask
-    equality. ``sections`` derives the opens on demand; :meth:`from_sections` takes them."""
+    equality. ``sections`` derives the opens on demand; :meth:`from_sections` takes them.
+    ``stalks`` is the transposed view, built on first use and kept out of the fields."""
 
     parent: ConstantEtale
     masks: tuple
@@ -63,14 +64,20 @@ class EtaleSubobject:
         if set(sections) != set(parent.fibers):
             raise ValueError("sections must cover every fiber label")
         for x, a in sections.items():
-            if a not in base.opens:
-                raise ValueError(f"section at {x!r} is not an open set: {sorted(a)}")
+            if not isinstance(a, (set, frozenset)) or a not in base.opens:
+                raise ValueError(f"section at {x!r} is not an open set: {a!r}")
         return cls(parent, tuple([base.mask_of[frozenset(sections[x])] for x in parent.fibers]))
 
     @property
     def sections(self):
         """A fresh dict from fiber labels to their cross-sections as open sets."""
         return dict(zip(self.parent.fibers, map(self.parent.base.open_of.get, self.masks)))
+
+    @cached_property
+    def stalks(self):
+        """``stalks[y]`` masks the fiber positions whose section contains the y-th of
+        ``sorted(parent.base.points)``."""
+        return tuple(_transpose(self.masks, len(self.parent.base.points)))
 
 
 def whole_subobject(parent):
@@ -90,21 +97,41 @@ class ConstantRelationalEtale:
     structure: object
     base: FiniteTopology
 
+    def __post_init__(self):
+        object.__setattr__(self, "_plans", {})
+
     @cached_property
     def etale(self):
         return ConstantEtale(tuple(self.structure.carrier), self.base)
 
+    def plan(self, name):
+        """Relation ``name`` over the bundle, built once: ``(arity, etale, tuples, image)``.
+        ``tuples``: its tuples in fiber positions, from ``structure.relations``, checked as in
+        ``compiled``; ``image``: :func:`image_mask` on ``slot_masks(name)[1]``, bounded memo."""
+        if name not in self._plans:
+            n, rel = self.structure.signature.arity(name), self.structure.relations[name]
+            index = {x: i for i, x in enumerate(self.etale.fibers)}
+            for t in rel:
+                for violation in _tuple_violations(name, t, n + 1, index):
+                    raise ValueError(violation)
+            tuples = tuple(tuple(map(index.__getitem__, t)) for t in rel)
+            image = partial(image_mask, self.structure.slot_masks(name)[1])
+            self._plans[name] = n, self.etale, tuples, lru_cache(1 << 12)(image)
+        return self._plans[name]
+
 
 def phi(lattice, alpha):
     """Section form of a lattice-valued map: the subobject whose
-    cross-section at x is alpha(x)."""
+    cross-section at x is alpha(x), one ``lattice.open_masks`` lookup per code."""
     if not isinstance(lattice, OpenSetLattice):
         raise ValueError("phi requires an open-set lattice")
     if alpha.lattice is not lattice and alpha.lattice != lattice:
         raise ValueError("map does not live over the given lattice")
-    parent = ConstantEtale(tuple(alpha.carrier), lattice.topology)
-    els, mask_of = lattice.elements, lattice.topology.mask_of
-    return EtaleSubobject(parent, tuple([mask_of[els[c]] for c in alpha.codes]))
+    carrier, masks = tuple(alpha.carrier), lattice.open_masks
+    parent = lattice.bundles.get(carrier)
+    if parent is None:
+        parent = lattice.bundles[carrier] = ConstantEtale(carrier, lattice.topology)
+    return EtaleSubobject(parent, tuple([masks[c] for c in alpha.codes]))
 
 
 def phi_inverse(lattice, sub):
@@ -116,44 +143,51 @@ def phi_inverse(lattice, sub):
     return LatticeMap.from_values(sub.parent.fibers, lattice, sub.sections)
 
 
-def _check_args(rel_etale, name, args):
-    n = rel_etale.structure.signature.arity(name)
+def _checked_plan(rel_etale, name, args):
+    """The plan of ``name``, over the parent object of the arguments it checks."""
+    n, parent, tuples, image = rel_etale.plan(name)
     if len(args) != n:
         raise ValueError(f"{name} expects {n} arguments, got {len(args)}")
-    parent = rel_etale.etale
+    seen = parent  # each run of one parent object is compared once
     for a in args:
-        if a.parent is not parent and a.parent != parent:
-            raise ValueError("argument subobject lives over a different bundle")
-    return n, parent
+        if a.parent is not seen:
+            if a.parent != parent:
+                raise ValueError("argument subobject lives over a different bundle")
+            seen = a.parent
+    return n, seen, tuples, image
 
 
 def fiberwise_rel_image(rel_etale, name, args):
-    """Image of a lifted relation, computed sectionwise: the cross-section at x
-    is the union (OR of masks), over relation tuples ending in x, of the
-    intersections (AND) of the argument sections at the tuple entries."""
-    n, parent = _check_args(rel_etale, name, args)
-    position, masks = {x: i for i, x in enumerate(parent.fibers)}, [a.masks for a in args]
-    full, out = parent.base.mask_of[parent.base.points], [0] * len(parent.fibers)
-    for t in rel_etale.structure.relations[name]:
-        piece = full
-        for i in range(n):
-            piece &= masks[i][position[t[i]]]
-        out[position[t[-1]]] |= piece
+    """Image of a lifted relation, computed sectionwise: the cross-section at x is the union
+    (OR of masks), over relation tuples ending in x, of the intersections (AND) of the argument
+    sections at the tuple entries, read in the plan's fiber positions, not through ``compiled``."""
+    n, parent, tuples, _ = _checked_plan(rel_etale, name, args)
+    masks, out = [a.masks for a in args], [0] * len(parent.fibers)
+    if n == 2:
+        m0, m1 = masks
+        for p, q, r in tuples:
+            out[r] |= m0[p] & m1[q]
+    else:
+        full = parent.base.mask_of[parent.base.points]
+        for t in tuples:  # map stops at the n argument entries
+            out[t[-1]] |= reduce(and_, map(getitem, masks, t), full)
     return EtaleSubobject(parent, tuple(out))
 
 
 def per_fiber_rel_image(rel_etale, name, args):
     """Image of a lifted relation, computed fiber by fiber over the base.
 
-    At each base point the arguments restrict to subsets of the fibers, held
-    as one slot mask; :func:`image_mask` gives the result's fiber there. The
-    reassembled sections must be open; no image code is shared with the other route.
+    At base point y, ``stalks[y]`` of argument i fills slots ``i * |X|`` onward of one
+    slot mask, and :func:`image_mask` gives the result's fiber there, remembered per slot mask
+    by the plan, since slot masks recur across argument tuples. The hit masks are transposed
+    into sections, which must be open; no image code is shared with the other route.
     """
-    n, parent = _check_args(rel_etale, name, args)
-    groups = rel_etale.structure.slot_masks(name)[1]
-    inside = _transpose([m for a in args for m in a.masks], len(parent.base.points))
-    hits = [image_mask(groups, m) for m in inside]
-    return EtaleSubobject(parent, tuple(_transpose(hits, len(parent.fibers))))
+    n, parent, _, image = _checked_plan(rel_etale, name, args)
+    size = len(parent.fibers)
+    inside = args[0].stalks if args else [0] * len(parent.base.points)
+    for i in range(1, n):
+        inside = [m | s << i * size for m, s in zip(inside, args[i].stalks)]
+    return EtaleSubobject(parent, tuple(_transpose(map(image, inside), size)))
 
 
 def _transpose(masks, width):
@@ -198,9 +232,10 @@ def sub_leq(a, b):
     return all(p & q == p for p, q in zip(a.masks, b.masks))
 
 
-def _format_map(m):
-    return ", ".join(
-        f"{x}->{{{' '.join(str(p) for p in sorted(v))}}}" for x, v in m.values.items()
+def _format_maps(maps):
+    return "; ".join(
+        ", ".join(f"{x}->{{{' '.join(str(p) for p in sorted(v))}}}" for x, v in m.values.items())
+        for m in maps
     )
 
 
@@ -242,12 +277,9 @@ def verify_main_iso(lattice, structure, topology, trials=100, seed=0):
             rhs = fiberwise_rel_image(rel_etale, name, [phi(lattice, a) for a in args])
             checks += 1
             if lhs != rhs:
-                detail = f"trial {trial}, relation {name}, args " + "; ".join(
-                    _format_map(a) for a in args
-                )
+                detail = f"trial {trial}, relation {name}, args {_format_maps(args)}"
                 return IsoTrialReport(False, trials, checks, detail)
-        alpha = random_map(rng, lattice, carrier)
-        beta = random_map(rng, lattice, carrier)
+        alpha, beta = random_map(rng, lattice, carrier), random_map(rng, lattice, carrier)
         pa, pb = phi(lattice, alpha), phi(lattice, beta)
         pairs = [
             (phi(lattice, pointwise_join(alpha, beta)), sub_union(pa, pb), "join"),
@@ -258,9 +290,7 @@ def verify_main_iso(lattice, structure, topology, trials=100, seed=0):
         for lhs, rhs, label in pairs:
             checks += 1
             if lhs != rhs:
-                detail = f"trial {trial}, pointwise {label}, args " + "; ".join(
-                    _format_map(a) for a in (alpha, beta)
-                )
+                detail = f"trial {trial}, pointwise {label}, args {_format_maps((alpha, beta))}"
                 return IsoTrialReport(False, trials, checks, detail)
     return IsoTrialReport(True, trials, checks, None)
 

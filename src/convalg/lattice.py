@@ -290,6 +290,16 @@ class OpenSetLattice(FiniteLattice):
         ordered = sorted(topology.opens, key=lambda a: (len(a), tuple(sorted(a))))
         super().__init__(ordered, lambda a, b: a <= b)
 
+    @cached_property
+    def open_masks(self):
+        """``open_masks[c]`` is the ``topology.mask_of`` mask of ``elements[c]``."""
+        return tuple(map(self.topology.mask_of.__getitem__, self.elements))
+
+    @cached_property
+    def bundles(self):
+        """Carrier -> the parent bundle that ``convalg.etale.phi`` gives its maps, filled on use."""
+        return {}
+
     def join_all(self, items):
         out = frozenset()
         for a in items:

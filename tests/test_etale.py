@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import convalg.etale
 from convalg import (
     ConstantEtale,
     FiniteTopology,
@@ -32,6 +34,7 @@ from convalg import (
     sub_neg,
     sub_union,
     top_map,
+    validate_structure,
     verify_main_iso,
     whole_subobject,
 )
@@ -96,6 +99,19 @@ class TestPhi:
         with pytest.raises(ValueError, match="section at 'p' is not an open set"):
             EtaleSubobject.from_sections(parent, {"p": fs("a"), "q": fs("b")})
 
+    def test_open_masks_follow_element_positions(self, wedge_lattice, wedge_topology):
+        masks = wedge_lattice.open_masks
+        assert masks == tuple(wedge_topology.mask_of[e] for e in wedge_lattice.elements)
+
+    def test_maps_on_one_carrier_share_one_parent(self, wedge_lattice, wedge_topology):
+        carrier = ("p", "q")
+        subs = [phi(wedge_lattice, m) for m in enumerate_maps(wedge_lattice, carrier)]
+        assert all(sub.parent is subs[0].parent for sub in subs)
+        other = open_set_heyting(wedge_topology)
+        fresh = phi(other, bottom_map(carrier, other))
+        assert fresh.parent is not subs[0].parent
+        assert fresh.parent == subs[0].parent == ConstantEtale(carrier, wedge_topology)
+
 
 class TestSubobjectConstruction:
     """``from_sections`` validates open sets by label; the constructor
@@ -142,6 +158,17 @@ class TestSubobjectConstruction:
         parent = ConstantEtale(("p", "q"), wedge_topology)
         with pytest.raises(ValueError, match="one entry per fiber label"):
             EtaleSubobject(parent, masks)
+
+    @pytest.mark.parametrize("bad", [["b"], {"b": 1}, [], None, "b"], ids=repr)
+    def test_from_sections_rejects_non_set_sections(self, wedge_topology, bad):
+        parent = ConstantEtale(("p", "q"), wedge_topology)
+        with pytest.raises(ValueError, match="section at 'p' is not an open set"):
+            EtaleSubobject.from_sections(parent, {"p": bad, "q": fs("b")})
+
+    def test_from_sections_takes_plain_sets(self, wedge_topology):
+        parent = ConstantEtale(("p", "q"), wedge_topology)
+        sub = EtaleSubobject.from_sections(parent, {"p": {"a", "b"}, "q": set()})
+        assert sub.masks == (3, 0)
 
     def test_mutating_sections_leaves_the_subobject_unchanged(self):
         topology, lattice, structure, (alpha1, _) = worked_example()
@@ -202,10 +229,120 @@ class TestFiberwiseRelImage:
             fiber = fs(*(x for x in four_point_structure.carrier if y in result.sections[x]))
             assert fiber == rel_image(four_point_structure, "f", memberships)
 
+    def test_arguments_over_another_bundle_rejected(
+        self, thirds_topology, thirds_lattice, four_point_structure, thirds_args
+    ):
+        rel_etale = ConstantRelationalEtale(four_point_structure, thirds_topology)
+        good = [phi(thirds_lattice, a) for a in thirds_args]
+        coarse = make_topology(thirds_topology.points, [{"t1"}])
+        bad = [
+            empty_subobject(ConstantEtale(four_point_structure.carrier, coarse)),
+            empty_subobject(ConstantEtale(("x1", "x2", "x3", "x5"), thirds_topology)),
+        ]
+        for route in (fiberwise_rel_image, per_fiber_rel_image):
+            assert route(rel_etale, "f", good) == fiberwise_rel_image(rel_etale, "f", good)
+            for b in bad:
+                for args in ([good[0], b], [b, good[1]], [b, b]):
+                    with pytest.raises(ValueError, match="different bundle"):
+                        route(rel_etale, "f", args)
+
     def test_argument_count_checked(self, thirds_topology, four_point_structure):
         rel_etale = ConstantRelationalEtale(four_point_structure, thirds_topology)
         with pytest.raises(ValueError):
             fiberwise_rel_image(rel_etale, "f", [whole_subobject(rel_etale.etale)])
+
+
+class TestMalformedRelations:
+    """A tuple of the wrong length or with an element outside the carrier is
+    refused by every route, with the message ``validate_structure`` gives."""
+
+    @pytest.mark.parametrize(
+        "bad", [("p",), ("p", "p", "p"), ("p", "zz")], ids=["short", "long", "unknown"]
+    )
+    def test_every_route_raises_the_validation_message(self, wedge_topology, wedge_lattice, bad):
+        s = RelationalStructure(("p", "q"), Signature((("g", 1),)), {"g": {("q", "p"), bad}})
+        [message] = validate_structure(s).violations
+        rel_etale = ConstantRelationalEtale(s, wedge_topology)
+        arg = top_map(s.carrier, wedge_lattice)
+        routes = [
+            lambda: phi(wedge_lattice, conv_op(wedge_lattice, s, "g", [arg])),
+            lambda: fiberwise_rel_image(rel_etale, "g", [phi(wedge_lattice, arg)]),
+            lambda: per_fiber_rel_image(rel_etale, "g", [phi(wedge_lattice, arg)]),
+        ]
+        for route in routes:
+            with pytest.raises(ValueError) as info:
+                route()
+            assert str(info.value) == message
+
+
+class TestCachedViews:
+    """``EtaleSubobject.stalks`` and ``ConstantRelationalEtale.plan`` are built
+    once per object and stay out of equality, hashing and repr."""
+
+    def test_stalks_leave_identity_unchanged(self, thirds_lattice, thirds_args):
+        sub = phi(thirds_lattice, thirds_args[0])
+        twin = EtaleSubobject(sub.parent, sub.masks)
+        before = hash(sub), repr(sub)
+        assert sub.stalks is sub.stalks
+        assert (hash(sub), repr(sub)) == before == (hash(twin), repr(twin))
+        assert sub == twin and "stalks" not in vars(twin)
+        assert [f.name for f in dataclasses.fields(sub)] == ["parent", "masks"]
+
+    def test_plans_leave_identity_unchanged(self, thirds_topology, four_point_structure):
+        rel_etale = ConstantRelationalEtale(four_point_structure, thirds_topology)
+        before = repr(rel_etale)
+        whole = whole_subobject(rel_etale.etale)
+        fiberwise_rel_image(rel_etale, "f", [whole, whole])
+        assert repr(rel_etale) == before
+        assert rel_etale == ConstantRelationalEtale(four_point_structure, thirds_topology)
+        assert [f.name for f in dataclasses.fields(rel_etale)] == ["structure", "base"]
+        with pytest.raises(TypeError):  # the structure's relation dict is unhashable
+            hash(rel_etale)
+
+    def test_relation_translated_once(self, monkeypatch, thirds_topology, four_point_structure):
+        checked = []
+
+        def counting(name, t, length, carrier):
+            checked.append(t)
+            return iter(())
+
+        monkeypatch.setattr(convalg.etale, "_tuple_violations", counting)
+        rel_etale = ConstantRelationalEtale(four_point_structure, thirds_topology)
+        whole = whole_subobject(rel_etale.etale)
+        first = fiberwise_rel_image(rel_etale, "f", [whole, whole])
+        assert len(checked) == len(four_point_structure.relations["f"])
+        plan = rel_etale.plan("f")
+        assert fiberwise_rel_image(rel_etale, "f", [whole, whole]) == first
+        assert per_fiber_rel_image(rel_etale, "f", [whole, whole]) == first
+        assert rel_etale.plan("f") is plan
+        assert len(checked) == len(four_point_structure.relations["f"])
+
+    def test_results_share_the_arguments_parent(self, thirds_lattice, four_point_structure):
+        rel_etale = ConstantRelationalEtale(four_point_structure, thirds_lattice.topology)
+        subs = [phi(thirds_lattice, top_map(four_point_structure.carrier, thirds_lattice))] * 2
+        assert subs[0].parent is not rel_etale.etale
+        for route in (fiberwise_rel_image, per_fiber_rel_image):
+            assert route(rel_etale, "f", subs).parent is subs[0].parent
+
+    def test_remembered_images_match_fresh_plans(self, wedge_topology, wedge_lattice):
+        rng = random.Random(5)
+        carrier = ("p", "q")
+        relations = {
+            "c": {("q",)},
+            "g": {("p", "q"), ("q", "q")},
+            "f": {("p", "p", "p"), ("p", "q", "q"), ("q", "p", "q")},
+        }
+        s = RelationalStructure(carrier, Signature((("c", 0), ("g", 1), ("f", 2))), relations)
+        kept = ConstantRelationalEtale(s, wedge_topology)
+        for _ in range(40):
+            for name, arity in s.signature.symbols:
+                maps = [random_map(rng, wedge_lattice, carrier) for _ in range(arity)]
+                subs = [phi(wedge_lattice, m) for m in maps]
+                fresh = ConstantRelationalEtale(s, wedge_topology)
+                want = fiberwise_rel_image(fresh, name, subs)
+                assert per_fiber_rel_image(kept, name, subs) == want
+                assert per_fiber_rel_image(fresh, name, subs) == want
+        assert kept.plan("f")[3].cache_info().hits > 0
 
 
 class TestSubobjectOps:

@@ -284,6 +284,38 @@ def test_etale_routes_match_literal_oracles_on_larger_topologies(topology, size,
             assert_etale_routes_agree(lattice, s, name, args)
 
 
+def assert_stalks_transpose_sections(lattice, maps):
+    """``stalks[y]`` has bit i set exactly when the y-th sorted base point lies
+    in the section over the i-th fiber label."""
+    for alpha in maps:
+        sub = phi(lattice, alpha)
+        sections = sub.sections
+        literal = tuple(
+            sum(1 << i for i, x in enumerate(sub.parent.fibers) if y in sections[x])
+            for y in sorted(lattice.topology.points)
+        )
+        assert sub.stalks == literal
+
+
+@pytest.mark.parametrize(
+    "topology", SMALL_TOPOLOGIES, ids=lambda t: f"{len(t.points)}pt-{len(t.opens)}opens"
+)
+def test_stalks_match_literal_transposition(topology):
+    lattice = open_set_heyting(topology)
+    for size in (0, 1, 2):
+        carrier = tuple(f"x{i}" for i in range(size))
+        assert_stalks_transpose_sections(lattice, enumerate_maps(lattice, carrier))
+
+
+@settings(max_examples=40, deadline=None)
+@given(larger_topologies(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_stalks_match_literal_transposition_on_larger_topologies(topology, size, seed):
+    lattice = open_set_heyting(topology)
+    rng = random.Random(seed)
+    carrier = tuple(f"x{i}" for i in range(size))
+    assert_stalks_transpose_sections(lattice, [random_map(rng, lattice, carrier) for _ in range(8)])
+
+
 @pytest.mark.parametrize("lattice", [chain_lattice(1), chain_lattice(3), n5(), DISCRETE_3], ids=repr)
 def test_keys_are_positions_in_enumeration_order(lattice):
     carrier = ("p", "q", "r")
