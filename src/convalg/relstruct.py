@@ -58,6 +58,9 @@ class RelationalStructure:
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_masks", {})
 
+    def __hash__(self):
+        return hash((self.carrier, self.signature, frozenset(self.relations.items())))
+
     # Derived views, cached on the instance outside the dataclass fields so
     # that equality, hashing and repr see only the carrier, signature and
     # relations.

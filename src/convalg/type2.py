@@ -4,22 +4,17 @@ The carrier is the fragment of self-maps of [0, 1] that are constant
 between finitely many rational breakpoints, with an independent value at
 every breakpoint; single-point spikes matter, so a breakpoint's value is
 not tied to its neighbouring intervals. The fragment is closed under all
-three operations and everything here is exact rational arithmetic.
-
-The closed forms rest on one fact about chains: y join z = x forces one
-of y, z to equal x and the other to lie below (dually for meet), which
-turns the defining suprema into running envelopes, so each closed form
-is one merge of breakpoint lists; join and meet merge the int numerators
-of their pieces over the arguments' common denominator, which is exact,
-and reuse the input pieces. The closed forms are cross-validated against
-:func:`grid_conv_oracle`, a literal brute-force convolution on finite
-grids that shares no code with them and visits each of the (n + 1)**2
-argument pairs of an n-grid once, comparing value ranks;
-:func:`crosscheck` refuses grids whose pair count exceeds
-:data:`MAX_GRID_PAIRS`. Every :class:`StepFunction` is canonical with
-``int`` or ``Fraction`` pieces: the constructor and
-:meth:`StepFunction.make` check the pieces once where they enter, and the
-operations build their results from such pieces and check nothing again.
+three operations and everything here is exact rational arithmetic, on
+int numerators over each function's least common denominator: equal
+functions have equal fields, and ``Fraction``s appear only where pieces
+enter or leave. The closed forms rest on one fact about chains: y join
+z = x forces one of y, z to equal x and the other to lie below (dually
+for meet), which turns the defining suprema into running envelopes, so
+each closed form is one merge of breakpoint lists. They are checked
+against :func:`grid_conv_oracle`, a literal brute-force convolution that
+shares no envelope or merge code with them and visits each of the
+(n + 1)**2 argument pairs of an n-grid once; :func:`crosscheck` refuses
+grids whose pair count exceeds :data:`MAX_GRID_PAIRS`.
 """
 
 from __future__ import annotations
@@ -29,108 +24,114 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 from .convolution import CapacityError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 MAX_GRID_PAIRS = 10**6
 
 
-@dataclass(frozen=True)
+def _decoded(field):
+    """Accessor for the numerator field ``field`` as Fractions over ``den``."""
+    return property(lambda self: tuple([Fraction(v, self.den) for v in getattr(self, field)]))
+
+
+@dataclass(frozen=True, init=False)
 class StepFunction:
     """Piecewise-constant function on [0, 1] with rational breakpoints.
 
     ``point_values[i]`` is the value at ``breakpoints[i]``;
     ``interval_values[i]`` is the value on the open interval between
-    breakpoints i and i+1. 0 and 1 are always breakpoints, and every
-    piece is an ``int`` (not a ``bool``) or a ``Fraction``. The
-    constructor accepts only canonical form, with no interior breakpoint
-    whose point value equals both neighbouring interval values; use
-    :meth:`make` to normalize.
+    breakpoints i and i+1. 0 and 1 are always breakpoints. The fields
+    hold them as numerators ``bps``, ``pvs`` and ``ivs`` over ``den``.
+    The constructor takes ``int`` (not ``bool``) or ``Fraction`` pieces
+    in canonical form, with no interior breakpoint whose point value
+    equals both neighbouring interval values; use :meth:`make` to normalize.
     """
 
-    breakpoints: tuple
-    point_values: tuple
-    interval_values: tuple
+    den: int
+    bps: tuple
+    pvs: tuple
+    ivs: tuple
 
-    def __post_init__(self):
-        bps, pvs, ivs = self.breakpoints, self.point_values, self.interval_values
-        _check_pieces(bps, pvs, ivs)
-        if any(ivs[i - 1] == pvs[i] == ivs[i] for i in range(1, len(bps) - 1)):
+    def __init__(self, breakpoints, point_values, interval_values):
+        f = _checked_step(breakpoints, point_values, interval_values)
+        if len(f.bps) < len(breakpoints):
             raise ValueError("redundant interior breakpoint; use StepFunction.make")
+        self.__dict__.update(vars(f))
 
     @classmethod
     def make(cls, breakpoints, point_values, interval_values):
         """Build in canonical form, merging redundant interior breakpoints."""
-        bps, pvs, ivs = _fractions(breakpoints), _fractions(point_values), _fractions(interval_values)
-        _check_pieces(bps, pvs, ivs)
-        return _canonical(bps, pvs, ivs)
+        exact = [[v if type(v) is int or isinstance(v, Fraction) else Fraction(v) for v in vs]
+                 for vs in (breakpoints, point_values, interval_values)]
+        return _checked_step(*exact)
+
+    breakpoints, point_values, interval_values = map(_decoded, ("bps", "pvs", "ivs"))
 
     def __call__(self, x):
         x = Fraction(x)
-        if not (_ZERO <= x <= _ONE):
+        if not 0 <= x <= 1:
             raise ValueError(f"argument {x} outside [0, 1]")
-        i = bisect_right(self.breakpoints, x) - 1
-        if self.breakpoints[i] == x:
-            return self.point_values[i]
-        return self.interval_values[i]
+        k = x * self.den
+        i = bisect_right(self.bps, k) - 1
+        return Fraction(self.pvs[i] if self.bps[i] == k else self.ivs[i], self.den)
 
     def sup(self):
-        return max(max(self.point_values), max(self.interval_values, default=_ZERO))
+        return Fraction(max(*self.pvs, *self.ivs), self.den)
 
 
-def _check_values(values):
-    """Every value must be an exact rational in [0, 1]."""
+def _encode(*groups):
+    """Check that every value is an exact rational in [0, 1]; return den and numerator lists."""
+    values = [v for vs in groups for v in vs]
     for v in values:
         if type(v) is bool or not isinstance(v, (int, Fraction)):
             raise ValueError(f"value {v!r} is not an int or a Fraction")
         # Normalized numerator and denominator: no Fraction comparison.
         if not 0 <= v.numerator <= v.denominator:
             raise ValueError(f"value {v} outside [0, 1]")
+    den = lcm(*[v.denominator for v in values])
+    return den, *[[v.numerator * (den // v.denominator) for v in vs] for vs in groups]
 
 
-def _check_pieces(bps, pvs, ivs):
+def _checked_step(bps, pvs, ivs):
+    """Canonical step function of raw pieces, after checking them."""
     if len(pvs) != len(bps) or len(ivs) != len(bps) - 1:
         raise ValueError("value tuples do not match the breakpoint count")
-    _check_values((*bps, *pvs, *ivs))
-    if bps[0] != _ZERO or bps[-1] != _ONE:
+    den, bps, pvs, ivs = _encode(bps, pvs, ivs)
+    if bps[0] != 0 or bps[-1] != den:
         raise ValueError("0 and 1 must be breakpoints")
-    for a, b in zip(bps, bps[1:]):
-        if not a < b:
-            raise ValueError("breakpoints must be strictly increasing")
+    if any(a >= b for a, b in zip(bps, bps[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    return _step(den, bps, pvs, ivs)
 
 
-def _fractions(values):
-    return tuple([v if isinstance(v, Fraction) else Fraction(v) for v in values])
+def _lowest(cls, den, **groups):
+    """A cls built unchecked from den and numerator groups over it, divided by their gcd."""
+    g = gcd(den, *[v for vs in groups.values() for v in vs])
+    obj = object.__new__(cls)
+    fields = {k: tuple(vs if g == 1 else [v // g for v in vs]) for k, vs in groups.items()}
+    obj.__dict__.update(fields, den=den // g)
+    return obj
 
 
-def _canonical(bps, pvs, ivs, decode=None):
-    """Canonical form of validated pieces, built without checking them again.
-    With ``decode``, the values are int codes and the result holds their values."""
+def _step(den, bps, pvs, ivs):
+    """Canonical step function with these numerators over den, built unchecked."""
     last = len(bps) - 1
     keep = [0, *(i for i in range(1, last) if not ivs[i - 1] == pvs[i] == ivs[i]), last]
-    # From lists: tuple() of a generator guesses its size and resizes.
     bps, pvs, ivs = [bps[i] for i in keep], [pvs[i] for i in keep], [ivs[i - 1] for i in keep[1:]]
-    if decode is not None:
-        pvs, ivs = [decode[c] for c in pvs], [decode[c] for c in ivs]
-    f = object.__new__(StepFunction)
-    f.__dict__.update(breakpoints=tuple(bps), point_values=tuple(pvs), interval_values=tuple(ivs))
-    return f
+    return _lowest(StepFunction, den, bps=bps, pvs=pvs, ivs=ivs)
 
 
 def t2_constants():
     """The two distinguished elements: the unit spikes at 0 and at 1."""
-    ends, zero = (_ZERO, _ONE), (_ZERO,)
-    return StepFunction(ends, (_ONE, _ZERO), zero), StepFunction(ends, (_ZERO, _ONE), zero)
+    return StepFunction((0, 1), (1, 0), (0,)), StepFunction((0, 1), (0, 1), (0,))
 
 
 def _pieces(f):
-    """f's point and interval values interleaved, in order from 0."""
-    pieces = [None] * (2 * len(f.breakpoints) - 1)
-    pieces[::2], pieces[1::2] = f.point_values, f.interval_values
+    """f's point and interval numerators interleaved, in order from 0."""
+    pieces = [None] * (2 * len(f.bps) - 1)
+    pieces[::2], pieces[1::2] = f.pvs, f.ivs
     return pieces
 
 
@@ -143,7 +144,7 @@ def _running_max(pieces, backward):
 
 def _envelope(f, backward):
     run = _running_max(_pieces(f), backward)
-    return _canonical(f.breakpoints, run[::2], run[1::2])
+    return _step(f.den, f.bps, run[::2], run[1::2])
 
 
 def sup_left(f):
@@ -158,13 +159,12 @@ def sup_right(f):
 
 def _convolve(a, b, backward):
     """max(a min env(b), env(a) min b), env the running maximum from 0 or,
-    backward, from 1, in one merge of the breakpoint lists. Pieces become
-    numerators over the common denominator, an exact order embedding, so
-    only ints are compared; the result holds the inputs' own pieces."""
-    fbo, gbo, fpo, gpo = pieces = a.breakpoints, b.breakpoints, _pieces(a), _pieces(b)
-    d = lcm(*{v.denominator for vs in pieces for v in vs})
-    fb, gb, fv, gv = [[v.numerator * (d // v.denominator) for v in vs] for vs in pieces]
-    decode = dict(zip(fv, fpo)) | dict(zip(gv, gpo))
+    backward, from 1, in one merge of the breakpoint lists, both
+    arguments' numerators scaled to their common denominator."""
+    den = lcm(a.den, b.den)
+    ka, kb = den // a.den, den // b.den
+    fb, fv = [v * ka for v in a.bps], [v * ka for v in _pieces(a)]
+    gb, gv = [v * kb for v in b.bps], [v * kb for v in _pieces(b)]
     fe, ge = _running_max(fv, backward), _running_max(gv, backward)
     last = len(fb) - 1
     bps, vals = [], []
@@ -172,7 +172,7 @@ def _convolve(a, b, backward):
     while True:
         x, y = fb[i], gb[j]
         at_f, at_g = x <= y, y <= x
-        bps.append(fbo[i] if at_f else gbo[j])
+        bps.append(x if at_f else y)
         # An input without a breakpoint here contributes the open interval around it.
         p, q = 2 * i - (not at_f), 2 * j - (not at_g)
         vals.append(max(min(fv[p], ge[q]), min(fe[p], gv[q])))
@@ -183,7 +183,7 @@ def _convolve(a, b, backward):
             break
         p, q = 2 * i - 1, 2 * j - 1
         vals.append(max(min(fv[p], ge[q]), min(fe[p], gv[q])))
-    return _canonical(bps, vals[::2], vals[1::2], decode)
+    return _step(den, bps, vals[::2], vals[1::2])
 
 
 def t2_join(a, b):
@@ -211,29 +211,40 @@ def t2_neg(a):
     collapse this way; those go through the generic convolution
     machinery in the convolution module instead.
     """
-    bps = [1 - b for b in reversed(a.breakpoints)]
-    return _canonical(bps, a.point_values[::-1], a.interval_values[::-1])
+    return _step(a.den, [a.den - b for b in reversed(a.bps)], a.pvs[::-1], a.ivs[::-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GridFunction:
-    """A function on the chain 0, 1/n, ..., 1 with exact rational values."""
+    """A function on the chain 0, 1/n, ..., 1 with exact rational values,
+    held as numerators ``nums`` over their least common denominator ``den``."""
 
     size: int
-    values: tuple
+    den: int
+    nums: tuple
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size, values):
+        if size < 1:
             raise ValueError("grid size must be a positive integer")
-        if len(self.values) != self.size + 1:
+        if len(values) != size + 1:
             raise ValueError("value count must be size + 1")
-        _check_values(self.values)
+        self.__dict__.update(vars(_grid(size, *_encode(values))))
+
+    values = _decoded("nums")
 
     def __call__(self, x):
         k = Fraction(x) * self.size
         if k.denominator != 1 or not (0 <= k <= self.size):
             raise ValueError(f"{x} is not a grid point")
-        return self.values[int(k)]
+        return Fraction(self.nums[k.numerator], self.den)
+
+
+def _grid(size, den, nums):
+    if size < 1:
+        raise ValueError("grid size must be a positive integer")
+    g = _lowest(GridFunction, den, nums=nums)
+    g.__dict__["size"] = size
+    return g
 
 
 def grid_conv_oracle(n, op, *args):
@@ -245,8 +256,7 @@ def grid_conv_oracle(n, op, *args):
     there to the meet of the arguments when that is larger. Every output
     point thus ends at the supremum over the tuples related to it. This
     is the oracle the closed forms are validated against. Join and meet
-    compare each value's rank among the values that occur (0 included):
-    min and max commute with that order embedding, so this is exact.
+    compare the arguments' numerators over their common denominator.
     """
     for g in args:
         if g.size != n:
@@ -255,29 +265,28 @@ def grid_conv_oracle(n, op, *args):
         if len(args) != 2:
             raise ValueError(f"{op} takes two arguments")
         a, b = args
-        levels = sorted({_ZERO, *a.values, *b.values})
-        rank = {v: r for r, v in enumerate(levels)}
-        ra = [rank[v] for v in a.values]
-        rb = [rank[v] for v in b.values]
+        den = lcm(a.den, b.den)
+        va = [v * (den // a.den) for v in a.nums]
+        vb = [v * (den // b.den) for v in b.nums]
         join = op == "join"
         best = [0] * (n + 1)
-        for y, ay in enumerate(ra):
-            for z, bz in enumerate(rb):
+        for y, ay in enumerate(va):
+            for z, bz in enumerate(vb):
                 x = (y if y > z else z) if join else (y if y < z else z)
                 v = ay if ay < bz else bz
                 if v > best[x]:
                     best[x] = v
-        return GridFunction(n, tuple(levels[r] for r in best))
+        return _grid(n, den, best)
     if op == "neg":
         if len(args) != 1:
             raise ValueError("neg takes one argument")
         (a,) = args
-        values = [_ZERO] * (n + 1)
-        for y, ay in enumerate(a.values):
+        values = [0] * (n + 1)
+        for y, ay in enumerate(a.nums):
             x = n - y
             if ay > values[x]:
                 values[x] = ay
-        return GridFunction(n, tuple(values))
+        return _grid(n, a.den, values)
     raise ValueError(f"unknown operation {op!r}")
 
 
@@ -290,18 +299,16 @@ def sample_to_grid(f, n):
     breakpoint's value at its own slot and its interval's value at the
     slots up to the next breakpoint.
     """
-    slots = []
-    for b in f.breakpoints:
-        k = b * n
-        if k.denominator != 1:
-            raise ValueError(f"breakpoint {b} is not a multiple of 1/{n}")
-        slots.append(k.numerator)
+    for b in f.bps:
+        if b * n % f.den:
+            raise ValueError(f"breakpoint {Fraction(b, f.den)} is not a multiple of 1/{n}")
+    slots = [b * n // f.den for b in f.bps]
     values = []
-    for k, nxt, p, v in zip(slots, slots[1:], f.point_values, f.interval_values):
+    for k, nxt, p, v in zip(slots, slots[1:], f.pvs, f.ivs):
         values.append(p)
         values.extend([v] * (nxt - k - 1))
-    values.append(f.point_values[-1])
-    return GridFunction(n, tuple(values))
+    values.append(f.pvs[-1])
+    return _grid(n, f.den, values)
 
 
 def step_from_grid(g):
@@ -311,10 +318,10 @@ def step_from_grid(g):
     the smaller neighbouring point value, so the continuous envelopes of
     the result agree with the discrete envelopes of g on the grid.
     """
-    n = g.size
-    bps = tuple(Fraction(k, n) for k in range(n + 1))
-    ivs = tuple(min(g.values[k], g.values[k + 1]) for k in range(n))
-    return StepFunction.make(bps, g.values, ivs)
+    den = lcm(g.size, g.den)
+    pvs = [v * (den // g.den) for v in g.nums]
+    ivs = [min(a, b) for a, b in zip(pvs, pvs[1:])]
+    return _step(den, range(0, den + 1, den // g.size), pvs, ivs)
 
 
 def random_grid_step(rng, n, value_denominator=12, max_interior=4):
@@ -326,39 +333,29 @@ def random_grid_step(rng, n, value_denominator=12, max_interior=4):
     the convolutions. Pieces spanning several grid cells expose their
     value at interior grid points, so theirs is unconstrained.
     """
+    d, den = value_denominator, lcm(n, value_denominator)
     count = rng.randint(0, min(n - 1, max_interior))
-    interior = sorted(rng.sample(range(1, n), count))
-    bps = [_ZERO] + [Fraction(k, n) for k in interior] + [_ONE]
-
-    def val():
-        return Fraction(rng.randint(0, value_denominator), value_denominator)
-
-    pvs = [val() for _ in bps]
-    ivs = []
-    for i in range(len(bps) - 1):
-        v = val()
-        if bps[i + 1] - bps[i] == Fraction(1, n):
-            v = min(v, max(pvs[i], pvs[i + 1]))
-        ivs.append(v)
-    return StepFunction.make(tuple(bps), tuple(pvs), tuple(ivs))
+    bps = [k * (den // n) for k in (0, *sorted(rng.sample(range(1, n), count)), n)]
+    pvs = [rng.randint(0, d) * (den // d) for _ in bps]
+    ivs = [rng.randint(0, d) * (den // d) for _ in bps[1:]]
+    cells = zip(bps, bps[1:], pvs, pvs[1:], ivs)
+    ivs = [min(v, max(p, q)) if b - a == den // n else v for a, b, p, q, v in cells]
+    return _step(den, bps, pvs, ivs)
 
 
 def random_step(rng, max_denominator=16, max_interior=4):
     """Random canonical step function with arbitrary rational breakpoints."""
-    interior = set()
+    draws = []
     for _ in range(rng.randint(0, max_interior)):
         d = rng.randint(2, max_denominator)
-        k = rng.randint(1, d - 1)
-        interior.add(Fraction(k, d))
-    bps = [_ZERO] + sorted(interior) + [_ONE]
+        draws.append((rng.randint(1, d - 1), d))
     d = max_denominator
-
-    def val():
-        return Fraction(rng.randint(0, d), d)
-
-    pvs = [val() for _ in bps]
-    ivs = [val() for _ in bps[:-1]]
-    return StepFunction.make(tuple(bps), tuple(pvs), tuple(ivs))
+    den = lcm(d, *[e for _, e in draws])
+    # A set of numerators over den drops repeats such as 1/2 and 2/4.
+    bps = [0, *sorted({k * (den // e) for k, e in draws}), den]
+    pvs = [rng.randint(0, d) * (den // d) for _ in bps]
+    ivs = [rng.randint(0, d) * (den // d) for _ in bps[:-1]]
+    return _step(den, bps, pvs, ivs)
 
 
 @dataclass

@@ -8,7 +8,7 @@ with the compiled relations or the meet and join tables.
 ``literal_grid_conv`` restates the type-2 grid convolution the same way:
 for each output point, a supremum over every argument tuple related to
 it. It is the reference of ``grid_conv_oracle``, which makes one pass
-over the argument pairs on value ranks.
+over the argument pairs on int value numerators.
 The ``literal_pointwise_*`` functions apply the lattice's own ``join``,
 ``meet``, ``impl`` and ``neg`` value by value; they are the references of
 the code-space pointwise operations, which read position tables.

@@ -112,6 +112,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Signature((("f", 1),)).arity("g")
 
+    def test_hash_agrees_with_equality(self):
+        sig = Signature((("f", 1), ("c", 0)))
+        s = RelationalStructure(("a", "b"), sig, {"f": [("a", "b"), ["b", "b"]], "c": set()})
+        relations = {"c": frozenset(), "f": {("b", "b"), ("a", "b")}}
+        twin = RelationalStructure(("a", "b"), sig, relations)
+        other = RelationalStructure(("a", "b"), sig, {"f": {("a", "b")}, "c": set()})
+        assert s == twin and hash(s) == hash(twin)
+        assert s != other
+        assert len({s, twin, other}) == 2
+        s.compiled("f")  # cached views stay out of the hash
+        assert hash(s) == hash(twin)
+
 
 class TestCompiled:
     def test_groups_by_result_in_slots(self, four_point_structure):

@@ -1,10 +1,14 @@
 """The names the benchmark tracer (bench/tracer.py) wraps must exist where it
 looks for them: every module it lists imports, and every traced method is
 defined in its class's own body, since the tracer reads ``cls.__dict__``
-and an inherited method would be missing there."""
+and an inherited method would be missing there. The span names its
+per-layer metrics read must be names it wraps: a metric sums
+``table.get(name, 0)``, so a renamed function would silently read 0."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,53 @@ def test_traced_module_imports(module):
 def test_traced_method_in_own_class_body(module, cls_name, method):
     cls = getattr(importlib.import_module(f"convalg.{module}"), cls_name)
     assert method in cls.__dict__, f"{cls_name}.{method} is inherited, not defined in {cls_name}"
+
+
+def layer_metric_literals():
+    """Every string in a list literal of ``layer_metrics``, plus each span
+    name it passes to ``raised.get``."""
+    tree = ast.parse(TRACER_PATH.read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "layer_metrics")
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.List):
+            names.update(e.value for e in node.elts if isinstance(e, ast.Constant))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "raised"
+        ):
+            names.add(node.args[0].value)
+    return names
+
+
+def traced_span_names():
+    """The span names :meth:`Tracer.install` opens: each public function
+    defined in a traced module, and each listed method."""
+    names = set()
+    for m in TRACER.MODULES:
+        mod = importlib.import_module(f"convalg.{m}")
+        names.update(
+            f"{m}.{attr}"
+            for attr, obj in vars(mod).items()
+            if inspect.isfunction(obj)
+            and obj.__module__ == mod.__name__
+            and not attr.startswith("_")
+        )
+    names.update(
+        f"{m}.{cls_name}.{meth}"
+        for m, classes in TRACER.METHODS.items()
+        for cls_name, methods in classes.items()
+        for meth in methods
+    )
+    return names
+
+
+def test_layer_metric_span_names_are_traced():
+    literals = layer_metric_literals()
+    assert {"type2.sup_left", "type2.sample_to_grid", "terms.holds_in"} <= literals
+    assert len(literals) >= 23
+    missing = sorted(literals - traced_span_names())
+    assert not missing, f"layer_metrics reads spans no traced function opens: {missing}"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,20 +290,37 @@ VALUE_POOLS = (
 DIVISORS_OF_60 = (2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60)
 
 
-def mixed_step(rng, max_interior=5):
-    """Canonical step function whose breakpoints have denominators dividing
-    60, with pieces drawn from VALUE_POOLS and built without conversion."""
+def mixed_pieces(rng, max_interior=5):
+    """Canonical pieces whose breakpoints have denominators dividing 60,
+    with values drawn from VALUE_POOLS, ints and Fractions unconverted."""
     dens = rng.choices(DIVISORS_OF_60, k=rng.randint(0, max_interior))
     bps = [0, *sorted({F(rng.randint(1, d - 1), d) for d in dens}), 1]
     pvs = [rng.choice(rng.choice(VALUE_POOLS)) for _ in bps]
     ivs = [rng.choice(rng.choice(VALUE_POOLS)) for _ in bps[1:]]
     last = len(bps) - 1
     keep = [0, *(i for i in range(1, last) if not ivs[i - 1] == pvs[i] == ivs[i]), last]
-    return StepFunction(
+    return (
         tuple(bps[i] for i in keep),
         tuple(pvs[i] for i in keep),
         tuple(ivs[i - 1] for i in keep[1:]),
     )
+
+
+def mixed_step(rng, max_interior=5):
+    """The step function of :func:`mixed_pieces`, built by the constructor."""
+    return StepFunction(*mixed_pieces(rng, max_interior))
+
+
+def envelope_at(f, y, left):
+    """Max of f on [0, y] (left) or on [y, 1], from its values at y, at the
+    breakpoints there and at one point inside each interval meeting it."""
+    bps = f.breakpoints
+    xs = [y, *(b for b in bps if (b <= y if left else b >= y))]
+    for a, b in zip(bps, bps[1:]):
+        lo, hi = (a, min(b, y)) if left else (max(a, y), b)
+        if lo < hi:
+            xs.append((lo + hi) / 2)
+    return max(f(x) for x in xs)
 
 
 class TestArbitraryBreakpointsVsOracle:
@@ -314,13 +332,15 @@ class TestArbitraryBreakpointsVsOracle:
         rng = random.Random(60)
         mixed_denominators = int_pieces = 0
         for _ in range(100):
-            a, b = mixed_step(rng), mixed_step(rng)
+            pieces = mixed_pieces(rng)
+            a, b = StepFunction(*pieces), mixed_step(rng)
             ga, gb = sample_to_grid(a, n), sample_to_grid(b, n)
             assert sample_to_grid(t2_join(a, b), n) == grid_conv_oracle(n, "join", ga, gb)
             assert sample_to_grid(t2_meet(a, b), n) == grid_conv_oracle(n, "meet", ga, gb)
             assert sample_to_grid(t2_neg(a), n) == grid_conv_oracle(n, "neg", ga)
             mixed_denominators += len({x.denominator for x in a.breakpoints + b.breakpoints}) > 2
-            int_pieces += any(type(v) is int for v in a.point_values + a.interval_values)
+            # ints handed to the constructor stay exercised
+            int_pieces += any(type(v) is int for v in pieces[1] + pieces[2])
         assert mixed_denominators >= 50 and int_pieces >= 20
 
     def test_join_and_meet_compare_no_fractions(self, monkeypatch):
@@ -328,6 +348,16 @@ class TestArbitraryBreakpointsVsOracle:
         pairs = [(random_step(rng, max_denominator=17), mixed_step(rng)) for _ in range(30)]
         pairs += [(c, mixed_step(rng)) for c in t2_constants() for _ in range(5)]
         expected = [(midpoint_join(a, b), midpoint_meet(a, b)) for a, b in pairs]
+        reflected = [
+            StepFunction.make(
+                [1 - x for x in reversed(a.breakpoints)],
+                a.point_values[::-1],
+                a.interval_values[::-1],
+            )
+            for a, _ in pairs
+        ]
+        # Denominators of mixed_step breakpoints divide 60.
+        grid_pairs, n = [(mixed_step(rng), mixed_step(rng)) for _ in range(8)], 60
 
         def refuse(*args):
             raise AssertionError("a Fraction was compared or hashed")
@@ -336,18 +366,36 @@ class TestArbitraryBreakpointsVsOracle:
             for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
                 m.setattr(F, name, refuse)
             results = [(t2_join(a, b), t2_meet(a, b)) for a, b in pairs]
+            negs = [t2_neg(a) for a, _ in pairs]
+            envelopes = [(sup_left(a), sup_right(b)) for a, b in pairs]
+            for a, b in grid_pairs:
+                ga, gb = sample_to_grid(a, n), sample_to_grid(b, n)
+                assert sample_to_grid(t2_join(a, b), n) == grid_conv_oracle(n, "join", ga, gb)
+                assert sample_to_grid(t2_meet(a, b), n) == grid_conv_oracle(n, "meet", ga, gb)
+                assert sample_to_grid(t2_neg(a), n) == grid_conv_oracle(n, "neg", ga)
+            report = crosscheck(16, 1)
         assert results == expected
+        assert negs == reflected
+        for (a, b), (left, right) in zip(pairs, envelopes):
+            for y in left.breakpoints + right.breakpoints + (F(1, 97), F(13, 31)):
+                assert left(y) == envelope_at(a, y, left=True)
+                assert right(y) == envelope_at(b, y, left=False)
+        assert report.ok and report.checks == 3
 
     def test_join_and_meet_keep_input_breakpoints(self):
-        # A value equal to a breakpoint (F(1) == 1) must not stand in for it
-        # in the result.
+        # The merge takes its breakpoints from the arguments' breakpoint
+        # lists, never from their values (here F(1) == 1 and F(1, 3)).
         a = StepFunction((0, 1), (0, F(1)), (0,))
         b = StepFunction((F(0), F(1, 2), F(1)), (1, 1, F(1)), (F(1, 3), 0))
-        for x, y in ((a, a), (a, b), (b, a), (b, b)):
-            ids = {id(v) for v in x.breakpoints + y.breakpoints}
+        rng = random.Random(62)
+        cases = [(a, a), (a, b), (b, a), (b, b)]
+        cases += [(random_step(rng), mixed_step(rng)) for _ in range(20)]
+        for x, y in cases:
             for r in (t2_join(x, y), t2_meet(x, y)):
-                assert all(id(v) in ids for v in r.breakpoints)
-        assert [type(v) for v in t2_join(a, a).breakpoints] == [int, int]
+                assert set(r.breakpoints) <= set(x.breakpoints + y.breakpoints)
+                pieces = r.breakpoints + r.point_values + r.interval_values
+                assert all(type(v) is F for v in pieces)
+                assert type(r(F(1, 3))) is F and type(r.sup()) is F
 
 
 class TestSampling:
@@ -502,3 +550,131 @@ class TestRepresentation:
             grid_conv_oracle(2, "join", g2, g3)
         with pytest.raises(ValueError):
             grid_conv_oracle(2, "flip", g2)
+
+
+def numerators(f):
+    if isinstance(f, GridFunction):
+        return (f.den, *f.nums)
+    return (f.den, *f.bps, *f.pvs, *f.ivs)
+
+
+class TestEncoding:
+    """Every function is int numerators over its least common denominator."""
+
+    def assert_lowest(self, f):
+        assert all(type(v) is int for v in numerators(f))
+        assert f.den >= 1 and gcd(*numerators(f)) == 1
+
+    def test_every_result_in_lowest_terms(self):
+        rng = random.Random(71)
+        n = 60
+        built = [*t2_constants(), GridFunction(2, (F(1, 2), F(1, 4), 0))]
+        for k in range(60):
+            a, b = mixed_step(rng), mixed_step(rng)
+            c = random_step(rng, max_denominator=(4, 17, 60)[k % 3])
+            g = random_grid_step(rng, 12, value_denominator=(3, 12, 8)[k % 3])
+            flat = b.interval_values[:1] * (len(a.breakpoints) - 1)
+            made = StepFunction.make(a.breakpoints, a.point_values, flat)
+            ga, gb = sample_to_grid(a, n), sample_to_grid(b, n)
+            built += [a, b, c, g, made, step_from_grid(sample_to_grid(g, 12))]
+            built += [t2_join(a, b), t2_meet(a, c), t2_join(c, g), t2_neg(a), t2_neg(c)]
+            built += [sup_left(a), sup_right(b), sup_left(c), sup_right(g)]
+            built += [ga, gb, sample_to_grid(g, 24), GridFunction(n, ga.values)]
+            built += [grid_conv_oracle(n, op, ga, gb) for op in ("join", "meet")]
+            built.append(grid_conv_oracle(n, "neg", ga))
+        for f in built:
+            self.assert_lowest(f)
+        # A result that drops the pieces needing a factor of den has a smaller den.
+        halves = StepFunction((0, F(1, 2), 1), (0, F(1, 2), 0), (F(1, 6), F(1, 3)))
+        assert sup_left(halves).den == 6 and t2_meet(halves, t2_constants()[1]) == halves
+        assert sample_to_grid(halves, 2).den == 2
+        top = StepFunction((0, F(1, 6), 1), (1, 1, 1), (F(1, 3), 1))
+        assert sup_left(top).den == 1 and sup_left(top).bps == (0, 1)
+
+    def test_int_and_fraction_pieces_give_equal_fields(self):
+        rng = random.Random(72)
+        for _ in range(100):
+            pieces = mixed_pieces(rng)
+            as_ints = StepFunction(*pieces)
+            as_fractions = StepFunction(*[[F(v) for v in vs] for vs in pieces])
+            made = StepFunction.make(*[[str(F(v)) for v in vs] for vs in pieces])
+            assert vars(as_ints) == vars(as_fractions) == vars(made)
+            assert hash(as_ints) == hash(as_fractions) == hash(made)
+            rebuilt = [StepFunction(r.breakpoints, r.point_values, r.interval_values)
+                       for r in (t2_join(as_ints, made), t2_neg(as_fractions))]
+            assert rebuilt == [t2_join(as_ints, made), t2_neg(as_fractions)]
+            assert hash(rebuilt[0]) == hash(t2_join(as_fractions, as_ints))
+        for g, h in (
+            (GridFunction(1, (0, 1)), GridFunction(1, (F(0), F(1)))),
+            (GridFunction(2, (0, F(1, 2), 1)), GridFunction(2, (F(0), F(2, 4), F(1)))),
+        ):
+            assert vars(g) == vars(h) and hash(g) == hash(h)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_sample_to_grid_rejects_nonpositive_grid(self, n):
+        z, _ = t2_constants()
+        for f in (z, StepFunction((0, F(1, 2), 1), (0, 1, 0), (0, 0))):
+            with pytest.raises(ValueError):
+                sample_to_grid(f, n)
+
+
+def reference_random_grid_step(rng, n, value_denominator=12, max_interior=4):
+    """The generator as it drew Fractions: the draws the integer one must repeat."""
+    count = rng.randint(0, min(n - 1, max_interior))
+    interior = sorted(rng.sample(range(1, n), count))
+    bps = [F(0)] + [F(k, n) for k in interior] + [F(1)]
+
+    def val():
+        return F(rng.randint(0, value_denominator), value_denominator)
+
+    pvs = [val() for _ in bps]
+    ivs = []
+    for i in range(len(bps) - 1):
+        v = val()
+        if bps[i + 1] - bps[i] == F(1, n):
+            v = min(v, max(pvs[i], pvs[i + 1]))
+        ivs.append(v)
+    return StepFunction.make(tuple(bps), tuple(pvs), tuple(ivs))
+
+
+def reference_random_step(rng, max_denominator=16, max_interior=4):
+    """The generator as it drew Fractions: the draws the integer one must repeat."""
+    interior = set()
+    for _ in range(rng.randint(0, max_interior)):
+        d = rng.randint(2, max_denominator)
+        k = rng.randint(1, d - 1)
+        interior.add(F(k, d))
+    bps = [F(0)] + sorted(interior) + [F(1)]
+    d = max_denominator
+
+    def val():
+        return F(rng.randint(0, d), d)
+
+    pvs = [val() for _ in bps]
+    ivs = [val() for _ in bps[:-1]]
+    return StepFunction.make(tuple(bps), tuple(pvs), tuple(ivs))
+
+
+class TestGeneratorsKeepTheirDraws:
+    """Seeded benchmark jobs and digests depend on each generator's rng calls."""
+
+    @pytest.mark.parametrize(
+        "max_denominator,max_interior", [(16, 4), (2, 3), (10, 3), (17, 8), (60, 24)]
+    )
+    def test_random_step(self, max_denominator, max_interior):
+        for seed in range(300):
+            rng, ref = random.Random(seed), random.Random(seed)
+            f = random_step(rng, max_denominator, max_interior)
+            assert f == reference_random_step(ref, max_denominator, max_interior)
+            assert vars(f) == vars(StepFunction(f.breakpoints, f.point_values, f.interval_values))
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n,value_denominator,max_interior", [
+        (1, 12, 4), (8, 12, 4), (16, 12, 4), (48, 12, 4), (6, 3, 10), (27, 7, 4), (12, 8, 2),
+    ])
+    def test_random_grid_step(self, n, value_denominator, max_interior):
+        for seed in range(300):
+            rng, ref = random.Random(seed), random.Random(seed)
+            f = random_grid_step(rng, n, value_denominator, max_interior)
+            assert f == reference_random_grid_step(ref, n, value_denominator, max_interior)
+            assert rng.getstate() == ref.getstate()
