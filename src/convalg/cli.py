@@ -190,8 +190,24 @@ def cmd_paper_demo(args):
     return 0 if agree else 1, records, "\n".join(lines)
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(prog="convalg", description=__doc__)
+# The command groups, in the order the full tree lists them.
+_GROUPS = ("lattice", "conv", "complex", "etale", "equations", "type2", "paper-demo")
+
+
+class _ParseError(Exception):
+    """A one-group parse failed; ``_parse`` then parses with the full tree."""
+
+
+class _OneGroupParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ParseError(message)
+
+
+def _build_parser(only=None):
+    """The argparse tree: every group, or with ``only`` that group alone on
+    parsers whose errors raise ``_ParseError`` instead of exiting."""
+    parser_class = argparse.ArgumentParser if only is None else _OneGroupParser
+    parser = parser_class(prog="convalg", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--records", action="store_true", help="machine-parseable key=value output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -204,51 +220,71 @@ def _build_parser():
         p.set_defaults(func=func)
         return p
 
-    p = command(group("lattice", "lattice law checks"), "check", cmd_lattice_check)
-    p.add_argument("--lattice", required=True, help="chain:N or a topology file")
-    p.add_argument("--max-subset-size", type=int, default=2)
+    if only in (None, "lattice"):
+        p = command(group("lattice", "lattice law checks"), "check", cmd_lattice_check)
+        p.add_argument("--lattice", required=True, help="chain:N or a topology file")
+        p.add_argument("--max-subset-size", type=int, default=2)
 
-    p = command(group("conv", "convolution operations"), "eval", cmd_conv_eval)
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--relation", required=True)
-    p.add_argument("--arg", action="append", help="map file, once per argument")
+    if only in (None, "conv"):
+        p = command(group("conv", "convolution operations"), "eval", cmd_conv_eval)
+        p.add_argument("--lattice", required=True)
+        p.add_argument("--structure", required=True)
+        p.add_argument("--relation", required=True)
+        p.add_argument("--arg", action="append", help="map file, once per argument")
 
-    p = command(group("complex", "relational image on subsets"), "eval", cmd_complex_eval)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--relation", required=True)
-    p.add_argument("--arg", action="append", help="subset literal like '{x1 x2}'")
+    if only in (None, "complex"):
+        p = command(group("complex", "relational image on subsets"), "eval", cmd_complex_eval)
+        p.add_argument("--structure", required=True)
+        p.add_argument("--relation", required=True)
+        p.add_argument("--arg", action="append", help="subset literal like '{x1 x2}'")
 
-    p = command(group("etale", "section correspondence checks"), "verify-iso", cmd_etale_verify_iso)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--topology", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    if only in (None, "etale"):
+        etale = group("etale", "section correspondence checks")
+        p = command(etale, "verify-iso", cmd_etale_verify_iso)
+        p.add_argument("--structure", required=True)
+        p.add_argument("--topology", required=True)
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = command(group("equations", "equational cross-checks"), "check", cmd_equations_check)
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--eqs", required=True)
-    p.add_argument("--max-enum", type=int, default=10**6)
+    if only in (None, "equations"):
+        p = command(group("equations", "equational cross-checks"), "check", cmd_equations_check)
+        p.add_argument("--lattice", required=True)
+        p.add_argument("--structure", required=True)
+        p.add_argument("--eqs", required=True)
+        p.add_argument("--max-enum", type=int, default=10**6)
 
-    t2 = group("type2", "step-function operations")
-    p = command(t2, "eval", cmd_type2_eval)
-    p.add_argument("--op", choices=("join", "meet", "neg"), required=True)
-    p.add_argument("-a", required=True, help="step function file")
-    p.add_argument("-b", help="second step function file")
-    p = command(t2, "crosscheck", cmd_type2_crosscheck)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    if only in (None, "type2"):
+        t2 = group("type2", "step-function operations")
+        p = command(t2, "eval", cmd_type2_eval)
+        p.add_argument("--op", choices=("join", "meet", "neg"), required=True)
+        p.add_argument("-a", required=True, help="step function file")
+        p.add_argument("-b", help="second step function file")
+        p = command(t2, "crosscheck", cmd_type2_crosscheck)
+        p.add_argument("--n", type=int, default=8)
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
 
-    command(sub, "paper-demo", cmd_paper_demo, help="run the worked example three ways")
+    if only in (None, "paper-demo"):
+        command(sub, "paper-demo", cmd_paper_demo, help="run the worked example three ways")
     return parser
 
 
+def _parse(argv):
+    """Parse ``argv`` with the parser of the group it names alone. Help
+    output does not depend on the other groups, but usage lines do, so when
+    ``argv`` names no group or that parse fails, the full tree parses it
+    again and prints its own message."""
+    if argv and argv[0] in _GROUPS:
+        try:
+            return _build_parser(argv[0]).parse_args(argv)
+        except _ParseError:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

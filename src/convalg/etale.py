@@ -102,7 +102,7 @@ class ConstantRelationalEtale:
 
     @cached_property
     def etale(self):
-        return ConstantEtale(tuple(self.structure.carrier), self.base)
+        return _bundle(tuple(self.structure.carrier), self.base)
 
     def plan(self, name):
         """Relation ``name`` over the bundle, built once: ``(arity, etale, tuples, image)``.
@@ -120,6 +120,15 @@ class ConstantRelationalEtale:
         return self._plans[name]
 
 
+def _bundle(carrier, base):
+    """The constant bundle of ``carrier`` over ``base``: one object per carrier and base
+    object, kept in ``base.bundles``, so that bundle checks are mostly identity tests."""
+    parent = base.bundles.get(carrier)
+    if parent is None:
+        parent = base.bundles[carrier] = ConstantEtale(carrier, base)
+    return parent
+
+
 def phi(lattice, alpha):
     """Section form of a lattice-valued map: the subobject whose
     cross-section at x is alpha(x), one ``lattice.open_masks`` lookup per code."""
@@ -127,10 +136,7 @@ def phi(lattice, alpha):
         raise ValueError("phi requires an open-set lattice")
     if alpha.lattice is not lattice and alpha.lattice != lattice:
         raise ValueError("map does not live over the given lattice")
-    carrier, masks = tuple(alpha.carrier), lattice.open_masks
-    parent = lattice.bundles.get(carrier)
-    if parent is None:
-        parent = lattice.bundles[carrier] = ConstantEtale(carrier, lattice.topology)
+    parent, masks = _bundle(tuple(alpha.carrier), lattice.topology), lattice.open_masks
     return EtaleSubobject(parent, tuple([masks[c] for c in alpha.codes]))
 
 

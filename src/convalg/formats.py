@@ -288,13 +288,8 @@ def format_map(m):
 
 
 def format_step_function(f):
-    lines = []
-    for b, v in zip(f.breakpoints, f.point_values):
-        if v != 0:
-            lines.append(f"point {b} -> {v}")
-    for (a, b), v in zip(zip(f.breakpoints, f.breakpoints[1:]), f.interval_values):
-        if v != 0:
-            lines.append(f"interval ({a},{b}) -> {v}")
-    if not lines:
-        lines.append("# identically zero")
-    return "\n".join(lines)
+    # each accessor decodes a fresh tuple of Fractions, so read each once
+    bps, pvs, ivs = f.breakpoints, f.point_values, f.interval_values
+    lines = [f"point {b} -> {v}" for b, v in zip(bps, pvs) if v]
+    lines += [f"interval ({a},{b}) -> {v}" for a, b, v in zip(bps, bps[1:], ivs) if v]
+    return "\n".join(lines) or "# identically zero"

@@ -70,6 +70,11 @@ class FiniteTopology:
         """Mask -> the open it names; only the masks of opens are keys."""
         return {m: a for a, m in self.mask_of.items()}
 
+    @cached_property
+    def bundles(self):
+        """Carrier tuple -> the one ``convalg.etale.ConstantEtale`` over this base, filled on use."""
+        return {}
+
 
 def make_topology(points, generators=()):
     """Smallest topology on ``points`` containing every generator.
@@ -294,11 +299,6 @@ class OpenSetLattice(FiniteLattice):
     def open_masks(self):
         """``open_masks[c]`` is the ``topology.mask_of`` mask of ``elements[c]``."""
         return tuple(map(self.topology.mask_of.__getitem__, self.elements))
-
-    @cached_property
-    def bundles(self):
-        """Carrier -> the parent bundle that ``convalg.etale.phi`` gives its maps, filled on use."""
-        return {}
 
     def join_all(self, items):
         out = frozenset()

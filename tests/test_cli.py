@@ -1,3 +1,7 @@
+import argparse
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -408,3 +412,88 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert run(capsys, [])[0] == 2
+
+
+# Help and usage errors: exit status, stdout and stderr, byte for byte, at
+# COLUMNS=80 so that argparse wraps the same way on every terminal.
+USAGE_CASES = {
+    "no-arguments": [],
+    "help": ["-h"],
+    "unknown-command": ["frobnicate"],
+    "records-alone": ["--records"],
+    "help-lattice": ["lattice", "-h"],
+    "help-conv": ["conv", "-h"],
+    "help-complex": ["complex", "-h"],
+    "help-etale": ["etale", "-h"],
+    "help-equations": ["equations", "-h"],
+    "help-type2": ["type2", "-h"],
+    "help-paper-demo": ["paper-demo", "-h"],
+    "help-lattice-check": ["lattice", "check", "-h"],
+    "help-conv-eval": ["conv", "eval", "-h"],
+    "help-complex-eval": ["complex", "eval", "-h"],
+    "help-etale-verify-iso": ["etale", "verify-iso", "-h"],
+    "help-equations-check": ["equations", "check", "-h"],
+    "help-type2-eval": ["type2", "eval", "-h"],
+    "help-type2-crosscheck": ["type2", "crosscheck", "-h"],
+    "missing-action": ["type2"],
+    "missing-required-option": ["lattice", "check"],
+    "bad-int": ["lattice", "check", "--lattice", "chain:2", "--max-subset-size", "two"],
+    "bad-op-choice": ["type2", "eval", "--op", "frob", "-a", "f.txt"],
+    "unknown-action": ["lattice", "frob"],
+    "trailing-argument": ["lattice", "check", "--lattice", "chain:2", "extra"],
+    "paper-demo-trailing-argument": ["paper-demo", "extra"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_CASES))
+def test_usage_golden_output(capsys, monkeypatch, case):
+    """Exit status, stdout and stderr of help and parse errors, as captured
+    in tests/golden/cli/usage-*.txt."""
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, err = run(capsys, list(USAGE_CASES[case]))
+    got = f"exit={rc}\n--- stdout\n{out}--- stderr\n{err}"
+    assert got.encode() == (GOLDEN / f"usage-{case}.txt").read_bytes()
+
+
+@pytest.fixture
+def added_parsers(monkeypatch):
+    """The names passed to every ``add_parser`` call, in order."""
+    added = []
+    real = argparse._SubParsersAction.add_parser
+
+    def add_parser(self, name, **kwargs):
+        added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    return added
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_call_builds_only_its_group(capsys, demo_files, added_parsers, case):
+    """A well-formed call builds the parsers of the group it names and no
+    other; the full tree is built only when that parse fails."""
+    argv = with_files(GOLDEN_CASES[case], demo_files)
+    run(capsys, argv)
+    assert added_parsers[0] == argv[0]
+    assert not set(added_parsers[1:]) & set(cli._GROUPS)
+
+
+def test_parse_failure_builds_the_full_tree(capsys, added_parsers):
+    assert run(capsys, ["lattice", "check", "--lattice", "chain:2", "extra"])[0] == 2
+    assert [name for name in added_parsers if name in cli._GROUPS] == ["lattice", *cli._GROUPS]
+
+
+@pytest.mark.parametrize(
+    "case, argv",
+    [("help", ["--help"]), ("trailing-argument", USAGE_CASES["trailing-argument"])],
+)
+def test_entry_point(case, argv):
+    """``python -m convalg.cli`` in a fresh interpreter, so that ``main``
+    reads ``sys.argv`` and its status reaches ``sys.exit``."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "convalg.cli", *argv], capture_output=True, text=True, env=env
+    )
+    got = f"exit={done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
+    assert got == (GOLDEN / f"usage-{case}.txt").read_text()

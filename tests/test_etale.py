@@ -107,10 +107,21 @@ class TestPhi:
         carrier = ("p", "q")
         subs = [phi(wedge_lattice, m) for m in enumerate_maps(wedge_lattice, carrier)]
         assert all(sub.parent is subs[0].parent for sub in subs)
+        # one bundle per carrier and topology object, whichever lattice or étalé asks for it
         other = open_set_heyting(wedge_topology)
-        fresh = phi(other, bottom_map(carrier, other))
+        assert phi(other, bottom_map(carrier, other)).parent is subs[0].parent
+        s = RelationalStructure(carrier, Signature((("g", 1),)), {"g": {("p", "q")}})
+        assert ConstantRelationalEtale(s, wedge_topology).etale is subs[0].parent
+        # an equal but distinct topology has its own bundle, equal to this one
+        twin = FiniteTopology(wedge_topology.points, wedge_topology.opens)
+        assert twin == wedge_topology and hash(twin) == hash(wedge_topology)
+        lattice = open_set_heyting(twin)
+        fresh = phi(lattice, bottom_map(carrier, lattice))
         assert fresh.parent is not subs[0].parent
         assert fresh.parent == subs[0].parent == ConstantEtale(carrier, wedge_topology)
+        assert fiberwise_rel_image(ConstantRelationalEtale(s, twin), "g", [subs[-1]]) == (
+            per_fiber_rel_image(ConstantRelationalEtale(s, wedge_topology), "g", [subs[-1]])
+        )
 
 
 class TestSubobjectConstruction:
@@ -317,7 +328,9 @@ class TestCachedViews:
         assert len(checked) == len(four_point_structure.relations["f"])
 
     def test_results_share_the_arguments_parent(self, thirds_lattice, four_point_structure):
-        rel_etale = ConstantRelationalEtale(four_point_structure, thirds_lattice.topology)
+        # over an equal but distinct topology, so that the étalé's own bundle is another object
+        base = FiniteTopology(thirds_lattice.topology.points, thirds_lattice.topology.opens)
+        rel_etale = ConstantRelationalEtale(four_point_structure, base)
         subs = [phi(thirds_lattice, top_map(four_point_structure.carrier, thirds_lattice))] * 2
         assert subs[0].parent is not rel_etale.etale
         for route in (fiberwise_rel_image, per_fiber_rel_image):
