@@ -194,23 +194,15 @@ def cmd_paper_demo(args):
 _GROUPS = ("lattice", "conv", "complex", "etale", "equations", "type2", "paper-demo")
 
 
-class _ParseError(Exception):
-    """A one-group parse failed; ``_parse`` then parses with the full tree."""
-
-
-class _OneGroupParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _ParseError(message)
-
-
 def _build_parser(only=None):
-    """The argparse tree: every group, or with ``only`` that group alone on
-    parsers whose errors raise ``_ParseError`` instead of exiting."""
-    parser_class = argparse.ArgumentParser if only is None else _OneGroupParser
-    parser = parser_class(prog="convalg", description=__doc__)
+    """The argparse tree: every group, or with ``only`` that group alone."""
+    parser = argparse.ArgumentParser(prog="convalg", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--records", action="store_true", help="machine-parseable key=value output")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # One-group usage lines list every group as the full tree does; the full
+    # tree sets no metavar, which its `required: command` error would name.
+    metavar = None if only is None else "{" + ",".join(_GROUPS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def group(name, help):
         return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
@@ -269,22 +261,12 @@ def _build_parser(only=None):
     return parser
 
 
-def _parse(argv):
-    """Parse ``argv`` with the parser of the group it names alone. Help
-    output does not depend on the other groups, but usage lines do, so when
-    ``argv`` names no group or that parse fails, the full tree parses it
-    again and prints its own message."""
-    if argv and argv[0] in _GROUPS:
-        try:
-            return _build_parser(argv[0]).parse_args(argv)
-        except _ParseError:
-            pass
-    return _build_parser().parse_args(argv)
-
-
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the group that argv names is built; the full tree when it names none.
+    only = argv[0] if argv and argv[0] in _GROUPS else None
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _build_parser(only).parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

@@ -87,6 +87,8 @@ def characteristic_iso(structure, exhaustive=None, trials=200, seed=0):
     to an exhaustive scan over argument tuples, carriers of up to 6 to a
     seeded random sample; ``exhaustive`` overrides the choice.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     carrier = tuple(structure.carrier)
     if exhaustive is None:
         if len(carrier) <= 3:

@@ -67,12 +67,12 @@ def parse_structure(text, path=None):
     relations = {}
     current = None
     for i, line in _lines(text):
+        parts = line.split()
         if line.startswith("carrier:"):
             if carrier is not None:
                 raise ParseError("duplicate carrier line", i, path)
             carrier = tuple(line[len("carrier:"):].split())
-        elif line.startswith("relation"):
-            parts = line.split()
+        elif parts[0] == "relation":
             if len(parts) != 4 or parts[2] != "arity":
                 raise ParseError("expected `relation NAME arity N`", i, path)
             name = parts[1]
@@ -90,7 +90,7 @@ def parse_structure(text, path=None):
         else:
             if carrier is None or current is None:
                 raise ParseError("tuple line outside a relation block", i, path)
-            entries = tuple(line.split())
+            entries = tuple(parts)
             want = dict(symbols)[current] + 1
             if len(entries) != want:
                 raise ParseError(
@@ -257,12 +257,12 @@ def parse_equation(line, signature, lineno=None, path=None):
     """Prefix-notation equation, e.g. `(f v w) = (f w v)`."""
     if "=" not in line:
         raise ParseError("equation needs a top-level =", lineno, path)
-    left, right = line.split("=", 1)
-    lhs, pos = _parse_term(_tokenize(left), 0, signature, lineno, path)
-    if pos != len(_tokenize(left)):
+    left, right = (_tokenize(side) for side in line.split("=", 1))
+    lhs, pos = _parse_term(left, 0, signature, lineno, path)
+    if pos != len(left):
         raise ParseError("trailing tokens on left side", lineno, path)
-    rhs, pos = _parse_term(_tokenize(right), 0, signature, lineno, path)
-    if pos != len(_tokenize(right)):
+    rhs, pos = _parse_term(right, 0, signature, lineno, path)
+    if pos != len(right):
         raise ParseError("trailing tokens on right side", lineno, path)
     return Equation(lhs, rhs)
 

@@ -121,6 +121,13 @@ class TestComplexEval:
         assert rc == 0
         assert out.strip() == "{x3 x4}"
 
+    def test_element_that_starts_with_relation(self, capsys, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("carrier: relationA b\nrelation f arity 1\nrelationA b\n")
+        argv = ["complex", "eval", "--structure", str(path), "--relation", "f",
+                "--arg", "{relationA}"]
+        assert run(capsys, argv)[:2] == (0, "{b}\n")
+
 
 class TestEtaleVerifyIso:
     def test_pass_and_determinism(self, capsys, demo_files):
@@ -421,6 +428,7 @@ USAGE_CASES = {
     "help": ["-h"],
     "unknown-command": ["frobnicate"],
     "records-alone": ["--records"],
+    "records-before-group": ["--records", "lattice", "check", "--lattice", "chain:2"],
     "help-lattice": ["lattice", "-h"],
     "help-conv": ["conv", "-h"],
     "help-complex": ["complex", "-h"],
@@ -472,16 +480,28 @@ def added_parsers(monkeypatch):
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_call_builds_only_its_group(capsys, demo_files, added_parsers, case):
     """A well-formed call builds the parsers of the group it names and no
-    other; the full tree is built only when that parse fails."""
+    other."""
     argv = with_files(GOLDEN_CASES[case], demo_files)
     run(capsys, argv)
     assert added_parsers[0] == argv[0]
     assert not set(added_parsers[1:]) & set(cli._GROUPS)
 
 
-def test_parse_failure_builds_the_full_tree(capsys, added_parsers):
-    assert run(capsys, ["lattice", "check", "--lattice", "chain:2", "extra"])[0] == 2
-    assert [name for name in added_parsers if name in cli._GROUPS] == ["lattice", *cli._GROUPS]
+@pytest.mark.parametrize("case", ["trailing-argument", "unknown-action"])
+def test_parse_failure_builds_only_its_group(capsys, added_parsers, case):
+    """A parse error in a named group is reported by that group's parser;
+    its output is pinned by the usage goldens."""
+    assert run(capsys, list(USAGE_CASES[case]))[0] == 2
+    assert [name for name in added_parsers if name in cli._GROUPS] == ["lattice"]
+
+
+def test_groups_are_the_full_trees_commands():
+    """``_GROUPS`` spells the one-group parsers' usage line, so it must list
+    the full tree's commands in the full tree's order."""
+    (sub,) = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert tuple(sub.choices) == cli._GROUPS
 
 
 @pytest.mark.parametrize(

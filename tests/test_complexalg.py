@@ -120,6 +120,11 @@ class TestCharacteristicIso:
         assert report.ok
         assert report.mode == "sampled"
 
+    @pytest.mark.parametrize("exhaustive", [None, True, False])
+    def test_negative_trials_rejected(self, exhaustive):
+        with pytest.raises(ValueError, match="trials"):
+            characteristic_iso(interval_structure(4), exhaustive=exhaustive, trials=-5)
+
     def test_large_carrier_needs_explicit_mode(self):
         carrier = tuple("abcdefg")
         s = RelationalStructure(carrier, Signature((("g", 1),)), {"g": set()})

@@ -137,6 +137,10 @@ class TestStructureFormat:
         with pytest.raises(ParseError):
             parse_structure("carrier: a\nrelation f 2\n")
 
+    def test_element_that_starts_with_relation(self):
+        text = "carrier: relationA b\nrelation f arity 1\nrelationA b\n"
+        assert parse_structure(text).relations["f"] == {("relationA", "b")}
+
 
 class TestMapFormat:
     def test_open_set_values(self, wedge_lattice):
