@@ -14,6 +14,9 @@ from itertools import product
 
 from .lattice import CapacityError
 
+# Largest algebra enumerated: maps from a carrier into a lattice, or subsets.
+MAX_MAPS = 10**6
+
 
 @dataclass(frozen=True)
 class LatticeMap:
@@ -147,26 +150,26 @@ def map_leq(a, b):
     return all(leq(els[i], els[j]) for i, j in zip(a.codes, b.codes))
 
 
-def enumerate_maps(lattice, carrier, max_maps=10**6):
+def enumerate_maps(lattice, carrier):
     """Yield every map from the carrier into the lattice, exactly once.
 
     The order is the lexicographic product of the lattice's canonical
     element order over the carrier order, so enumeration is
     deterministic. Raises CapacityError when the count would exceed
-    ``max_maps``.
+    ``MAX_MAPS``.
     """
     carrier = tuple(carrier)
-    count_maps(lattice, carrier, max_maps)
+    count_maps(lattice, carrier)
     for codes in product(range(len(lattice.elements)), repeat=len(carrier)):
         yield LatticeMap(carrier, lattice, codes)
 
 
-def count_maps(lattice, carrier, max_maps=10**6):
+def count_maps(lattice, carrier):
     """Number of maps from the carrier into the lattice; raises
-    CapacityError when it exceeds ``max_maps``."""
+    CapacityError when it exceeds ``MAX_MAPS``."""
     total = len(lattice.elements) ** len(carrier)
-    if total > max_maps:
-        raise CapacityError(f"{total} maps exceed the bound {max_maps}")
+    if total > MAX_MAPS:
+        raise CapacityError(f"{total} maps exceed the bound {MAX_MAPS}")
     return total
 
 

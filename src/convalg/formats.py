@@ -36,6 +36,14 @@ def _lines(text):
             yield i, line
 
 
+def _labels(text, what, i, path):
+    labels = text.split()
+    if len(set(labels)) < len(labels):
+        repeated = sorted({x for x in labels if labels.count(x) > 1})
+        raise ParseError(f"duplicate {what} {repeated}", i, path)
+    return labels
+
+
 def parse_topology(text, path=None):
     """`points: a b c` followed by one `open: ...` line per generator."""
     points = None
@@ -44,7 +52,7 @@ def parse_topology(text, path=None):
         if line.startswith("points:"):
             if points is not None:
                 raise ParseError("duplicate points line", i, path)
-            points = line[len("points:"):].split()
+            points = _labels(line[len("points:"):], "points", i, path)
         elif line.startswith("open:"):
             if points is None:
                 raise ParseError("open line before points line", i, path)
@@ -71,7 +79,7 @@ def parse_structure(text, path=None):
         if line.startswith("carrier:"):
             if carrier is not None:
                 raise ParseError("duplicate carrier line", i, path)
-            carrier = tuple(line[len("carrier:"):].split())
+            carrier = tuple(_labels(line[len("carrier:"):], "carrier elements", i, path))
         elif parts[0] == "relation":
             if len(parts) != 4 or parts[2] != "arity":
                 raise ParseError("expected `relation NAME arity N`", i, path)

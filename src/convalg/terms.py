@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import product
 
 from .complexalg import all_subsets, rel_image
-from .convolution import CapacityError, LatticeMap, conv_op, count_maps, enumerate_maps
+from .convolution import MAX_MAPS, CapacityError, LatticeMap, conv_op, count_maps, enumerate_maps
 from .lattice import chain_lattice
 
 
@@ -41,10 +41,7 @@ class Equation:
 def term_variables(term):
     if isinstance(term, Var):
         return (term.name,)
-    out = []
-    for a in term.args:
-        out.extend(term_variables(a))
-    return tuple(out)
+    return tuple(v for a in term.args for v in term_variables(a))
 
 
 def format_term(term):
@@ -61,8 +58,8 @@ def format_equation(eq):
 
 
 class _TabledAlgebra:
-    """What both algebras share: the structure, the element bound, element
-    positions and operation tables in position space.
+    """What both algebras share: the structure, element positions and
+    operation tables in position space.
 
     Each algebra defines ``elements``, ``element_key``, ``size`` and
     ``apply`` in its own body: bench/tracer.py wraps ``apply`` and
@@ -71,9 +68,8 @@ class _TabledAlgebra:
 
     two_valued = None  # a smaller algebra with the same equations, if any
 
-    def __init__(self, structure, max_elements=10**6):
+    def __init__(self, structure):
         self.structure = structure
-        self.max_elements = max_elements
         self.tables = {}
         self._elements = None
         self._positions = None
@@ -84,23 +80,17 @@ class _TabledAlgebra:
 
     def table(self, name):
         """Operation table in position space, built once per algebra with
-        one ``apply`` per entry; arities up to 2."""
+        one ``apply`` per entry. It is one row-major list: the entry for
+        positions (i1, ..., ik) sits at i1 * n**(k-1) + ... + ik, so a
+        nullary symbol's table has its one entry at 0."""
         if name in self.tables:
             return self.tables[name]
-        arity = self.signature.arity(name)
-        els = self.elements()
-        key = self.element_key
+        els, key = self.elements(), self.element_key
         if self._positions is None:
             self._positions = {key(e): i for i, e in enumerate(els)}
         index = self._positions
-        if arity == 0:
-            table = index[key(self.apply(name, []))]
-        elif arity == 1:
-            table = [index[key(self.apply(name, [e]))] for e in els]
-        elif arity == 2:
-            table = [[index[key(self.apply(name, [e1, e2]))] for e2 in els] for e1 in els]
-        else:
-            raise ValueError("tables only cover arities up to 2")
+        table = [index[key(self.apply(name, args))]
+                 for args in product(els, repeat=self.signature.arity(name))]
         self.tables[name] = table
         return table
 
@@ -115,29 +105,27 @@ class ConvolutionAlgebra(_TabledAlgebra):
     maps embed it into L^X, so both satisfy the same equations.
     """
 
-    def __init__(self, lattice, structure, max_elements=10**6):
-        super().__init__(structure, max_elements)
+    def __init__(self, lattice, structure):
+        super().__init__(structure)
         self.lattice = lattice
 
     @cached_property
     def two_valued(self):
         lat = self.lattice
         if len(lat.elements) > 2 and lat.birkhoff_masks is not None:
-            return ConvolutionAlgebra(chain_lattice(1), self.structure, self.max_elements)
+            return ConvolutionAlgebra(chain_lattice(1), self.structure)
         return None
 
     def apply(self, name, args):
         return conv_op(self.lattice, self.structure, name, list(args))
 
     def size(self):
-        """Element count; raises CapacityError above ``max_elements``."""
-        return count_maps(self.lattice, self.structure.carrier, self.max_elements)
+        """Element count; raises CapacityError above ``MAX_MAPS``."""
+        return count_maps(self.lattice, self.structure.carrier)
 
     def elements(self):
         if self._elements is None:
-            self._elements = list(
-                enumerate_maps(self.lattice, self.structure.carrier, self.max_elements)
-            )
+            self._elements = list(enumerate_maps(self.lattice, self.structure.carrier))
         return self._elements
 
     def element_key(self, el):
@@ -157,10 +145,10 @@ class ComplexAlgebra(_TabledAlgebra):
         return rel_image(self.structure, name, list(args))
 
     def size(self):
-        """Element count; raises CapacityError above ``max_elements``."""
+        """Element count; raises CapacityError above ``MAX_MAPS``."""
         total = 2 ** len(self.structure.carrier)
-        if total > self.max_elements:
-            raise CapacityError(f"{total} subsets exceed the bound {self.max_elements}")
+        if total > MAX_MAPS:
+            raise CapacityError(f"{total} subsets exceed the bound {MAX_MAPS}")
         return total
 
     def elements(self):
@@ -192,26 +180,32 @@ def _compile_term(term, positions, algebra):
     if isinstance(term, Var):
         i = positions[term.name]
         return lambda asg: asg[i]
-    arity = algebra.signature.arity(term.op)
     table = algebra.table(term.op)
-    if arity == 0:
-        return lambda asg: table
-    if arity == 1:
-        f0 = _compile_term(term.args[0], positions, algebra)
+    fs = [_compile_term(a, positions, algebra) for a in term.args]
+    if not fs:
+        value = table[0]
+        return lambda asg: value
+    if len(fs) == 1:
+        f0, = fs
         return lambda asg: table[f0(asg)]
-    f0 = _compile_term(term.args[0], positions, algebra)
-    f1 = _compile_term(term.args[1], positions, algebra)
-    return lambda asg: table[f0(asg)][f1(asg)]
+    n = len(algebra.elements())
+    if len(fs) == 2:
+        f0, f1 = fs
+        return lambda asg: table[f0(asg) * n + f1(asg)]
+
+    def entry(asg):
+        i = 0
+        for f in fs:
+            i = i * n + f(asg)
+        return table[i]
+    return entry
 
 
 def _term_apps(term):
     """The op name of each App node, one per ``apply`` of an evaluation."""
     if isinstance(term, Var):
         return []
-    out = [term.op]
-    for a in term.args:
-        out += _term_apps(a)
-    return out
+    return [term.op] + [op for a in term.args for op in _term_apps(a)]
 
 
 def holds_in(algebra, equation, max_assignments=10**6):
@@ -251,15 +245,10 @@ def holds_in(algebra, equation, max_assignments=10**6):
     els = algebra.elements()
     apps = _term_apps(equation.lhs) + _term_apps(equation.rhs)
     ops = set(apps)
-    tabulable = all(algebra.signature.arity(op) <= 2 for op in ops)
-    if tabulable:
-        # tabulate only when the missing tables, n^arity applies each, cost
-        # no more than the scan's len(apps) applies per assignment
-        pending = sum(
-            n ** algebra.signature.arity(op) for op in ops if op not in algebra.tables
-        )
-        tabulable = pending <= total * len(apps)
-    if tabulable:
+    # tabulate only when the missing tables, n^arity applies each, cost
+    # no more than the scan's len(apps) applies per assignment
+    pending = sum(n ** algebra.signature.arity(op) for op in ops if op not in algebra.tables)
+    if pending <= total * len(apps):
         positions = {name: i for i, name in enumerate(names)}
         lhs = _compile_term(equation.lhs, positions, algebra)
         rhs = _compile_term(equation.rhs, positions, algebra)
@@ -318,9 +307,6 @@ def same_equations_report(lattice, structure, equations, max_assignments=10**6):
     conv = ConvolutionAlgebra(lattice, structure)
     comp = ComplexAlgebra(structure)
     outcomes = []
-    disagreements = 0
-    skipped = 0
-    compared = 0
     for eq in equations:
         conv_holds = complex_holds = None
         conv_skip = complex_skip = None
@@ -332,15 +318,12 @@ def same_equations_report(lattice, structure, equations, max_assignments=10**6):
             complex_holds = holds_in(comp, eq, max_assignments).holds
         except CapacityError as e:
             complex_skip = str(e)
-        outcome = EquationOutcome(eq, conv_holds, complex_holds, conv_skip, complex_skip)
-        outcomes.append(outcome)
-        if outcome.agree is None:
-            skipped += 1
-        else:
-            compared += 1
-            if not outcome.agree:
-                disagreements += 1
-    return SameEquationsReport(outcomes, disagreements == 0, compared, disagreements, skipped)
+        outcomes.append(EquationOutcome(eq, conv_holds, complex_holds, conv_skip, complex_skip))
+    compared = sum(o.agree is not None for o in outcomes)
+    disagreements = sum(o.agree is False for o in outcomes)
+    return SameEquationsReport(
+        outcomes, disagreements == 0, compared, disagreements, len(outcomes) - compared
+    )
 
 
 def random_equations(signature, count, seed=0, max_depth=3, max_vars=3):

@@ -29,6 +29,7 @@ from convalg import (
     fiberwise_rel_image,
     interval_structure,
     open_set_heyting,
+    per_fiber_rel_image,
     phi,
     random_equations,
     random_step,
@@ -79,7 +80,16 @@ def _small_structures():
             "f": {("u", "u", "u"), ("u", "u", "v"), ("v", "u", "u")},
         },
     )
-    return [one, one_empty, two_total, two_partial]
+    two_nonfunctional = RelationalStructure(
+        ("u", "v"),
+        sig,
+        {
+            "c": {("v",)},
+            "g": {("u", "v"), ("v", "v"), ("v", "u")},
+            "f": {("u", "u", "u"), ("u", "v", "v"), ("v", "u", "v"), ("v", "v", "v")},
+        },
+    )
+    return [one, one_empty, two_total, two_partial, two_nonfunctional]
 
 
 def _hand_equations_single_binary():
@@ -159,10 +169,9 @@ def test_criterion_2_main_isomorphism(wedge_topology, wedge_lattice, four_point_
                     arity = s.signature.arity(name)
                     for args in product(maps, repeat=arity):
                         lhs = phi(lat, conv_op(lat, s, name, list(args)))
-                        rhs = fiberwise_rel_image(
-                            rel_etale, name, [sections[a.key()] for a in args]
-                        )
-                        assert lhs == rhs
+                        subs = [sections[a.key()] for a in args]
+                        assert lhs == fiberwise_rel_image(rel_etale, name, subs)
+                        assert lhs == per_fiber_rel_image(rel_etale, name, subs)
                         checks += 1
     assert checks > 30_000
     elapsed = time.perf_counter() - t0

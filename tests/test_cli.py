@@ -128,6 +128,12 @@ class TestComplexEval:
                 "--arg", "{relationA}"]
         assert run(capsys, argv)[:2] == (0, "{b}\n")
 
+    def test_repeated_carrier_element_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("carrier: x x\nrelation f arity 1\nx x\n")
+        argv = ["complex", "eval", "--structure", str(path), "--relation", "f", "--arg", "{x}"]
+        assert run(capsys, argv) == (2, "", f"error: {path}:1: duplicate carrier elements ['x']\n")
+
 
 class TestEtaleVerifyIso:
     def test_pass_and_determinism(self, capsys, demo_files):
@@ -294,6 +300,13 @@ class TestLatticeCheck:
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, ["lattice", "check", "--lattice", str(tmp_path / "no.txt")])
         assert rc == 2
+
+    def test_repeated_point_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "dup.txt"
+        bad.write_text("points: a a b\nopen: a\n")
+        rc, out, err = run(capsys, ["lattice", "check", "--lattice", str(bad)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: {bad}:1: duplicate points ['a']\n"
 
 
 class TestType2Commands:

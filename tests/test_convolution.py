@@ -23,6 +23,7 @@ from convalg import (
     rel_image,
     top_map,
 )
+from convalg.convolution import count_maps
 
 
 def fs(*labels):
@@ -144,8 +145,11 @@ class TestEnumerateMaps:
         assert sum(1 for _ in enumerate_maps(one, ("x", "y"))) == 1
 
     def test_capacity_bound(self, wedge_lattice):
-        with pytest.raises(CapacityError):
-            list(enumerate_maps(wedge_lattice, tuple("abcdefghij"), max_maps=100))
+        with pytest.raises(CapacityError, match="^9765625 maps exceed the bound 1000000$"):
+            list(enumerate_maps(wedge_lattice, tuple("abcdefghij")))
+        assert count_maps(chain_lattice(1), tuple(range(19))) == 2**19
+        with pytest.raises(CapacityError, match="^1048576 maps exceed the bound 1000000$"):
+            count_maps(chain_lattice(3), tuple("abcdefghij"))
 
 
 class TestLatticeMap:

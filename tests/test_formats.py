@@ -111,6 +111,10 @@ class TestTopologyFormat:
         with pytest.raises(ParseError):
             parse_topology("open: a\n")
 
+    def test_repeated_point_names_line(self):
+        with pytest.raises(ParseError, match=r"^topo.txt:2: duplicate points \['a'\]$"):
+            parse_topology("# base\npoints: a a b\nopen: a\n", path="topo.txt")
+
 
 class TestStructureFormat:
     def test_round_trip(self, four_point_structure):
@@ -140,6 +144,11 @@ class TestStructureFormat:
     def test_element_that_starts_with_relation(self):
         text = "carrier: relationA b\nrelation f arity 1\nrelationA b\n"
         assert parse_structure(text).relations["f"] == {("relationA", "b")}
+
+    def test_repeated_carrier_element_names_line(self):
+        text = "\ncarrier: x y x y z\nrelation f arity 1\nx y\n"
+        with pytest.raises(ParseError, match=r"^s.txt:2: duplicate carrier elements \['x', 'y'\]$"):
+            parse_structure(text, path="s.txt")
 
 
 class TestMapFormat:

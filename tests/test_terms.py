@@ -1,5 +1,6 @@
 import gc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -106,15 +107,21 @@ class TestHoldsIn:
         comm = Equation(App("f", (Var("v"), Var("w"))), App("f", (Var("w"), Var("v"))))
         with pytest.raises(CapacityError, match="^4294967296 assignments exceed the bound 1000000$"):
             holds_in(ConvolutionAlgebra(chain_lattice(3), s), comm)
-        # the element bound is checked first, with the enumerator's message
-        with pytest.raises(CapacityError, match="^65536 maps exceed the bound 1000$"):
-            holds_in(ConvolutionAlgebra(chain_lattice(3), s, max_elements=1000), comm)
-        with pytest.raises(CapacityError, match="^256 subsets exceed the bound 100$"):
-            holds_in(ComplexAlgebra(s, max_elements=100), comm)
+
+        def wide(size):
+            return RelationalStructure(tuple(f"x{i}" for i in range(size)), s.signature, s.relations)
+
+        # the element bound is checked first, with the enumerator's message:
+        # 4^10 maps and 2^20 subsets are just past it
+        with pytest.raises(CapacityError, match="^1048576 maps exceed the bound 1000000$"):
+            holds_in(ConvolutionAlgebra(chain_lattice(3), wide(10)), comm)
+        with pytest.raises(CapacityError, match="^1048576 subsets exceed the bound 1000000$"):
+            holds_in(ComplexAlgebra(wide(20)), comm)
 
     def test_general_path_matches_brute_force(self):
-        # An arity-3 symbol forces the eval_term route. h is symmetric in its
-        # first two slots, so the first equation holds over every lattice; the
+        # Two-variable equations over an arity-3 symbol: the n^3 table entries
+        # cost more than the scan, so these take the eval_term route. h is
+        # symmetric in its first two slots, so the first equation holds over every lattice; the
         # second fails at v = {} and w = {a}, so also over every lattice.
         from convalg import RelationalStructure, Signature, all_subsets, conv_op, enumerate_maps
         from convalg import rel_image
@@ -150,6 +157,47 @@ class TestHoldsIn:
                     crisp = {algebra.lattice.bottom_code, algebra.lattice.top_code}
                     failures = [f for f in failures if all(set(m.codes) <= crisp for m in f.values())]
                 assert check.witness == (failures[0] if failures else None)
+
+    def test_arity_three_table_matches_brute_force(self):
+        # Three variables over four elements: 64 assignments of two applies
+        # each cost more than h's 64 table entries, so h is tabulated, its
+        # entry for positions (i, j, k) at 16i + 4j + k.
+        from convalg import RelationalStructure, Signature, all_subsets, conv_op, enumerate_maps
+        from convalg import rel_image
+
+        carrier = ("a", "b")
+        rel = {("a", "a", "a", "b"), ("b", "a", "b", "a"), ("a", "b", "b", "a")}
+        s = RelationalStructure(carrier, Signature((("h", 3),)), {"h": rel})
+        v, w, u = Var("v"), Var("w"), Var("u")
+        # h is symmetric in its first two slots but not in its last two
+        sides = {
+            Equation(App("h", (v, w, u)), App("h", (w, v, u))): lambda h, a, b, c: (h(a, b, c), h(b, a, c)),
+            Equation(App("h", (v, w, u)), App("h", (v, u, w))): lambda h, a, b, c: (h(a, b, c), h(a, c, b)),
+        }
+        two = chain_lattice(1)
+        cases = [
+            (lambda: ComplexAlgebra(s), all_subsets(carrier), lambda *a: rel_image(s, "h", list(a))),
+            (lambda: ConvolutionAlgebra(two, s), list(enumerate_maps(two, carrier)),
+             lambda *a: conv_op(two, s, "h", list(a))),
+        ]
+        for make_algebra, elements, h in cases:
+            verdicts = []
+            for eq, side in sides.items():
+                algebra = make_algebra()
+                check = holds_in(algebra, eq)
+                keys = [algebra.element_key(e) for e in elements]
+                table = algebra.tables["h"]
+                assert len(table) == 64
+                for i, j, k in product(range(4), repeat=3):
+                    out = h(elements[i], elements[j], elements[k])
+                    assert table[16 * i + 4 * j + k] == keys.index(algebra.element_key(out))
+                # names in order u, v, w, each running over the elements in order
+                failures = [{"u": c, "v": a, "w": b} for c in elements for a in elements
+                            for b in elements if side(h, a, b, c)[0] != side(h, a, b, c)[1]]
+                assert check.holds == (not failures)
+                assert check.witness == (failures[0] if failures else None)
+                verdicts.append(check.holds)
+            assert verdicts == [True, False]
 
     def test_negative_assignment_bound_rejected(self, four_point_structure):
         comm = Equation(App("f", (Var("v"), Var("w"))), App("f", (Var("w"), Var("v"))))

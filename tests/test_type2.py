@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -342,6 +342,19 @@ class TestArbitraryBreakpointsVsOracle:
             # ints handed to the constructor stay exercised
             int_pieces += any(type(v) is int for v in pieces[1] + pieces[2])
         assert mixed_denominators >= 50 and int_pieces >= 20
+
+    def test_closed_forms_match_oracle_on_each_pairs_own_grid(self):
+        # Each pair gets the grid of twice its breakpoints' common
+        # denominator, which has a sample inside every piece of the inputs
+        # and of the results.
+        rng = random.Random(2018)
+        for _ in range(50):
+            a, b = random_step(rng, max_denominator=6), random_step(rng, max_denominator=6)
+            n = 2 * lcm(*(x.denominator for x in a.breakpoints + b.breakpoints))
+            ga, gb = sample_to_grid(a, n), sample_to_grid(b, n)
+            assert sample_to_grid(t2_join(a, b), n) == grid_conv_oracle(n, "join", ga, gb)
+            assert sample_to_grid(t2_meet(a, b), n) == grid_conv_oracle(n, "meet", ga, gb)
+            assert sample_to_grid(t2_neg(a), n) == grid_conv_oracle(n, "neg", ga)
 
     def test_join_and_meet_compare_no_fractions(self, monkeypatch):
         rng = random.Random(61)
