@@ -50,7 +50,6 @@ from .relstruct import (
     Signature,
     interval_structure,
     relation_from_operation,
-    validate_structure,
 )
 from .terms import (
     App,

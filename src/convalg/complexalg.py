@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .convolution import LatticeMap, conv_op
-from .lattice import chain_lattice
+from .convolution import MAX_MAPS, LatticeMap, _compare_routes, conv_op
+from .lattice import CapacityError, chain_lattice
 
 
 def image_mask(groups, inside):
@@ -85,38 +85,41 @@ def characteristic_iso(structure, exhaustive=None, trials=200, seed=0):
     characteristic bijection and pushed through both code paths; the
     results must coincide exactly. Carriers of up to 3 elements default
     to an exhaustive scan over argument tuples, carriers of up to 6 to a
-    seeded random sample; ``exhaustive`` overrides the choice.
+    seeded random sample; ``exhaustive`` overrides the choice. Raises
+    CapacityError, building nothing, above ``MAX_MAPS`` subsets or, when
+    exhaustive, above ``MAX_MAPS`` argument tuples for one relation.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-    carrier = tuple(structure.carrier)
+    if type(trials) is not int or trials < 0:
+        raise ValueError(f"trials must be a nonnegative int, got {trials!r}")
+    carrier, sig = tuple(structure.carrier), structure.signature
     if exhaustive is None:
-        if len(carrier) <= 3:
-            exhaustive = True
-        elif len(carrier) <= 6:
-            exhaustive = False
-        else:
+        if len(carrier) > 6:
             raise ValueError("carrier too large; pass exhaustive explicitly")
+        exhaustive = len(carrier) <= 3
+    total = 2 ** len(carrier)
+    widest = max(map(sig.arity, sig.names), default=0) if exhaustive else 0
+    for count, what in ((total, "subsets"), (total**widest, "argument tuples")):
+        if count > MAX_MAPS:
+            raise CapacityError(f"{count} {what} exceed the bound {MAX_MAPS}")
     two = chain_lattice(1)
     subsets = all_subsets(carrier)
     rng = random.Random(seed)
-    checked = 0
-    for name in structure.signature.names:
-        n = structure.signature.arity(name)
-        if exhaustive:
-            tuples = product(subsets, repeat=n)
-        else:
-            tuples = (
-                tuple(rng.choice(subsets) for _ in range(n)) for _ in range(trials)
-            )
-        for args in tuples:
-            image = rel_image(structure, name, args)
-            conv = conv_op(two, structure, name, [char_map(two, carrier, a) for a in args])
-            checked += 1
-            if subset_from_map(conv) != image:
-                detail = (
+
+    def cases():
+        for name, n in sig.symbols:
+            if exhaustive:
+                tuples = product(subsets, repeat=n)
+            else:
+                tuples = (tuple(rng.choice(subsets) for _ in range(n)) for _ in range(trials))
+            for args in tuples:
+                image = rel_image(structure, name, args)
+                maps = [char_map(two, carrier, a) for a in args]
+                conv = subset_from_map(conv_op(two, structure, name, maps))
+                yield image, conv, lambda: (
                     f"{name}{tuple(sorted(a) for a in args)}: "
-                    f"image {sorted(image)} vs convolution {sorted(subset_from_map(conv))}"
+                    f"image {sorted(image)} vs convolution {sorted(conv)}"
                 )
-                return IsoCheckReport(False, "exhaustive" if exhaustive else "sampled", checked, detail)
-    return IsoCheckReport(True, "exhaustive" if exhaustive else "sampled", checked, None)
+
+    checked, failure = _compare_routes(cases())
+    mode = "exhaustive" if exhaustive else "sampled"
+    return IsoCheckReport(failure is None, mode, checked, failure)

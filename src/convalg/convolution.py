@@ -18,6 +18,17 @@ from .lattice import CapacityError
 MAX_MAPS = 10**6
 
 
+def _compare_routes(cases):
+    """Compare the two routes of each ``(lhs, rhs, detail)`` in ``cases`` until one differs.
+    Returns how many were compared, up to and including the first mismatch, and its
+    ``detail()``, or None; ``detail`` is called only on that mismatch."""
+    checks = 0
+    for checks, (lhs, rhs, detail) in enumerate(cases, 1):
+        if lhs != rhs:
+            return checks, detail()
+    return checks, None
+
+
 @dataclass(frozen=True)
 class LatticeMap:
     """A total map from a structure carrier into a lattice, stored as codes.

@@ -40,7 +40,8 @@ class Signature:
 
 @dataclass(frozen=True)
 class RelationalStructure:
-    """A finite carrier with one relation per signature symbol."""
+    """A finite carrier with one relation per signature symbol. Construction refuses a
+    tuple of the wrong length or with an element outside the carrier."""
 
     carrier: tuple
     signature: Signature
@@ -51,9 +52,19 @@ class RelationalStructure:
             raise ValueError("duplicate carrier elements")
         if set(self.relations) != set(self.signature.names):
             raise ValueError("relations must cover exactly the signature symbols")
-        normalized = {
-            name: frozenset(tuple(t) for t in rel) for name, rel in self.relations.items()
-        }
+        carrier, normalized = set(self.carrier), {}
+        for name, n in self.signature.symbols:
+            rel = normalized[name] = frozenset(tuple(t) for t in self.relations[name])
+            bad = [t for t in rel if len(t) != n + 1 or not carrier.issuperset(t)]
+            if bad:
+                try:  # the first in sorted order, or by repr where entries do not compare
+                    t = min(bad)
+                except TypeError:
+                    t = min(bad, key=repr)
+                if len(t) != n + 1:
+                    raise ValueError(f"{name}: tuple {t!r} has length {len(t)}, expected {n + 1}")
+                entry = next(e for e in t if e not in carrier)
+                raise ValueError(f"{name}: tuple {t!r} mentions unknown element {entry!r}")
         object.__setattr__(self, "relations", normalized)
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_masks", {})
@@ -77,8 +88,7 @@ class RelationalStructure:
         so the concatenated per-argument sequences of a call answer every
         entry lookup with one index. ``groups[r]`` holds, sorted, the
         argument slots of every tuple whose result is the carrier element
-        at position r. Raises ValueError for an unknown symbol or for a
-        tuple that :func:`validate_structure` would report.
+        at position r. Raises ValueError for an unknown symbol.
         """
         plan = self._plans.get(name)
         if plan is None:
@@ -87,9 +97,6 @@ class RelationalStructure:
             size = len(self.carrier)
             groups = [[] for _ in self.carrier]
             for t in self.relations[name]:
-                violation = next(_tuple_violations(name, t, arity + 1, index), None)
-                if violation is not None:
-                    raise ValueError(violation)
                 slots = tuple(i * size + index[x] for i, x in enumerate(t[:-1]))
                 groups[index[t[-1]]].append(slots)
             plan = self._plans[name] = (arity, tuple(tuple(sorted(g)) for g in groups))
@@ -101,39 +108,6 @@ class RelationalStructure:
             n, groups = self.compiled(name)
             self._masks[name] = n, tuple(tuple(sum(1 << k for k in t) for t in g) for g in groups)
         return self._masks[name]
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    ok: bool
-    violations: tuple
-
-    def __str__(self):
-        if self.ok:
-            return "structure valid"
-        return "; ".join(self.violations)
-
-
-def validate_structure(s):
-    """Check tuple arities and carrier membership, reporting all violations."""
-    violations = []
-    carrier = set(s.carrier)
-    for name in s.signature.names:
-        want = s.signature.arity(name) + 1
-        for t in sorted(s.relations[name]):
-            violations.extend(_tuple_violations(name, t, want, carrier))
-    return StructureReport(not violations, tuple(violations))
-
-
-def _tuple_violations(name, t, length, carrier):
-    """Yield what is wrong with tuple ``t`` of relation ``name``: a wrong
-    length, or else each entry outside ``carrier``."""
-    if len(t) != length:
-        yield f"{name}: tuple {t!r} has length {len(t)}, expected {length}"
-        return
-    for entry in t:
-        if entry not in carrier:
-            yield f"{name}: tuple {t!r} mentions unknown element {entry!r}"
 
 
 def relation_from_operation(carrier, table):

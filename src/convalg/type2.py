@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-from .convolution import CapacityError
+from .convolution import CapacityError, _compare_routes
 
 MAX_GRID_PAIRS = 10**6
 
@@ -379,28 +379,26 @@ def crosscheck(n, trials, seed=0):
     routes. Deterministic for a fixed seed. Raises CapacityError when
     the oracle's (n + 1)**2 argument pairs exceed :data:`MAX_GRID_PAIRS`.
     """
-    if n < 1 or trials < 0:
-        raise ValueError(f"need a grid size n >= 1 and trials >= 0, got n={n}, trials={trials}")
+    if type(n) is not int or type(trials) is not int or n < 1 or trials < 0:
+        raise ValueError(f"need a grid size n >= 1 and trials >= 0, got n={n!r}, trials={trials!r}")
     if (n + 1) ** 2 > MAX_GRID_PAIRS:
         raise CapacityError(
             f"grid {n} has {(n + 1) ** 2} argument pairs, above the bound {MAX_GRID_PAIRS}"
         )
     rng = random.Random(seed)
-    checks = 0
-    for trial in range(trials):
-        a = random_grid_step(rng, n)
-        b = random_grid_step(rng, n)
-        ga, gb = sample_to_grid(a, n), sample_to_grid(b, n)
-        cases = [
-            ("join", sample_to_grid(t2_join(a, b), n), grid_conv_oracle(n, "join", ga, gb)),
-            ("meet", sample_to_grid(t2_meet(a, b), n), grid_conv_oracle(n, "meet", ga, gb)),
-            ("neg", sample_to_grid(t2_neg(a), n), grid_conv_oracle(n, "neg", ga)),
-        ]
-        for label, closed, oracle in cases:
-            checks += 1
-            if closed != oracle:
-                detail = (
+
+    def cases():
+        for trial in range(trials):
+            a, b = random_grid_step(rng, n), random_grid_step(rng, n)
+            ga, gb = sample_to_grid(a, n), sample_to_grid(b, n)
+            for label, closed, oracle in [
+                ("join", sample_to_grid(t2_join(a, b), n), grid_conv_oracle(n, "join", ga, gb)),
+                ("meet", sample_to_grid(t2_meet(a, b), n), grid_conv_oracle(n, "meet", ga, gb)),
+                ("neg", sample_to_grid(t2_neg(a), n), grid_conv_oracle(n, "neg", ga)),
+            ]:
+                yield closed, oracle, lambda: (
                     f"trial {trial}, {label}: closed {closed.values} vs oracle {oracle.values}"
                 )
-                return CrosscheckReport(False, n, trials, checks, detail)
-    return CrosscheckReport(True, n, trials, checks, None)
+
+    checks, failure = _compare_routes(cases())
+    return CrosscheckReport(failure is None, n, trials, checks, failure)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import convalg.etale
+import convalg.type2
 from convalg import cli
 from convalg.cli import _load_lattice, main
 from convalg.lattice import CapacityError
@@ -345,6 +347,48 @@ class TestType2Commands:
         assert rc1 == rc2 == 0
         assert out1 == out2
         assert "ok=true" in out1
+
+
+class TestCounterexampleExit:
+    """A forced mismatch exits 1 with the counterexample on stdout and nothing on stderr."""
+
+    ISO_DETAIL = (
+        "trial 2, relation f, args x1->{t2 t3}, x2->{}, x3->{t1 t2 t3}, x4->{t1 t3}; "
+        "x1->{t3}, x2->{t1 t3}, x3->{t1}, x4->{t3}"
+    )
+    CROSSCHECK_DETAIL = (
+        "trial 0, meet: closed (Fraction(1, 6), Fraction(2, 3), Fraction(2, 3), Fraction(1, 1), "
+        "Fraction(1, 3)) vs oracle (Fraction(2, 3), Fraction(3, 4), Fraction(1, 1), "
+        "Fraction(1, 1), Fraction(1, 12))"
+    )
+
+    @pytest.mark.parametrize("records", [False, True], ids=["human", "records"])
+    def test_etale_verify_iso(self, monkeypatch, capsys, demo_files, records):
+        route = convalg.etale.fiberwise_rel_image
+        monkeypatch.setattr(
+            convalg.etale, "fiberwise_rel_image", lambda r, name, args: route(r, name, args[::-1])
+        )
+        argv = ["etale", "verify-iso", "--structure", demo_files["structure.txt"],
+                "--topology", demo_files["topology.txt"], "--trials", "20", "--seed", "0"]
+        rc, out, err = run(capsys, argv + ["--records"] * records)
+        if records:
+            expected = ["command=etale.verify-iso", "seed=0", "trials=20", "checks=11",
+                        "ok=false", f"counterexample={self.ISO_DETAIL}"]
+        else:
+            expected = [f"counterexample after 11 checks: {self.ISO_DETAIL}"]
+        assert (rc, out.splitlines(), err) == (1, expected, "")
+
+    @pytest.mark.parametrize("records", [False, True], ids=["human", "records"])
+    def test_type2_crosscheck(self, monkeypatch, capsys, records):
+        monkeypatch.setattr(convalg.type2, "t2_meet", convalg.type2.t2_join)
+        argv = ["type2", "crosscheck", "--n", "4", "--trials", "10", "--seed", "0"]
+        rc, out, err = run(capsys, argv + ["--records"] * records)
+        if records:
+            expected = ["command=type2.crosscheck", "grid=4", "seed=0", "trials=10", "checks=2",
+                        "ok=false", f"counterexample={self.CROSSCHECK_DETAIL}"]
+        else:
+            expected = [f"oracle mismatch: {self.CROSSCHECK_DETAIL}"]
+        assert (rc, out.splitlines(), err) == (1, expected, "")
 
 
 # Every subcommand on the demo files; each case runs in both output forms.

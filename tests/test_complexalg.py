@@ -2,7 +2,9 @@ from itertools import product
 
 import pytest
 
+import convalg.complexalg
 from convalg import (
+    CapacityError,
     LatticeMap,
     RelationalStructure,
     Signature,
@@ -120,10 +122,64 @@ class TestCharacteristicIso:
         assert report.ok
         assert report.mode == "sampled"
 
+    @pytest.mark.parametrize(
+        "exhaustive,trials,checked,failure",
+        [
+            (True, 200, 20, "f(['x1'], ['x3']): image [] vs convolution ['x4']"),
+            (
+                False,
+                50,
+                5,
+                "f(['x1', 'x4'], ['x1', 'x3']): image ['x1'] vs convolution ['x1', 'x4']",
+            ),
+        ],
+        ids=["exhaustive", "sampled"],
+    )
+    def test_failure_report(
+        self, monkeypatch, four_point_structure, exhaustive, trials, checked, failure
+    ):
+        # the image route reads its arguments in reverse: f is not symmetric
+        monkeypatch.setattr(
+            convalg.complexalg, "rel_image", lambda s, name, args: rel_image(s, name, args[::-1])
+        )
+        report = characteristic_iso(four_point_structure, exhaustive, trials=trials, seed=3)
+        mode = "exhaustive" if exhaustive else "sampled"
+        assert (report.ok, report.mode, report.checked, report.failure) == (
+            False, mode, checked, failure
+        )
+        assert str(report) == f"failed after {checked} tuples: {failure}"
+
     @pytest.mark.parametrize("exhaustive", [None, True, False])
     def test_negative_trials_rejected(self, exhaustive):
         with pytest.raises(ValueError, match="trials"):
             characteristic_iso(interval_structure(4), exhaustive=exhaustive, trials=-5)
+
+    @pytest.mark.parametrize("trials", [True, False, 2.0, "3"])
+    def test_non_int_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be a nonnegative int"):
+            characteristic_iso(interval_structure(4), exhaustive=False, trials=trials)
+
+    @pytest.mark.parametrize(
+        "size,arity,exhaustive,message",
+        [
+            (20, 1, False, "1048576 subsets exceed the bound 1000000"),
+            (10, 2, True, "1048576 argument tuples exceed the bound 1000000"),
+        ],
+        ids=["sampled-20", "exhaustive-binary-10"],
+    )
+    def test_capacity_bound_before_any_subset(self, monkeypatch, size, arity, exhaustive, message):
+        calls = []
+        for name in ("all_subsets", "rel_image"):
+            monkeypatch.setattr(convalg.complexalg, name, lambda *a, name=name: calls.append(name))
+        s = RelationalStructure(tuple(range(size)), Signature((("g", arity),)), {"g": set()})
+        with pytest.raises(CapacityError, match=message):
+            characteristic_iso(s, exhaustive, trials=1)
+        assert calls == []
+
+    def test_sampled_mode_under_the_bound(self):
+        s = RelationalStructure(tuple(range(10)), Signature((("g", 2),)), {"g": {(0, 1, 2)}})
+        report = characteristic_iso(s, exhaustive=False, trials=3)
+        assert (report.ok, report.mode, report.checked) == (True, "sampled", 3)
 
     def test_large_carrier_needs_explicit_mode(self):
         carrier = tuple("abcdefg")

@@ -34,7 +34,6 @@ from convalg import (
     sub_neg,
     sub_union,
     top_map,
-    validate_structure,
     verify_main_iso,
     whole_subobject,
 )
@@ -265,25 +264,21 @@ class TestFiberwiseRelImage:
 
 class TestMalformedRelations:
     """A tuple of the wrong length or with an element outside the carrier is
-    refused by every route, with the message ``validate_structure`` gives."""
+    refused when the structure is built, so no route ever sees it."""
 
     @pytest.mark.parametrize(
-        "bad", [("p",), ("p", "p", "p"), ("p", "zz")], ids=["short", "long", "unknown"]
+        "bad,message",
+        [
+            (("p",), "g: tuple ('p',) has length 1, expected 2"),
+            (("p", "p", "p"), "g: tuple ('p', 'p', 'p') has length 3, expected 2"),
+            (("p", "zz"), "g: tuple ('p', 'zz') mentions unknown element 'zz'"),
+        ],
+        ids=["short", "long", "unknown"],
     )
-    def test_every_route_raises_the_validation_message(self, wedge_topology, wedge_lattice, bad):
-        s = RelationalStructure(("p", "q"), Signature((("g", 1),)), {"g": {("q", "p"), bad}})
-        [message] = validate_structure(s).violations
-        rel_etale = ConstantRelationalEtale(s, wedge_topology)
-        arg = top_map(s.carrier, wedge_lattice)
-        routes = [
-            lambda: phi(wedge_lattice, conv_op(wedge_lattice, s, "g", [arg])),
-            lambda: fiberwise_rel_image(rel_etale, "g", [phi(wedge_lattice, arg)]),
-            lambda: per_fiber_rel_image(rel_etale, "g", [phi(wedge_lattice, arg)]),
-        ]
-        for route in routes:
-            with pytest.raises(ValueError) as info:
-                route()
-            assert str(info.value) == message
+    def test_every_route_raises_the_validation_message(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            RelationalStructure(("p", "q"), Signature((("g", 1),)), {"g": {("q", "p"), bad}})
+        assert str(info.value) == message
 
 
 class TestCachedViews:
@@ -310,22 +305,23 @@ class TestCachedViews:
         assert [f.name for f in dataclasses.fields(rel_etale)] == ["structure", "base"]
 
     def test_relation_translated_once(self, monkeypatch, thirds_topology, four_point_structure):
-        checked = []
+        built = []
+        slot_masks = RelationalStructure.slot_masks
 
-        def counting(name, t, length, carrier):
-            checked.append(t)
-            return iter(())
+        def counting(self, name):
+            built.append(name)
+            return slot_masks(self, name)
 
-        monkeypatch.setattr(convalg.etale, "_tuple_violations", counting)
+        monkeypatch.setattr(RelationalStructure, "slot_masks", counting)
         rel_etale = ConstantRelationalEtale(four_point_structure, thirds_topology)
         whole = whole_subobject(rel_etale.etale)
         first = fiberwise_rel_image(rel_etale, "f", [whole, whole])
-        assert len(checked) == len(four_point_structure.relations["f"])
+        assert built == ["f"]
         plan = rel_etale.plan("f")
         assert fiberwise_rel_image(rel_etale, "f", [whole, whole]) == first
         assert per_fiber_rel_image(rel_etale, "f", [whole, whole]) == first
         assert rel_etale.plan("f") is plan
-        assert len(checked) == len(four_point_structure.relations["f"])
+        assert built == ["f"]
 
     def test_results_share_the_arguments_parent(self, thirds_lattice, four_point_structure):
         # over an equal but distinct topology, so that the étalé's own bundle is another object
@@ -427,9 +423,37 @@ class TestVerifyMainIso:
         assert not report.ok
         assert "pointwise impl" in report.counterexample
 
+    def test_failure_report(
+        self, monkeypatch, thirds_topology, thirds_lattice, four_point_structure
+    ):
+        # the sectionwise route reads its arguments in reverse: f is not symmetric
+        monkeypatch.setattr(
+            convalg.etale,
+            "fiberwise_rel_image",
+            lambda r, name, args: fiberwise_rel_image(r, name, args[::-1]),
+        )
+        report = verify_main_iso(
+            thirds_lattice, four_point_structure, thirds_topology, trials=20, seed=0
+        )
+        detail = (
+            "trial 2, relation f, args x1->{t2 t3}, x2->{}, x3->{t1 t2 t3}, x4->{t1 t3}; "
+            "x1->{t3}, x2->{t1 t3}, x3->{t1}, x4->{t3}"
+        )
+        assert (report.ok, report.trials, report.checks, report.counterexample) == (
+            False, 20, 11, detail
+        )
+        assert str(report) == f"counterexample after 11 checks: {detail}"
+
     def test_negative_trials_rejected(self, wedge_topology, wedge_lattice, four_point_structure):
         with pytest.raises(ValueError, match="trials"):
             verify_main_iso(wedge_lattice, four_point_structure, wedge_topology, trials=-2)
+
+    @pytest.mark.parametrize("trials", [True, False, 2.0])
+    def test_non_int_trials_rejected(
+        self, wedge_topology, wedge_lattice, four_point_structure, trials
+    ):
+        with pytest.raises(ValueError, match="trials must be a nonnegative int"):
+            verify_main_iso(wedge_lattice, four_point_structure, wedge_topology, trials=trials)
 
     def test_wrong_lattice_rejected(self, thirds_topology, wedge_lattice, four_point_structure):
         with pytest.raises(ValueError):

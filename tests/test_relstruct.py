@@ -8,7 +8,6 @@ from convalg import (
     Signature,
     interval_structure,
     relation_from_operation,
-    validate_structure,
 )
 
 
@@ -77,22 +76,39 @@ class TestIntervalStructure:
 
 
 class TestValidateStructure:
+    """Relation tuples are checked once, when the structure is built."""
+
     def test_worked_example_is_valid(self, four_point_structure):
-        assert validate_structure(four_point_structure).ok
+        s = four_point_structure
+        assert RelationalStructure(s.carrier, s.signature, dict(s.relations)) == s
 
     def test_wrong_length_reported(self):
-        s = RelationalStructure(
-            ("a", "b"), Signature((("f", 1),)), {"f": {("a", "b", "b")}}
-        )
-        report = validate_structure(s)
-        assert not report.ok
-        assert any("length" in v for v in report.violations)
+        with pytest.raises(ValueError) as info:
+            RelationalStructure(("a", "b"), Signature((("f", 1),)), {"f": {("a", "b", "b")}})
+        assert str(info.value) == "f: tuple ('a', 'b', 'b') has length 3, expected 2"
 
     def test_unknown_label_reported(self):
-        s = RelationalStructure(("a", "b"), Signature((("f", 1),)), {"f": {("a", "z")}})
-        report = validate_structure(s)
-        assert not report.ok
-        assert any("unknown" in v for v in report.violations)
+        with pytest.raises(ValueError) as info:
+            RelationalStructure(("a", "b"), Signature((("f", 1),)), {"f": {("a", "z")}})
+        assert str(info.value) == "f: tuple ('a', 'z') mentions unknown element 'z'"
+
+    def test_first_violation_in_sorted_order(self):
+        # symbols in signature order, then each relation's tuples in sorted order
+        sig = Signature((("g", 0), ("f", 2)))
+        relations = {"f": {("b", "z", "a"), ("a", "y", "x"), ("a", "a")}, "g": {("q",)}}
+        with pytest.raises(ValueError) as info:
+            RelationalStructure(("a", "b"), sig, relations)
+        assert str(info.value) == "g: tuple ('q',) mentions unknown element 'q'"
+        relations["g"] = set()
+        with pytest.raises(ValueError) as info:
+            RelationalStructure(("a", "b"), sig, relations)
+        assert str(info.value) == "f: tuple ('a', 'a') has length 2, expected 3"
+
+    def test_incomparable_tuples_ordered_by_repr(self):
+        # 0 < "a" raises TypeError, so the bad tuples cannot be sorted themselves
+        with pytest.raises(ValueError) as info:
+            RelationalStructure((0, "a"), Signature((("f", 1),)), {"f": {(0, "z"), ("a", 1)}})
+        assert str(info.value) == "f: tuple ('a', 1) mentions unknown element 1"
 
 
 class TestConstruction:
@@ -146,9 +162,9 @@ class TestCompiled:
 
     @pytest.mark.parametrize("tuples", [{("a", "b", "b")}, {("a", "z")}])
     def test_invalid_tuples_are_refused(self, tuples):
-        s = RelationalStructure(("a", "b"), Signature((("f", 1),)), {"f": tuples})
-        with pytest.raises(ValueError):
-            s.compiled("f")
+        # before any relation can be compiled
+        with pytest.raises(ValueError, match="^f: tuple "):
+            RelationalStructure(("a", "b"), Signature((("f", 1),)), {"f": tuples})
 
     def test_unknown_symbol(self, four_point_structure):
         with pytest.raises(ValueError, match="unknown symbol"):

@@ -142,6 +142,17 @@ class TestGridExamples:
         assert out.values == tuple(reversed(g.values))
 
 
+def join_on_third_call():
+    """A wrong ``t2_meet`` for crosscheck: right except on its third call, where it joins."""
+    calls = []
+
+    def meet(a, b):
+        calls.append(None)
+        return (t2_join if len(calls) == 3 else t2_meet)(a, b)
+
+    return meet
+
+
 class TestClosedFormVsOracle:
     @pytest.mark.parametrize("n", [4, 8])
     def test_seeded_crosscheck(self, n):
@@ -149,10 +160,25 @@ class TestClosedFormVsOracle:
         assert report.ok
         assert report.checks == 120
 
-    @pytest.mark.parametrize("n,trials", [(0, 1), (-3, 1), (4, -1)])
+    @pytest.mark.parametrize(
+        "n,trials", [(0, 1), (-3, 1), (4, -1), (True, True), (4, True), (4, 2.0), (2.0, 1)]
+    )
     def test_bad_counts_rejected(self, n, trials):
         with pytest.raises(ValueError, match="grid size"):
             crosscheck(n, trials)
+
+    def test_failure_report(self, monkeypatch):
+        monkeypatch.setattr("convalg.type2.t2_meet", join_on_third_call())
+        report = crosscheck(4, 10, seed=0)
+        detail = (
+            "trial 2, meet: closed (Fraction(1, 12), Fraction(1, 2), Fraction(1, 2), "
+            "Fraction(1, 2), Fraction(2, 3)) vs oracle (Fraction(7, 12), Fraction(1, 2), "
+            "Fraction(1, 2), Fraction(7, 12), Fraction(2, 3))"
+        )
+        assert (report.ok, report.grid, report.trials, report.checks, report.failure) == (
+            False, 4, 10, 8, detail
+        )
+        assert str(report) == f"oracle mismatch: {detail}"
 
     def test_grid_above_pair_bound_rejected_before_any_trial(self, monkeypatch):
         assert (999 + 1) ** 2 <= MAX_GRID_PAIRS < (1000 + 1) ** 2
