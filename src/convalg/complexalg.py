@@ -53,6 +53,15 @@ def all_subsets(carrier):
     ]
 
 
+def count_subsets(carrier):
+    """Number of subsets of the carrier; raises CapacityError when it
+    exceeds ``MAX_MAPS``."""
+    total = 2 ** len(carrier)
+    if total > MAX_MAPS:
+        raise CapacityError(f"{total} subsets exceed the bound {MAX_MAPS}")
+    return total
+
+
 def char_map(two, carrier, subset):
     """Characteristic map of a subset over the two-element lattice."""
     subset, top, bottom = frozenset(subset), two.top_code, two.bottom_code
@@ -96,11 +105,10 @@ def characteristic_iso(structure, exhaustive=None, trials=200, seed=0):
         if len(carrier) > 6:
             raise ValueError("carrier too large; pass exhaustive explicitly")
         exhaustive = len(carrier) <= 3
-    total = 2 ** len(carrier)
     widest = max(map(sig.arity, sig.names), default=0) if exhaustive else 0
-    for count, what in ((total, "subsets"), (total**widest, "argument tuples")):
-        if count > MAX_MAPS:
-            raise CapacityError(f"{count} {what} exceed the bound {MAX_MAPS}")
+    tuples = count_subsets(carrier) ** widest
+    if tuples > MAX_MAPS:
+        raise CapacityError(f"{tuples} argument tuples exceed the bound {MAX_MAPS}")
     two = chain_lattice(1)
     subsets = all_subsets(carrier)
     rng = random.Random(seed)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .complexalg import all_subsets, rel_image
-from .convolution import MAX_MAPS, CapacityError, LatticeMap, conv_op, count_maps, enumerate_maps
+from .complexalg import all_subsets, count_subsets, rel_image
+from .convolution import CapacityError, LatticeMap, conv_op, count_maps, enumerate_maps
 from .lattice import chain_lattice
 
 
@@ -146,10 +146,7 @@ class ComplexAlgebra(_TabledAlgebra):
 
     def size(self):
         """Element count; raises CapacityError above ``MAX_MAPS``."""
-        total = 2 ** len(self.structure.carrier)
-        if total > MAX_MAPS:
-            raise CapacityError(f"{total} subsets exceed the bound {MAX_MAPS}")
-        return total
+        return count_subsets(self.structure.carrier)
 
     def elements(self):
         if self._elements is None:
@@ -176,36 +173,16 @@ class EquationCheck:
     witness: dict | None
 
 
-def _compile_term(term, positions, algebra):
+def _slot(term, slots, steps):
+    """The slot of ``term``'s value; each distinct subterm, keyed by its
+    ``(op, arg slots)``, gets the next slot and one step in ``steps``."""
     if isinstance(term, Var):
-        i = positions[term.name]
-        return lambda asg: asg[i]
-    table = algebra.table(term.op)
-    fs = [_compile_term(a, positions, algebra) for a in term.args]
-    if not fs:
-        value = table[0]
-        return lambda asg: value
-    if len(fs) == 1:
-        f0, = fs
-        return lambda asg: table[f0(asg)]
-    n = len(algebra.elements())
-    if len(fs) == 2:
-        f0, f1 = fs
-        return lambda asg: table[f0(asg) * n + f1(asg)]
-
-    def entry(asg):
-        i = 0
-        for f in fs:
-            i = i * n + f(asg)
-        return table[i]
-    return entry
-
-
-def _term_apps(term):
-    """The op name of each App node, one per ``apply`` of an evaluation."""
-    if isinstance(term, Var):
-        return []
-    return [term.op] + [op for a in term.args for op in _term_apps(a)]
+        return slots[term.name]
+    key = (term.op, tuple([_slot(a, slots, steps) for a in term.args]))
+    if key not in slots:
+        slots[key] = len(slots)
+        steps.append(key)
+    return slots[key]
 
 
 def holds_in(algebra, equation, max_assignments=10**6):
@@ -217,10 +194,11 @@ def holds_in(algebra, equation, max_assignments=10**6):
     ``two_valued`` algebra the equation is decided there, and a witness is
     lifted crisply and certified by one evaluation here; otherwise
     assignments run in lexicographic order over the canonical element
-    enumeration. The scan reads operation tables only when their missing
+    enumeration, both sides run as one program of their distinct
+    subterms. The scan reads operation tables only when their missing
     entries number at most the applications it would make without them
-    (assignments times ``App`` nodes); else it evaluates both sides per
-    assignment. So a failing equation always yields the same witness.
+    (assignments times distinct subterms); else it applies the operations
+    to elements. So a failing equation always yields the same witness.
     Syntactically identical sides agree without enumeration.
     """
     if max_assignments < 0:
@@ -243,24 +221,29 @@ def holds_in(algebra, equation, max_assignments=10**6):
                                f"of its two-valued counterexample over {lat!r}")
         return EquationCheck(False, witness)
     els = algebra.elements()
-    apps = _term_apps(equation.lhs) + _term_apps(equation.rhs)
-    ops = set(apps)
+    slots, steps = {name: i for i, name in enumerate(names)}, []
+    lhs, rhs = _slot(equation.lhs, slots, steps), _slot(equation.rhs, slots, steps)
     # tabulate only when the missing tables, n^arity applies each, cost
-    # no more than the scan's len(apps) applies per assignment
-    pending = sum(n ** algebra.signature.arity(op) for op in ops if op not in algebra.tables)
-    if pending <= total * len(apps):
-        positions = {name: i for i, name in enumerate(names)}
-        lhs = _compile_term(equation.lhs, positions, algebra)
-        rhs = _compile_term(equation.rhs, positions, algebra)
+    # no more than the scan's len(steps) applies per assignment
+    ops = {op for op, _ in steps if op not in algebra.tables}
+    if sum(n ** algebra.signature.arity(op) for op in ops) <= total * len(steps):
+        program = [(algebra.table(op), args) for op, args in steps]
         for asg in product(range(n), repeat=len(names)):
-            if lhs(asg) != rhs(asg):
-                witness = {name: els[asg[i]] for name, i in positions.items()}
-                return EquationCheck(False, witness)
+            vals = list(asg)
+            for table, args in program:
+                i = 0
+                for a in args:
+                    i = i * n + vals[a]
+                vals.append(table[i])
+            if vals[lhs] != vals[rhs]:
+                return EquationCheck(False, {name: els[i] for name, i in zip(names, asg)})
         return EquationCheck(True, None)
     for combo in product(els, repeat=len(names)):
-        env = dict(zip(names, combo))
-        if eval_term(algebra, equation.lhs, env) != eval_term(algebra, equation.rhs, env):
-            return EquationCheck(False, env)
+        vals = list(combo)
+        for op, args in steps:
+            vals.append(algebra.apply(op, [vals[a] for a in args]))
+        if vals[lhs] != vals[rhs]:
+            return EquationCheck(False, dict(zip(names, combo)))
     return EquationCheck(True, None)
 
 
@@ -304,21 +287,16 @@ def same_equations_report(lattice, structure, equations, max_assignments=10**6):
     law = lattice.heyting_report
     if not law.ok:
         raise ValueError(f"lattice is not Heyting: {law.failure.law} fails")
-    conv = ConvolutionAlgebra(lattice, structure)
-    comp = ComplexAlgebra(structure)
+    algebras = ConvolutionAlgebra(lattice, structure), ComplexAlgebra(structure)
     outcomes = []
     for eq in equations:
-        conv_holds = complex_holds = None
-        conv_skip = complex_skip = None
-        try:
-            conv_holds = holds_in(conv, eq, max_assignments).holds
-        except CapacityError as e:
-            conv_skip = str(e)
-        try:
-            complex_holds = holds_in(comp, eq, max_assignments).holds
-        except CapacityError as e:
-            complex_skip = str(e)
-        outcomes.append(EquationOutcome(eq, conv_holds, complex_holds, conv_skip, complex_skip))
+        verdicts, skips = [None, None], [None, None]
+        for i, algebra in enumerate(algebras):
+            try:
+                verdicts[i] = holds_in(algebra, eq, max_assignments).holds
+            except CapacityError as e:
+                skips[i] = str(e)
+        outcomes.append(EquationOutcome(eq, *verdicts, *skips))
     compared = sum(o.agree is not None for o in outcomes)
     disagreements = sum(o.agree is False for o in outcomes)
     return SameEquationsReport(

@@ -782,6 +782,7 @@ SCAN_EQUATIONS = [
     Equation(App("g", (_c,)), _c),
     Equation(App("f", (_c, App("g", (_c,)))), App("g", (App("f", (_c, _c)),))),
     Equation(App("f", (_v, _w)), App("f", (_w, _v))),
+    Equation(App("f", (App("g", (_v,)), App("g", (_v,)))), App("g", (_v,))),
 ]
 # In DISTRIBUTIVITY both sides are v(p) ∧ (w(q) ∨ w(r)) = (v(p) ∧ w(q)) ∨ (v(p) ∧ w(r))
 # at p and bottom elsewhere, so the equation holds exactly over distributive lattices.
@@ -845,31 +846,33 @@ def test_holds_in_matches_literal_scan_on_four_point_structure(wedge_lattice, fo
     assert scanned == 25
 
 
-def app_nodes(term):
-    """The op name of every App node: one apply each when the term is evaluated."""
+def app_subterms(term):
+    """The distinct App subterms: one apply each per assignment of the scan."""
     if isinstance(term, Var):
-        return []
-    return [term.op] + [op for a in term.args for op in app_nodes(a)]
+        return set()
+    return {term}.union(*[app_subterms(a) for a in term.args])
 
 
 def assert_scan_paths_agree(make_algebra, eqs):
     """``holds_in`` on a fresh algebra, which builds a table only when the
     scan would cost more, against the same algebra once every table the
     equation names is built: the same verdict and the same witness. A fresh
-    literal algebra makes at most min(pending, total × applications)
-    applies. Returns how many failures the fresh algebra found by evaluation."""
+    literal algebra makes at most min(pending, total × distinct App
+    subterms) applies. Returns how many failures the fresh algebra found
+    by evaluation."""
     evaluated_failures = 0
     for eq in eqs:
         algebra = make_algebra()
         scan = algebra.two_valued or algebra
-        ops = app_nodes(eq.lhs) + app_nodes(eq.rhs)
+        apps = app_subterms(eq.lhs) | app_subterms(eq.rhs)
+        ops = {app.op for app in apps}
         arity = scan.signature.arity
         n = scan.size()
-        bound = min(n ** len(eq.variables()) * len(ops), sum(n ** arity(op) for op in set(ops)))
+        bound = min(n ** len(eq.variables()) * len(apps), sum(n ** arity(op) for op in ops))
         fresh = holds_in(algebra, eq)
         if not fresh.holds and not all(op in scan.tables for op in ops):
             evaluated_failures += 1
-        for op in set(ops):
+        for op in ops:
             scan.table(op)
         tabled = holds_in(algebra, eq)
         assert (tabled.holds, tabled.witness) == (fresh.holds, fresh.witness), format_equation(eq)

@@ -222,7 +222,7 @@ class TestHoldsIn:
 
     @pytest.mark.parametrize("holds", [True, False])
     def test_closed_equation_builds_no_table(self, monkeypatch, holds):
-        # one assignment costs 8 applies, 4 App nodes a side, against 273
+        # one assignment costs 5 applies, one per distinct subterm, against 273
         # table entries (256 for f, 16 for g, 1 for c) in the two-valued algebra
         from convalg import RelationalStructure, Signature
 
@@ -243,9 +243,44 @@ class TestHoldsIn:
         algebra = ConvolutionAlgebra(chain_lattice(3), s)
         assert holds_in(algebra, eq).holds == holds
         assert algebra.two_valued.tables == {} and algebra.tables == {}
-        # at most 8 in 2^X, then 8 more over chain:3 to certify a failure
-        assert applied.count(2) <= 8
+        # 5 in 2^X, then 8 over chain:3, one per App node, to certify a failure
+        assert applied.count(2) == 5
         assert applied.count(4) == (0 if holds else 8)
+
+    def test_scan_never_calls_eval_term(self, monkeypatch, four_point_structure):
+        # a closed equation on the apply path, commutativity on the table path
+        import convalg.terms
+        from convalg import RelationalStructure, Signature
+
+        def refuse(*args):
+            raise AssertionError("the scan must not share eval_term with its oracle")
+
+        monkeypatch.setattr(convalg.terms, "eval_term", refuse)
+        c, v, w = App("c", ()), Var("v"), Var("w")
+        closed = Equation(App("f", (c, App("g", (c,)))), App("g", (App("f", (c, c)),)))
+        comm = Equation(App("f", (v, w)), App("f", (w, v)))
+        sig = Signature((("c", 0), ("g", 1), ("f", 2)))
+        rels = {"c": {("x1",)}, "g": {("x1", "x2"), ("x2", "x1")}, "f": {("x1", "x1", "x2")}}
+        s = RelationalStructure(("x1", "x2"), sig, rels)
+        algebra = ComplexAlgebra(s)
+        assert not holds_in(algebra, closed).holds and algebra.tables == {}
+        algebra = ComplexAlgebra(four_point_structure)
+        assert not holds_in(algebra, comm).holds and set(algebra.tables) == {"f"}
+
+    def test_leaves_no_cyclic_garbage(self, four_point_structure, wedge_lattice):
+        sig = four_point_structure.signature
+        eqs = random_equations(sig, 12, seed=5, max_depth=2, max_vars=2)
+        gc.collect()
+        gc.disable()
+        try:
+            for algebra in (ComplexAlgebra(four_point_structure),
+                            ConvolutionAlgebra(wedge_lattice, four_point_structure)):
+                for eq in eqs:
+                    holds_in(algebra, eq)
+            same_equations_report(wedge_lattice, four_point_structure, eqs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_reduced_route_applies_only_on_two_valued_maps(
         self, monkeypatch, four_point_structure, wedge_lattice
