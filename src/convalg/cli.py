@@ -197,8 +197,6 @@ _GROUPS = ("lattice", "conv", "complex", "etale", "equations", "type2", "paper-d
 def _build_parser(only=None):
     """The argparse tree: every group, or with ``only`` that group alone."""
     parser = argparse.ArgumentParser(prog="convalg", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--records", action="store_true", help="machine-parseable key=value output")
     # One-group usage lines list every group as the full tree does; the full
     # tree sets no metavar, which its `required: command` error would name.
     metavar = None if only is None else "{" + ",".join(_GROUPS) + "}"
@@ -208,7 +206,8 @@ def _build_parser(only=None):
         return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
     def command(parent, name, func, **kwargs):
-        p = parent.add_parser(name, parents=[common], **kwargs)
+        p = parent.add_parser(name, **kwargs)
+        p.add_argument("--records", action="store_true", help="machine-parseable key=value output")
         p.set_defaults(func=func)
         return p
 

@@ -400,8 +400,11 @@ def check_heyting_laws(lat, max_subset_size=2):
     carrying the first counterexample instead of raising. Raises
     CapacityError before checking anything when the planned check count
     exceeds ``MAX_LAW_CHECKS``. Asks n^2 ``leq``, ``meet`` and ``impl``
-    questions each; every scan over elements is a mask test whose lowest
-    bit is the first witness. Answers outside ``elements`` go to ``leq``.
+    questions each and each ``join_all`` once: a checked subset's join
+    also answers the distributive law's right-hand side over that subset.
+    Every scan over elements is a mask test whose lowest bit is the first
+    witness. An answer that is one of ``elements`` is placed by identity,
+    any other by equality; answers outside ``elements`` go to ``leq``.
     """
     if max_subset_size < 0:
         raise ValueError(f"max_subset_size must be nonnegative, got {max_subset_size}")
@@ -423,12 +426,17 @@ def check_heyting_laws(lat, max_subset_size=2):
 
     up = _up_sets(els, lat.leq)
     down = [sum(1 << i for i, u in enumerate(up) if u >> j & 1) for j in range(n)]
-    pos, vals = dict(lat.index), list(els)
+    by_id, index = {id(e): i for i, e in enumerate(els)}, lat.index
+    outside, vals = {}, list(els)
 
-    def code(v):
-        p = pos.get(v)
-        if p is None:
-            p = pos[v] = len(vals)
+    def element(v):  # v's position in els, by identity before equality; None outside els
+        p = by_id.get(id(v))
+        return p if p is not None and els[p] is v else index.get(v)
+
+    def code(v):  # v's position in vals, which appends each new value outside els
+        p = element(v)
+        if p is None and (p := outside.get(v)) is None:
+            p = outside[v] = len(vals)
             vals.append(v)
             up.append(sum(1 << k for k, u in enumerate(els) if lat.leq(v, u)))
             down.append(sum(1 << k for k, u in enumerate(els) if lat.leq(u, v)))
@@ -451,7 +459,8 @@ def check_heyting_laws(lat, max_subset_size=2):
     if lat.meet_all(()) != lat.top:
         return fail("bounds", "empty meet is not top")
 
-    subsets = [ps for k in range(1, max_subset_size + 1) for ps in combinations(range(n), k)]
+    sizes = range(1, min(max_subset_size, n) + 1)
+    subsets = [ps for k in sizes for ps in combinations(range(n), k)]
     subsets = [(ps, tuple(els[p] for p in ps)) for ps in subsets + [tuple(range(n))]]
     joins = []
     for ps, s in subsets:
@@ -472,15 +481,19 @@ def check_heyting_laws(lat, max_subset_size=2):
             return fail("glb", f"meet of {s!r} is not greatest (witness {els[k]!r})")
 
     meet = [[code(lat.meet(a, b)) for b in els] for a in els]
-    rhs_of = {}  # join of the meets, by their positions
-    for (i, a), ((ps, s), j) in product(enumerate(els), zip(subsets, joins)):
-        checks += 1
-        lhs = meet[i][j] if j < n else code(lat.meet(a, vals[j]))
-        key = tuple(map(meet[i].__getitem__, ps))
-        if (rhs := rhs_of.get(key)) is None:
-            rhs = rhs_of[key] = code(lat.join_all([vals[p] for p in key]))
-        if lhs != rhs:
-            return fail("distributivity", f"{a!r} meet join{s!r}: {vals[lhs]!r} != {vals[rhs]!r}")
+    # join of the meets, by their positions; each checked subset's join is known
+    rhs_of = {ps: j for (ps, _), j in zip(subsets, joins)}
+    for i, a in enumerate(els):
+        row = meet[i]
+        for (ps, s), j in zip(subsets, joins):
+            checks += 1
+            lhs = row[j] if j < n else code(lat.meet(a, vals[j]))
+            key = tuple(map(row.__getitem__, ps))
+            if (rhs := rhs_of.get(key)) is None:
+                rhs = rhs_of[key] = code(lat.join_all([vals[p] for p in key]))
+            if lhs != rhs:
+                detail = f"{a!r} meet join{s!r}: {vals[lhs]!r} != {vals[rhs]!r}"
+                return fail("distributivity", detail)
 
     # below[j] holds the w with (w meet a) <= els[j]: the up-sets of the meets as
     # binary strings, w = n - 1 first, transposed by zip and read back as masks
@@ -490,7 +503,7 @@ def check_heyting_laws(lat, max_subset_size=2):
         below = [int("".join(col), 2) for col in zip(*rows)][::-1]
         for j, b in enumerate(els):
             c = lat.impl(a, b)
-            p = lat.index.get(c)
+            p = element(c)
             checks += 1
             if p is None:
                 return fail("adjunction", f"impl({a!r}, {b!r}) left the lattice")

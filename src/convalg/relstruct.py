@@ -25,11 +25,8 @@ class Signature:
         for name, arity in self.symbols:
             if arity < 0:
                 raise ValueError(f"negative arity for {name}")
+        object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "_arities", dict(self.symbols))
-
-    @property
-    def names(self):
-        return tuple(name for name, _ in self.symbols)
 
     def arity(self, name):
         try:

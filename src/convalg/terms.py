@@ -310,22 +310,23 @@ def random_equations(signature, count, seed=0, max_depth=3, max_vars=3):
     rng = random.Random(seed)
     var_names = ["v", "w", "u", "s", "t"][:max_vars]
     nullary = [name for name in signature.names if signature.arity(name) == 0]
-    vocab = signature, var_names, nullary
-    return [Equation(_random_term(rng, max_depth, *vocab), _random_term(rng, max_depth, *vocab))
+    vocab = signature, var_names, nullary, var_names + nullary, var_names + list(signature.names)
+    return [Equation(_random_term(rng, max_depth, vocab), _random_term(rng, max_depth, vocab))
             for _ in range(count)]
 
 
-def _random_term(rng, depth, signature, var_names, nullary):
+def _random_term(rng, depth, vocab):
     # Not a closure: a recursive closure refers to its own cell, a cycle
-    # that keeps rng alive until the collector runs.
+    # that keeps rng alive until the collector runs. ``leaves`` and ``nodes``
+    # are the draws at depth 0 and above it, built once per call of random_equations.
+    signature, var_names, nullary, leaves, nodes = vocab
     if depth == 0:
-        choice = rng.choice(var_names + nullary)
+        choice = rng.choice(leaves)
         if choice in nullary:
             return App(choice, ())
         return Var(choice)
-    choice = rng.choice(var_names + list(signature.names))
+    choice = rng.choice(nodes)
     if choice in var_names:
         return Var(choice)
     arity = signature.arity(choice)
-    vocab = signature, var_names, nullary
-    return App(choice, tuple(_random_term(rng, depth - 1, *vocab) for _ in range(arity)))
+    return App(choice, tuple(_random_term(rng, depth - 1, vocab) for _ in range(arity)))

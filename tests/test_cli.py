@@ -265,6 +265,15 @@ class TestLatticeCheck:
         assert out == ""
         assert err.startswith("error:") and "bound" in err
 
+    def test_subset_size_past_the_lattice_is_capped(self, capsys):
+        argv = ["lattice", "check", "--lattice", "chain:3", "--records", "--max-subset-size"]
+        rc, expected, _ = run(capsys, [*argv, "4"])
+        t0 = time.perf_counter()
+        rc_large, out, err = run(capsys, [*argv, "300000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert (rc, rc_large, err) == (0, 0, "")
+        assert out == expected and "checks=394\n" in out
+
     def test_chain_selector_bound(self):
         # chain:169 is the longest chain whose order laws fit MAX_LAW_CHECKS
         assert len(_load_lattice("chain:169").elements) == 170

@@ -10,6 +10,7 @@ from convalg import (
     FiniteTopology,
     ConstantRelationalEtale,
     EtaleSubobject,
+    GridFunction,
     LatticeMap,
     RelationalStructure,
     Signature,
@@ -19,6 +20,7 @@ from convalg import (
     empty_subobject,
     enumerate_maps,
     fiberwise_rel_image,
+    grid_conv_oracle,
     interval_structure,
     make_topology,
     map_leq,
@@ -26,8 +28,10 @@ from convalg import (
     per_fiber_rel_image,
     phi,
     phi_inverse,
+    random_grid_step,
     random_map,
     rel_image,
+    sample_to_grid,
     sub_impl,
     sub_intersection,
     sub_leq,
@@ -474,3 +478,37 @@ class TestVerifyMainIso:
                 lhs = phi(lat, conv_op(lat, s, "f", [a, b]))
                 rhs = fiberwise_rel_image(rel_etale, "f", [phi(lat, a), phi(lat, b)])
                 assert lhs == rhs
+
+
+class TestType2ThroughEtale:
+    """The finite instance of the type-2 isomorphism: the interval structure on
+    the grid 0, 1/8, ..., 1 lifted over the lower topology on 12 points, whose
+    opens are the initial segments. A grid function with values k/12 is the
+    subobject whose section at x holds the first 12 g(x) points; both image
+    routes of the lifted relations give the brute-force grid convolution."""
+
+    N, M = 8, 12
+
+    def lift(self, rel_etale, g):
+        sizes = [self.M * v for v in g.values]
+        assert all(k.denominator == 1 for k in sizes)
+        sections = [frozenset(range(int(k))) for k in sizes]
+        return EtaleSubobject.from_sections(rel_etale.etale, zip(rel_etale.etale.fibers, sections))
+
+    def lower(self, sub):
+        return GridFunction(self.N, [Fraction(len(a), self.M) for a in sub.sections.values()])
+
+    def test_routes_match_the_grid_oracle(self):
+        opens = frozenset(frozenset(range(k)) for k in range(self.M + 1))
+        lower = FiniteTopology(frozenset(range(self.M)), opens)
+        rel_etale = ConstantRelationalEtale(interval_structure(self.N), lower)
+        rng, checks = random.Random(0), 0
+        for _ in range(200):
+            a, b = (sample_to_grid(random_grid_step(rng, self.N), self.N) for _ in range(2))
+            for op, args in (("join", (a, b)), ("meet", (a, b)), ("neg", (a,))):
+                expected = grid_conv_oracle(self.N, op, *args)
+                subs = [self.lift(rel_etale, g) for g in args]
+                for route in (fiberwise_rel_image, per_fiber_rel_image):
+                    assert self.lower(route(rel_etale, op, subs)) == expected, (op, args)
+                    checks += 1
+        assert checks == 1200

@@ -653,6 +653,30 @@ BROKEN = {
 }
 
 
+class FreshChain(ChainLattice):
+    """chain:n whose answers are fresh objects, equal to its elements but none of them."""
+
+    def join_all(self, items):
+        return Fraction(super().join_all(items))
+
+    def meet_all(self, items):
+        return Fraction(super().meet_all(items))
+
+    def meet(self, a, b):
+        return Fraction(super().meet(a, b))
+
+    def impl(self, a, b):
+        return Fraction(super().impl(a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_law_checker_matches_literal_checker_on_fresh_answers(n):
+    lat = FreshChain(n)
+    a = lat.elements[-1]
+    assert lat.meet(a, a) == a and lat.meet(a, a) is not a and lat.impl(a, a) is not a
+    assert_same_laws(lat)
+
+
 @pytest.mark.parametrize("name", BROKEN)
 def test_law_checker_matches_literal_checker_on_broken_lattices(name):
     lat, law = BROKEN[name]
