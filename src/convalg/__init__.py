@@ -4,17 +4,13 @@ from .complexalg import all_subsets, char_map, characteristic_iso, rel_image, su
 from .convolution import (
     CapacityError,
     LatticeMap,
-    bottom_map,
-    constant_map,
     conv_op,
     enumerate_maps,
-    map_leq,
     pointwise_impl,
     pointwise_join,
     pointwise_meet,
     pointwise_neg,
     random_map,
-    top_map,
 )
 from .etale import (
     ConstantEtale,
@@ -24,14 +20,11 @@ from .etale import (
     fiberwise_rel_image,
     per_fiber_rel_image,
     phi,
-    phi_inverse,
     sub_impl,
     sub_intersection,
-    sub_leq,
     sub_neg,
     sub_union,
     verify_main_iso,
-    whole_subobject,
 )
 from .lattice import (
     ChainLattice,
@@ -41,7 +34,6 @@ from .lattice import (
     chain_lattice,
     check_heyting_laws,
     enumerate_topologies,
-    lattice_from_order,
     make_topology,
     open_set_heyting,
 )
@@ -72,7 +64,6 @@ from .type2 import (
     random_grid_step,
     random_step,
     sample_to_grid,
-    step_from_grid,
     sup_left,
     sup_right,
     t2_constants,

@@ -26,7 +26,6 @@ from .formats import (
     format_element,
     format_map,
     format_step_function,
-    format_subset,
     parse_equations,
     parse_lattice_map,
     parse_step_function,
@@ -94,7 +93,7 @@ def cmd_conv_eval(args):
 def cmd_complex_eval(args):
     structure = parse_structure(_read(args.structure), args.structure)
     subsets = [parse_subset(tok) for tok in args.arg or []]
-    result = format_subset(rel_image(structure, args.relation, subsets))
+    result = format_element(rel_image(structure, args.relation, subsets))
     return 0, [("result", result)], result
 
 

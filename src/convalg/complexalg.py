@@ -110,15 +110,20 @@ def characteristic_iso(structure, exhaustive=None, trials=200, seed=0):
     if tuples > MAX_MAPS:
         raise CapacityError(f"{tuples} argument tuples exceed the bound {MAX_MAPS}")
     two = chain_lattice(1)
-    subsets = all_subsets(carrier)
+    subsets = all_subsets(carrier) if exhaustive else None
     rng = random.Random(seed)
+
+    def draw():
+        """A random subset: bit i of one ``getrandbits`` selects ``carrier[i]``."""
+        bits = rng.getrandbits(len(carrier))
+        return frozenset([x for i, x in enumerate(carrier) if bits >> i & 1])
 
     def cases():
         for name, n in sig.symbols:
             if exhaustive:
                 tuples = product(subsets, repeat=n)
             else:
-                tuples = (tuple(rng.choice(subsets) for _ in range(n)) for _ in range(trials))
+                tuples = (tuple(draw() for _ in range(n)) for _ in range(trials))
             for args in tuples:
                 image = rel_image(structure, name, args)
                 maps = [char_map(two, carrier, a) for a in args]

@@ -74,10 +74,6 @@ class LatticeMap:
     def __call__(self, x):
         return self.values[x]
 
-    def key(self):
-        """Hashable identity over one lattice and carrier: the codes."""
-        return self.codes
-
 
 def _check_compatible(a, b):
     if tuple(a.carrier) != tuple(b.carrier):
@@ -140,25 +136,6 @@ def pointwise_neg(a):
     lat = a.lattice
     bottom, impl = lat.bottom_code, lat.impl_table
     return LatticeMap(a.carrier, lat, tuple([impl[i][bottom] for i in a.codes]))
-
-
-def constant_map(carrier, lattice, value):
-    return LatticeMap.from_values(carrier, lattice, {x: value for x in carrier})
-
-
-def bottom_map(carrier, lattice):
-    return constant_map(carrier, lattice, lattice.bottom)
-
-
-def top_map(carrier, lattice):
-    return constant_map(carrier, lattice, lattice.top)
-
-
-def map_leq(a, b):
-    """Pointwise order on maps."""
-    _check_compatible(a, b)
-    els, leq = a.lattice.elements, a.lattice.leq
-    return all(leq(els[i], els[j]) for i, j in zip(a.codes, b.codes))
 
 
 def enumerate_maps(lattice, carrier):

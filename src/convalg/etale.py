@@ -81,10 +81,6 @@ class EtaleSubobject:
         return tuple(_transpose(self.masks, len(self.parent.base.points)))
 
 
-def whole_subobject(parent):
-    return EtaleSubobject(parent, (parent.base.mask_of[parent.base.points],) * len(parent.fibers))
-
-
 def empty_subobject(parent):
     return EtaleSubobject(parent, (0,) * len(parent.fibers))
 
@@ -136,15 +132,6 @@ def phi(lattice, alpha):
         raise ValueError("map does not live over the given lattice")
     parent, masks = _bundle(tuple(alpha.carrier), lattice.topology), lattice.open_masks
     return EtaleSubobject(parent, tuple([masks[c] for c in alpha.codes]))
-
-
-def phi_inverse(lattice, sub):
-    """Map form of a subobject: inverse of :func:`phi`."""
-    if not isinstance(lattice, OpenSetLattice):
-        raise ValueError("phi_inverse requires an open-set lattice")
-    if sub.parent.base != lattice.topology:
-        raise ValueError("subobject base does not match the lattice's topology")
-    return LatticeMap.from_values(sub.parent.fibers, lattice, sub.sections)
 
 
 def _checked_plan(rel_etale, name, args):
@@ -229,11 +216,6 @@ def sub_impl(a, b):
 
 def sub_neg(a):
     return sub_impl(a, empty_subobject(a.parent))
-
-
-def sub_leq(a, b):
-    _check_same_parent(a, b)
-    return all(p & q == p for p, q in zip(a.masks, b.masks))
 
 
 def _format_maps(maps):

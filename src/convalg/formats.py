@@ -127,10 +127,7 @@ def _parse_value(token, lattice, i, path):
     if token.startswith("{"):
         value = parse_subset(token)
     else:
-        try:
-            value = Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad lattice value {token!r}", i, path) from None
+        value = _parse_fraction(token, i, path, "lattice value")
     if value not in lattice.index:
         raise ParseError(f"{token!r} is not an element of the lattice", i, path)
     return value
@@ -156,12 +153,15 @@ def parse_lattice_map(text, carrier, lattice, path=None):
     return LatticeMap.from_values(carrier, lattice, values)
 
 
-def _parse_fraction(token, i, path):
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {token!r}", i, path) from None
-    return value
+def _parse_fraction(token, i, path, what="rational"):
+    """The rational a token writes. Exponent notation is refused before ``Fraction``
+    sees it, because ``Fraction`` computes 10**exp before any range check."""
+    if "e" not in token and "E" not in token:
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"bad {what} {token!r}", i, path)
 
 
 def parse_step_function(text, path=None):
@@ -285,10 +285,6 @@ def format_element(value):
     if isinstance(value, frozenset):
         return "{" + " ".join(str(x) for x in sorted(value)) + "}"
     return str(value)
-
-
-def format_subset(s):
-    return format_element(frozenset(s))
 
 
 def format_map(m):

@@ -272,16 +272,6 @@ def _up_sets(elements, leq):
     return [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
 
 
-def lattice_from_order(elements, below):
-    """Finite lattice from an explicit order.
-
-    ``below`` is a collection of (a, b) pairs meaning a <= b; reflexive
-    pairs are implied. The caller supplies a transitively closed order.
-    """
-    rel = set(below) | {(e, e) for e in elements}
-    return FiniteLattice(elements, lambda a, b: (a, b) in rel)
-
-
 class OpenSetLattice(FiniteLattice):
     """Heyting algebra of the opens of a finite topological space.
 

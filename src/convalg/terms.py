@@ -129,7 +129,7 @@ class ConvolutionAlgebra(_TabledAlgebra):
         return self._elements
 
     def element_key(self, el):
-        return el.key()
+        return el.codes
 
 
 def _crisp(lattice, m):

@@ -224,8 +224,6 @@ class GridFunction:
     nums: tuple
 
     def __init__(self, size, values):
-        if size < 1:
-            raise ValueError("grid size must be a positive integer")
         if len(values) != size + 1:
             raise ValueError("value count must be size + 1")
         self.__dict__.update(vars(_grid(size, *_encode(values))))
@@ -240,7 +238,7 @@ class GridFunction:
 
 
 def _grid(size, den, nums):
-    if size < 1:
+    if type(size) is not int or size < 1:
         raise ValueError("grid size must be a positive integer")
     g = _lowest(GridFunction, den, nums=nums)
     g.__dict__["size"] = size
@@ -309,19 +307,6 @@ def sample_to_grid(f, n):
         values.extend([v] * (nxt - k - 1))
     values.append(f.pvs[-1])
     return _grid(n, f.den, values)
-
-
-def step_from_grid(g):
-    """Embed a grid function as a step function with grid-attained suprema.
-
-    Every grid point becomes a breakpoint and each unit interval takes
-    the smaller neighbouring point value, so the continuous envelopes of
-    the result agree with the discrete envelopes of g on the grid.
-    """
-    den = lcm(g.size, g.den)
-    pvs = [v * (den // g.den) for v in g.nums]
-    ivs = [min(a, b) for a, b in zip(pvs, pvs[1:])]
-    return _step(den, range(0, den + 1, den // g.size), pvs, ivs)
 
 
 def random_grid_step(rng, n, value_denominator=12, max_interior=4):

@@ -164,12 +164,12 @@ def test_criterion_2_main_isomorphism(wedge_topology, wedge_lattice, four_point_
             for s in structures:
                 rel_etale = ConstantRelationalEtale(s, topo)
                 maps = list(enumerate_maps(lat, s.carrier))
-                sections = {m.key(): phi(lat, m) for m in maps}
+                sections = {m.codes: phi(lat, m) for m in maps}
                 for name in s.signature.names:
                     arity = s.signature.arity(name)
                     for args in product(maps, repeat=arity):
                         lhs = phi(lat, conv_op(lat, s, name, list(args)))
-                        subs = [sections[a.key()] for a in args]
+                        subs = [sections[a.codes] for a in args]
                         assert lhs == fiberwise_rel_image(rel_etale, name, subs)
                         assert lhs == per_fiber_rel_image(rel_etale, name, subs)
                         checks += 1

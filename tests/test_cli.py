@@ -103,6 +103,33 @@ class TestConvEval:
         ]
 
 
+class TestExponentTokens:
+    """Exponent notation is a parse error naming the line, refused before ``Fraction``
+    would compute 10**1000000."""
+
+    @pytest.mark.parametrize(
+        "text,token",
+        [
+            ("point 0 -> 1\npoint 1e-1000000 -> 1\n", "1e-1000000"),
+            ("point 1/2 -> 1\npoint 0 -> 5E-1\n", "5E-1"),
+        ],
+        ids=["point", "value"],
+    )
+    def test_step_function_file(self, capsys, tmp_path, text, token):
+        f = tmp_path / "f.txt"
+        f.write_text(text)
+        rc, out, err = run(capsys, ["type2", "eval", "--op", "neg", "-a", str(f)])
+        assert (rc, out, err) == (2, "", f"error: {f}:2: bad rational {token!r}\n")
+
+    def test_lattice_map_file(self, capsys, tmp_path, demo_files):
+        f = tmp_path / "m.txt"
+        f.write_text("x1 -> 0\nx2 -> 1e-1000000\nx3 -> 0\nx4 -> 1\n")
+        argv = ["conv", "eval", "--lattice", "chain:2", "--structure", demo_files["structure.txt"],
+                "--relation", "f", "--arg", str(f), "--arg", str(f)]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (2, "", f"error: {f}:2: bad lattice value '1e-1000000'\n")
+
+
 class TestComplexEval:
     def test_image(self, capsys, demo_files):
         rc, out, _ = run(
@@ -224,9 +251,12 @@ class TestEquationsCheck:
         # A two-valued counterexample whose lift holds falsifies the package,
         # so it must escape main rather than exit 2 as a usage or input error.
         import convalg.terms
-        from convalg import bottom_map
+        from convalg import LatticeMap
 
-        monkeypatch.setattr(convalg.terms, "_crisp", lambda lat, m: bottom_map(m.carrier, lat))
+        def bottom(lat, m):
+            return LatticeMap(m.carrier, lat, (lat.bottom_code,) * len(m.carrier))
+
+        monkeypatch.setattr(convalg.terms, "_crisp", bottom)
         argv = ["equations", "check", "--lattice", "chain:2",
                 "--structure", demo_files["structure.txt"], "--eqs", demo_files["eqs.txt"]]
         message = r"^\(f v w\) = \(f w v\) holds at the crisp lift of its two-valued counterexample"

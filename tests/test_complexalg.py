@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -13,7 +14,7 @@ from convalg import (
     char_map,
     characteristic_iso,
     interval_structure,
-    map_leq,
+    pointwise_meet,
     rel_image,
     relation_from_operation,
     subset_from_map,
@@ -97,7 +98,8 @@ class TestCharacteristicIso:
         subsets = all_subsets(carrier)
         for a in subsets:
             for b in subsets:
-                assert (a <= b) == map_leq(char_map(two, carrier, a), char_map(two, carrier, b))
+                ca, cb = char_map(two, carrier, a), char_map(two, carrier, b)
+                assert (a <= b) == (pointwise_meet(ca, cb) == ca)
 
     def test_char_map_matches_values(self, four_point_structure):
         carrier = four_point_structure.carrier
@@ -129,8 +131,8 @@ class TestCharacteristicIso:
             (
                 False,
                 50,
-                5,
-                "f(['x1', 'x4'], ['x1', 'x3']): image ['x1'] vs convolution ['x1', 'x4']",
+                3,
+                "f(['x1', 'x3'], ['x2', 'x3', 'x4']): image [] vs convolution ['x4']",
             ),
         ],
         ids=["exhaustive", "sampled"],
@@ -180,6 +182,30 @@ class TestCharacteristicIso:
         s = RelationalStructure(tuple(range(10)), Signature((("g", 2),)), {"g": {(0, 1, 2)}})
         report = characteristic_iso(s, exhaustive=False, trials=3)
         assert (report.ok, report.mode, report.checked) == (True, "sampled", 3)
+
+    def test_sampled_mode_draws_subsets_without_listing_them(self, monkeypatch):
+        # 2^19 subsets would take seconds and hundreds of MiB to list; bit i of one
+        # getrandbits(19) per argument selects carrier[i]
+        def refuse(carrier):
+            raise AssertionError("sampled mode listed every subset")
+
+        def recording(s, name, args):
+            drawn.append(args)
+            return rel_image(s, name, args)
+
+        drawn = []
+        monkeypatch.setattr(convalg.complexalg, "all_subsets", refuse)
+        monkeypatch.setattr(convalg.complexalg, "rel_image", recording)
+        carrier = tuple(range(19))
+        s = RelationalStructure(carrier, Signature((("g", 1),)), {"g": {(x, x) for x in carrier}})
+        report = characteristic_iso(s, exhaustive=False, trials=4, seed=9)
+        assert (report.ok, report.mode, report.checked) == (True, "sampled", 4)
+        rng = random.Random(9)
+        want = []
+        for _ in range(4):
+            bits = rng.getrandbits(19)
+            want.append((frozenset(x for x in carrier if bits >> x & 1),))
+        assert drawn == want
 
     def test_large_carrier_needs_explicit_mode(self):
         carrier = tuple("abcdefg")

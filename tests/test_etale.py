@@ -14,7 +14,6 @@ from convalg import (
     LatticeMap,
     RelationalStructure,
     Signature,
-    bottom_map,
     chain_lattice,
     conv_op,
     empty_subobject,
@@ -23,23 +22,19 @@ from convalg import (
     grid_conv_oracle,
     interval_structure,
     make_topology,
-    map_leq,
     open_set_heyting,
     per_fiber_rel_image,
     phi,
-    phi_inverse,
+    pointwise_meet,
     random_grid_step,
     random_map,
     rel_image,
     sample_to_grid,
     sub_impl,
     sub_intersection,
-    sub_leq,
     sub_neg,
     sub_union,
-    top_map,
     verify_main_iso,
-    whole_subobject,
 )
 from convalg.etale import worked_example
 
@@ -48,15 +43,25 @@ def fs(*labels):
     return frozenset(labels)
 
 
+def whole_sub(parent):
+    """The subobject whose every section is the whole base."""
+    return EtaleSubobject(parent, (parent.base.mask_of[parent.base.points],) * len(parent.fibers))
+
+
+def constant(lattice, carrier, code):
+    return LatticeMap(tuple(carrier), lattice, (code,) * len(carrier))
+
+
 class TestPhi:
     def test_constant_top_is_whole_bundle(self, wedge_lattice, wedge_topology):
         carrier = ("p", "q")
-        sub = phi(wedge_lattice, top_map(carrier, wedge_lattice))
-        assert sub == whole_subobject(ConstantEtale(carrier, wedge_topology))
+        sub = phi(wedge_lattice, constant(wedge_lattice, carrier, wedge_lattice.top_code))
+        assert sub.sections == {x: wedge_topology.points for x in carrier}
+        assert sub == whole_sub(ConstantEtale(carrier, wedge_topology))
 
     def test_constant_bottom_is_empty(self, wedge_lattice, wedge_topology):
         carrier = ("p", "q")
-        sub = phi(wedge_lattice, bottom_map(carrier, wedge_lattice))
+        sub = phi(wedge_lattice, constant(wedge_lattice, carrier, wedge_lattice.bottom_code))
         assert sub == empty_subobject(ConstantEtale(carrier, wedge_topology))
 
     def test_lower_segment_bars(self):
@@ -81,19 +86,21 @@ class TestPhi:
         carrier = ("p", "q")
         for alpha in enumerate_maps(wedge_lattice, carrier):
             sub = phi(wedge_lattice, alpha)
-            assert phi_inverse(wedge_lattice, sub) == alpha
-            assert phi(wedge_lattice, phi_inverse(wedge_lattice, sub)) == sub
+            back = LatticeMap.from_values(sub.parent.fibers, wedge_lattice, sub.sections)
+            assert back == alpha
+            assert phi(wedge_lattice, back) == sub
 
     def test_order_isomorphism(self, wedge_lattice):
         carrier = ("p",)
         maps = list(enumerate_maps(wedge_lattice, carrier))
         for a in maps:
             for b in maps:
-                assert map_leq(a, b) == sub_leq(phi(wedge_lattice, a), phi(wedge_lattice, b))
+                below = phi(wedge_lattice, a).sections["p"] <= phi(wedge_lattice, b).sections["p"]
+                assert (pointwise_meet(a, b) == a) == below
 
     def test_requires_open_set_lattice(self, four_point_structure):
         lat = chain_lattice(2)
-        alpha = bottom_map(four_point_structure.carrier, lat)
+        alpha = constant(lat, four_point_structure.carrier, lat.bottom_code)
         with pytest.raises(ValueError):
             phi(lat, alpha)
 
@@ -112,14 +119,14 @@ class TestPhi:
         assert all(sub.parent is subs[0].parent for sub in subs)
         # one bundle per carrier and topology object, whichever lattice or étalé asks for it
         other = open_set_heyting(wedge_topology)
-        assert phi(other, bottom_map(carrier, other)).parent is subs[0].parent
+        assert phi(other, constant(other, carrier, other.bottom_code)).parent is subs[0].parent
         s = RelationalStructure(carrier, Signature((("g", 1),)), {"g": {("p", "q")}})
         assert ConstantRelationalEtale(s, wedge_topology).etale is subs[0].parent
         # an equal but distinct topology has its own bundle, equal to this one
         twin = FiniteTopology(wedge_topology.points, wedge_topology.opens)
         assert twin == wedge_topology and hash(twin) == hash(wedge_topology)
         lattice = open_set_heyting(twin)
-        fresh = phi(lattice, bottom_map(carrier, lattice))
+        fresh = phi(lattice, constant(lattice, carrier, lattice.bottom_code))
         assert fresh.parent is not subs[0].parent
         assert fresh.parent == subs[0].parent == ConstantEtale(carrier, wedge_topology)
         assert fiberwise_rel_image(ConstantRelationalEtale(s, twin), "g", [subs[-1]]) == (
@@ -208,13 +215,13 @@ class TestFiberwiseRelImage:
     def test_total_functional_relation_on_whole_bundle(self, wedge_topology):
         s = interval_structure(1)
         rel_etale = ConstantRelationalEtale(s, wedge_topology)
-        whole = whole_subobject(rel_etale.etale)
+        whole = whole_sub(rel_etale.etale)
         assert fiberwise_rel_image(rel_etale, "join", [whole, whole]) == whole
 
     def test_empty_argument_gives_empty_result(self, thirds_topology, four_point_structure):
         rel_etale = ConstantRelationalEtale(four_point_structure, thirds_topology)
         empty = empty_subobject(rel_etale.etale)
-        whole = whole_subobject(rel_etale.etale)
+        whole = whole_sub(rel_etale.etale)
         assert fiberwise_rel_image(rel_etale, "f", [empty, whole]) == empty
 
     def test_agrees_with_per_fiber_route(self, wedge_topology, wedge_lattice, four_point_structure):
@@ -263,7 +270,7 @@ class TestFiberwiseRelImage:
     def test_argument_count_checked(self, thirds_topology, four_point_structure):
         rel_etale = ConstantRelationalEtale(four_point_structure, thirds_topology)
         with pytest.raises(ValueError):
-            fiberwise_rel_image(rel_etale, "f", [whole_subobject(rel_etale.etale)])
+            fiberwise_rel_image(rel_etale, "f", [whole_sub(rel_etale.etale)])
 
 
 class TestMalformedRelations:
@@ -301,7 +308,7 @@ class TestCachedViews:
     def test_plans_leave_identity_unchanged(self, thirds_topology, four_point_structure):
         rel_etale = ConstantRelationalEtale(four_point_structure, thirds_topology)
         before = repr(rel_etale)
-        whole = whole_subobject(rel_etale.etale)
+        whole = whole_sub(rel_etale.etale)
         fiberwise_rel_image(rel_etale, "f", [whole, whole])
         assert repr(rel_etale) == before
         twin = ConstantRelationalEtale(four_point_structure, thirds_topology)
@@ -318,7 +325,7 @@ class TestCachedViews:
 
         monkeypatch.setattr(RelationalStructure, "slot_masks", counting)
         rel_etale = ConstantRelationalEtale(four_point_structure, thirds_topology)
-        whole = whole_subobject(rel_etale.etale)
+        whole = whole_sub(rel_etale.etale)
         first = fiberwise_rel_image(rel_etale, "f", [whole, whole])
         assert built == ["f"]
         plan = rel_etale.plan("f")
@@ -331,7 +338,8 @@ class TestCachedViews:
         # over an equal but distinct topology, so that the étalé's own bundle is another object
         base = FiniteTopology(thirds_lattice.topology.points, thirds_lattice.topology.opens)
         rel_etale = ConstantRelationalEtale(four_point_structure, base)
-        subs = [phi(thirds_lattice, top_map(four_point_structure.carrier, thirds_lattice))] * 2
+        top = constant(thirds_lattice, four_point_structure.carrier, thirds_lattice.top_code)
+        subs = [phi(thirds_lattice, top)] * 2
         assert subs[0].parent is not rel_etale.etale
         for route in (fiberwise_rel_image, per_fiber_rel_image):
             assert route(rel_etale, "f", subs).parent is subs[0].parent
@@ -362,11 +370,11 @@ class TestSubobjectOps:
         rng = random.Random(23)
         alpha = random_map(rng, wedge_lattice, ("p", "q"))
         sub = phi(wedge_lattice, alpha)
-        assert sub_intersection(sub, whole_subobject(sub.parent)) == sub
+        assert sub_intersection(sub, whole_sub(sub.parent)) == sub
 
     def test_neg_of_empty_is_whole(self, wedge_topology):
         parent = ConstantEtale(("p", "q"), wedge_topology)
-        assert sub_neg(empty_subobject(parent)) == whole_subobject(parent)
+        assert sub_neg(empty_subobject(parent)) == whole_sub(parent)
 
     def test_subobject_count(self, wedge_lattice):
         carrier = ("p", "q")
@@ -389,8 +397,8 @@ class TestSubobjectOps:
             assert sub_impl(every, const).sections == {a: topo.impl(a, b) for a in parent.fibers}
 
     def test_union_parent_mismatch(self, wedge_topology, thirds_topology):
-        a = whole_subobject(ConstantEtale(("p",), wedge_topology))
-        b = whole_subobject(ConstantEtale(("p",), thirds_topology))
+        a = whole_sub(ConstantEtale(("p",), wedge_topology))
+        b = whole_sub(ConstantEtale(("p",), thirds_topology))
         with pytest.raises(ValueError):
             sub_union(a, b)
 

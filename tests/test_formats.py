@@ -24,7 +24,6 @@ from convalg.formats import (
     format_element,
     format_map,
     format_step_function,
-    format_subset,
     parse_equation,
     parse_equations,
     parse_lattice_map,
@@ -175,7 +174,7 @@ class TestMapFormat:
     def test_subset_literals(self):
         assert parse_subset("{x1 x3}") == frozenset({"x1", "x3"})
         assert parse_subset("{}") == frozenset()
-        assert format_subset({"x3", "x1"}) == "{x1 x3}"
+        assert format_element(frozenset({"x3", "x1"})) == "{x1 x3}"
         with pytest.raises(ParseError):
             parse_subset("x1 x3")
 
@@ -321,7 +320,7 @@ class TestRoundTrips:
     @given(st.frozensets(NAMES, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_subset(self, s):
-        assert parse_subset(format_subset(s)) == s
+        assert parse_subset(format_element(s)) == s
 
     @given(signatures(), st.integers(min_value=0, max_value=10**6), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)

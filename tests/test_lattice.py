@@ -17,7 +17,6 @@ from convalg import (
     check_heyting_laws,
     conv_op,
     enumerate_topologies,
-    lattice_from_order,
     make_topology,
     open_set_heyting,
     pointwise_join,
@@ -200,7 +199,7 @@ class TestCheckHeytingLaws:
     def test_m3_fails_distributivity(self):
         els = ("0", "p", "q", "r", "1")
         below = {("0", x) for x in els} | {(x, "1") for x in els}
-        m3 = lattice_from_order(els, below)
+        m3 = FiniteLattice(els, lambda a, b: a == b or (a, b) in below)
         report = check_heyting_laws(m3)
         assert not report.ok
         assert report.failure.law == "distributivity"
@@ -330,16 +329,16 @@ class TestEnumerateTopologies:
 
 class TestLatticeIdentity:
     def test_equality_includes_the_order(self):
-        up = lattice_from_order(("a", "b"), {("a", "b")})
-        down = lattice_from_order(("a", "b"), {("b", "a")})
+        up = FiniteLattice(("a", "b"), lambda x, y: x <= y)
+        down = FiniteLattice(("a", "b"), lambda x, y: x >= y)
         assert up != down
-        assert up == lattice_from_order(("a", "b"), {("a", "b")})
-        assert hash(up) == hash(lattice_from_order(("a", "b"), {("a", "b")}))
+        assert up == FiniteLattice(("a", "b"), lambda x, y: x <= y)
+        assert hash(up) == hash(FiniteLattice(("a", "b"), lambda x, y: x <= y))
         assert up.meet_table != down.meet_table
 
     def test_compatibility_checks_reject_a_map_over_the_reversed_order(self):
-        up = lattice_from_order(("a", "b"), {("a", "b")})
-        down = lattice_from_order(("a", "b"), {("b", "a")})
+        up = FiniteLattice(("a", "b"), lambda x, y: x <= y)
+        down = FiniteLattice(("a", "b"), lambda x, y: x >= y)
         s = RelationalStructure(("p",), Signature((("g", 1),)), {"g": {("p", "p")}})
         over_up = LatticeMap.from_values(("p",), up, {"p": "a"})
         over_down = LatticeMap.from_values(("p",), down, {"p": "a"})
@@ -370,7 +369,7 @@ class TestPositionTables:
         els = ("0", "a", "b", "c", "d", "1")
         below = {("0", x) for x in els} | {(x, "1") for x in els}
         below |= {(x, y) for x in ("a", "b") for y in ("c", "d")}
-        lat = lattice_from_order(els, below)
+        lat = FiniteLattice(els, lambda a, b: a == b or (a, b) in below)
         assert lat.bottom == "0" and lat.top == "1"
         with pytest.raises(ValueError, match="no least upper bound"):
             lat.join_table

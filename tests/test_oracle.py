@@ -49,7 +49,6 @@ from convalg import (
     Signature,
     Var,
     all_subsets,
-    bottom_map,
     chain_lattice,
     conv_op,
     enumerate_maps,
@@ -59,7 +58,6 @@ from convalg import (
     format_equation,
     grid_conv_oracle,
     holds_in,
-    lattice_from_order,
     make_topology,
     open_set_heyting,
     per_fiber_rel_image,
@@ -71,7 +69,6 @@ from convalg import (
     random_equations,
     random_map,
     rel_image,
-    top_map,
 )
 from convalg.convolution import count_maps
 from convalg.lattice import (
@@ -121,7 +118,7 @@ def n5():
     """The non-distributive pentagon 0 < a < b < 1, 0 < c < 1."""
     els = ("0", "a", "b", "c", "1")
     below = {("0", x) for x in els} | {(x, "1") for x in els} | {("a", "b")}
-    return lattice_from_order(els, below)
+    return FiniteLattice(els, lambda a, b: a == b or (a, b) in below)
 
 
 def lattices():
@@ -146,8 +143,8 @@ def test_conv_op_matches_literal_convolution(lattice):
                 result = conv_op(lattice, s, name, args)
                 assert result.values == literal_conv(lattice, s, name, args)
                 # canonical elements, and codes that name them
-                assert result.key() == tuple(lattice.index[result.values[x]] for x in s.carrier)
-                for x, code in zip(s.carrier, result.key()):
+                assert result.codes == tuple(lattice.index[result.values[x]] for x in s.carrier)
+                for x, code in zip(s.carrier, result.codes):
                     assert result.values[x] is lattice.elements[code]
 
 
@@ -255,7 +252,10 @@ def test_etale_routes_match_literal_oracles(topology):
     lattice = open_set_heyting(topology)
     rng = random.Random(len(topology.opens))
     for s in etale_structures(rng):
-        extremes = [[m(s.carrier, lattice) for _ in range(3)] for m in (bottom_map, top_map)]
+        extremes = [
+            [LatticeMap(s.carrier, lattice, (code,) * len(s.carrier))] * 3
+            for code in (lattice.bottom_code, lattice.top_code)
+        ]
         for name, arity in SIG.symbols:
             for args in extremes + [
                 [random_map(rng, lattice, s.carrier) for _ in range(3)] for _ in range(10)
@@ -320,7 +320,7 @@ def test_stalks_match_literal_transposition_on_larger_topologies(topology, size,
 def test_keys_are_positions_in_enumeration_order(lattice):
     carrier = ("p", "q", "r")
     maps = list(enumerate_maps(lattice, carrier))
-    keys = [m.key() for m in maps]
+    keys = [m.codes for m in maps]
     assert len(set(keys)) == len(maps)
     assert keys == list(product(range(len(lattice.elements)), repeat=len(carrier)))
     values = [tuple(m.values[x] for x in carrier) for m in maps]
@@ -381,7 +381,7 @@ def test_pointwise_ops_match_literal_references(lattice):
 def test_key_of_constructed_map_matches_enumerated_map():
     lattice = n5()
     built = LatticeMap.from_values(("p", "q"), lattice, {"p": "b", "q": "c"})
-    enumerated = [m for m in enumerate_maps(lattice, ("p", "q")) if m.key() == built.key()]
+    enumerated = [m for m in enumerate_maps(lattice, ("p", "q")) if m.codes == built.codes]
     assert enumerated == [built]
 
 
@@ -578,7 +578,8 @@ def assert_same_laws(lat):
 def m3():
     """The non-distributive diamond 0 < p, q, r < 1."""
     els = ("0", "p", "q", "r", "1")
-    return lattice_from_order(els, {("0", x) for x in els} | {(x, "1") for x in els})
+    below = {("0", x) for x in els} | {(x, "1") for x in els}
+    return FiniteLattice(els, lambda a, b: a == b or (a, b) in below)
 
 
 LAW_LATTICES = [open_set_heyting(t) for k in range(4) for t in enumerate_topologies(range(k))]
@@ -717,8 +718,7 @@ def test_law_checker_matches_literal_checker_on_perturbed_orders(lat):
 def chain_product(m, n):
     """The product of the chains 0 < ... < m-1 and 0 < ... < n-1, by its order."""
     els = list(product(range(m), range(n)))
-    below = {(a, b) for a, b in product(els, repeat=2) if a[0] <= b[0] and a[1] <= b[1]}
-    return lattice_from_order(els, below)
+    return FiniteLattice(els, lambda a, b: a[0] <= b[0] and a[1] <= b[1])
 
 
 DISTRIBUTIVE = [open_set_heyting(t) for t in SMALL_TOPOLOGIES]

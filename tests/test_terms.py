@@ -10,13 +10,13 @@ from convalg import (
     ComplexAlgebra,
     ConvolutionAlgebra,
     Equation,
+    FiniteLattice,
     Var,
     chain_lattice,
     eval_term,
     format_equation,
     holds_in,
     interval_structure,
-    lattice_from_order,
     make_topology,
     open_set_heyting,
     random_equations,
@@ -135,7 +135,8 @@ class TestHoldsIn:
             Equation(App("h", (v, v, w)), w): lambda h, a, b: (h(a, a, b), b),
         }
         els = ("0", "a", "b", "c", "1")
-        n5 = lattice_from_order(els, {("0", x) for x in els} | {(x, "1") for x in els} | {("a", "b")})
+        below = {("0", x) for x in els} | {(x, "1") for x in els} | {("a", "b")}
+        n5 = FiniteLattice(els, lambda a, b: a == b or (a, b) in below)
         chain = chain_lattice(2)
         cases = [
             (ComplexAlgebra(s), all_subsets(carrier), lambda *a: rel_image(s, "h", list(a))),
@@ -348,7 +349,8 @@ class TestSameEquationsReport:
 
     def test_non_heyting_lattice_rejected_every_time(self, four_point_structure):
         els = ("0", "p", "q", "r", "1")
-        m3 = lattice_from_order(els, {("0", x) for x in els} | {(x, "1") for x in els})
+        below = {("0", x) for x in els} | {(x, "1") for x in els}
+        m3 = FiniteLattice(els, lambda a, b: a == b or (a, b) in below)
         for _ in range(2):
             with pytest.raises(ValueError, match="^lattice is not Heyting: distributivity fails$"):
                 same_equations_report(m3, four_point_structure, [])

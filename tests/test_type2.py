@@ -17,7 +17,6 @@ from convalg import (
     random_grid_step,
     random_step,
     sample_to_grid,
-    step_from_grid,
     sup_left,
     sup_right,
     t2_constants,
@@ -27,6 +26,15 @@ from convalg import (
 )
 from convalg.convolution import LatticeMap
 from convalg.type2 import MAX_GRID_PAIRS
+
+
+def step_from_grid(g):
+    """Embed a grid function as a step function with grid-attained suprema: every grid point
+    is a breakpoint and each unit interval takes the smaller neighbouring point value, so the
+    continuous envelopes of the result agree with the discrete envelopes of g on the grid."""
+    vs = g.values
+    bps = [F(k, g.size) for k in range(g.size + 1)]
+    return StepFunction.make(bps, vs, [min(a, b) for a, b in zip(vs, vs[1:])])
 
 
 @st.composite
@@ -576,6 +584,9 @@ class TestRepresentation:
     def test_grid_function_validation(self):
         with pytest.raises(ValueError):
             GridFunction(2, (F(0), F(1)))
+        for size, values in [(0, (F(0),)), (2.0, (0, F(1, 2), 1)), (True, (0, 1))]:
+            with pytest.raises(ValueError, match="grid size must be a positive integer"):
+                GridFunction(size, values)
         with pytest.raises(ValueError):
             GridFunction(2, (F(0), F(3, 2), F(1)))
         g = GridFunction(2, (F(0), F(1, 2), F(1)))
