@@ -2,7 +2,6 @@
 
 from .complexalg import all_subsets, char_map, characteristic_iso, rel_image, subset_from_map
 from .convolution import (
-    CapacityError,
     LatticeMap,
     conv_op,
     enumerate_maps,
@@ -27,6 +26,7 @@ from .etale import (
     verify_main_iso,
 )
 from .lattice import (
+    CapacityError,
     ChainLattice,
     FiniteLattice,
     FiniteTopology,
@@ -41,7 +41,6 @@ from .relstruct import (
     RelationalStructure,
     Signature,
     interval_structure,
-    relation_from_operation,
 )
 from .terms import (
     App,

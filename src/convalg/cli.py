@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .complexalg import rel_image
-from .convolution import CapacityError, conv_op
+from .convolution import conv_op
 from .etale import (
     ConstantRelationalEtale,
     fiberwise_rel_image,
@@ -33,8 +33,8 @@ from .formats import (
     parse_subset,
     parse_topology,
 )
-from .lattice import MAX_LAW_CHECKS, chain_lattice, check_heyting_laws, law_check_count
-from .lattice import open_set_heyting
+from .lattice import MAX_LAW_CHECKS, CapacityError, _bounded, chain_lattice, check_heyting_laws
+from .lattice import law_check_count, open_set_heyting
 from .terms import format_equation, same_equations_report
 from .type2 import crosscheck, t2_join, t2_meet, t2_neg
 
@@ -54,8 +54,7 @@ def _load_lattice(selector):
             n = int(selector.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad chain size in {selector!r}") from None
-        if law_check_count(n + 1, 0) > MAX_LAW_CHECKS:
-            raise CapacityError(f"{selector} is longer than the law-check bound allows")
+        _bounded(law_check_count(n + 1, 0), f"order-law checks of {selector}", MAX_LAW_CHECKS)
         return chain_lattice(n)
     return open_set_heyting(parse_topology(_read(selector), selector))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .convolution import MAX_MAPS, LatticeMap, _compare_routes, conv_op
-from .lattice import CapacityError, chain_lattice
+from .lattice import _bounded, _count, chain_lattice
 
 
 def image_mask(groups, inside):
@@ -56,10 +56,7 @@ def all_subsets(carrier):
 def count_subsets(carrier):
     """Number of subsets of the carrier; raises CapacityError when it
     exceeds ``MAX_MAPS``."""
-    total = 2 ** len(carrier)
-    if total > MAX_MAPS:
-        raise CapacityError(f"{total} subsets exceed the bound {MAX_MAPS}")
-    return total
+    return _bounded(2 ** len(carrier), "subsets", MAX_MAPS)
 
 
 def char_map(two, carrier, subset):
@@ -98,17 +95,14 @@ def characteristic_iso(structure, exhaustive=None, trials=200, seed=0):
     CapacityError, building nothing, above ``MAX_MAPS`` subsets or, when
     exhaustive, above ``MAX_MAPS`` argument tuples for one relation.
     """
-    if type(trials) is not int or trials < 0:
-        raise ValueError(f"trials must be a nonnegative int, got {trials!r}")
+    _count(trials, "trials", 0)
     carrier, sig = tuple(structure.carrier), structure.signature
     if exhaustive is None:
         if len(carrier) > 6:
             raise ValueError("carrier too large; pass exhaustive explicitly")
         exhaustive = len(carrier) <= 3
     widest = max(map(sig.arity, sig.names), default=0) if exhaustive else 0
-    tuples = count_subsets(carrier) ** widest
-    if tuples > MAX_MAPS:
-        raise CapacityError(f"{tuples} argument tuples exceed the bound {MAX_MAPS}")
+    _bounded(count_subsets(carrier) ** widest, "argument tuples", MAX_MAPS)
     two = chain_lattice(1)
     subsets = all_subsets(carrier) if exhaustive else None
     rng = random.Random(seed)

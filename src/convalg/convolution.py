@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .lattice import CapacityError
+from .lattice import _bounded
 
-# Largest algebra enumerated: maps from a carrier into a lattice, or subsets.
+# Largest enumeration: maps, subsets, argument tuples, grid pairs or slots, graph tuples.
 MAX_MAPS = 10**6
 
 
@@ -155,10 +155,7 @@ def enumerate_maps(lattice, carrier):
 def count_maps(lattice, carrier):
     """Number of maps from the carrier into the lattice; raises
     CapacityError when it exceeds ``MAX_MAPS``."""
-    total = len(lattice.elements) ** len(carrier)
-    if total > MAX_MAPS:
-        raise CapacityError(f"{total} maps exceed the bound {MAX_MAPS}")
-    return total
+    return _bounded(len(lattice.elements) ** len(carrier), "maps", MAX_MAPS)
 
 
 def random_map(rng, lattice, carrier):

@@ -28,7 +28,7 @@ from .convolution import (
     pointwise_neg,
     random_map,
 )
-from .lattice import FiniteTopology, OpenSetLattice, make_topology, open_set_heyting
+from .lattice import FiniteTopology, OpenSetLattice, _count, make_topology, open_set_heyting
 from .relstruct import RelationalStructure, Signature
 
 
@@ -247,8 +247,7 @@ def verify_main_iso(lattice, structure, topology, trials=100, seed=0):
     correspondence is also checked against the pointwise lattice
     operations. Deterministic for a fixed seed; zero trials pass vacuously.
     """
-    if type(trials) is not int or trials < 0:
-        raise ValueError(f"trials must be a nonnegative int, got {trials!r}")
+    _count(trials, "trials", 0)
     if not isinstance(lattice, OpenSetLattice) or lattice.topology != topology:
         raise ValueError("lattice must be the open-set algebra of the given topology")
     carrier, sig = tuple(structure.carrier), structure.signature

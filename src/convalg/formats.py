@@ -56,7 +56,7 @@ def parse_topology(text, path=None):
         elif line.startswith("open:"):
             if points is None:
                 raise ParseError("open line before points line", i, path)
-            labels = line[len("open:"):].split()
+            labels = _labels(line[len("open:"):], "points", i, path)
             unknown = set(labels) - set(points)
             if unknown:
                 raise ParseError(f"unknown points {sorted(unknown)}", i, path)
@@ -114,18 +114,18 @@ def parse_structure(text, path=None):
     return RelationalStructure(carrier, sig, {k: frozenset(v) for k, v in relations.items()})
 
 
-def parse_subset(token):
-    """Subset literal `{x1 x3}`; `{}` is the empty set."""
+def parse_subset(token, i=None, path=None):
+    """Subset literal `{x1 x3}`; `{}` is the empty set. A repeated element is refused."""
     token = token.strip()
     if not (token.startswith("{") and token.endswith("}")):
-        raise ParseError(f"subset literal must be braced, got {token!r}")
-    return frozenset(token[1:-1].split())
+        raise ParseError(f"subset literal must be braced, got {token!r}", i, path)
+    return frozenset(_labels(token[1:-1], "subset elements", i, path))
 
 
 def _parse_value(token, lattice, i, path):
     token = token.strip()
     if token.startswith("{"):
-        value = parse_subset(token)
+        value = parse_subset(token, i, path)
     else:
         value = _parse_fraction(token, i, path, "lattice value")
     if value not in lattice.index:

@@ -24,6 +24,22 @@ class CapacityError(Exception):
     """An enumeration would exceed the configured bound."""
 
 
+def _bounded(count, what, bound):
+    """``count``, or CapacityError when it exceeds ``bound``: every enumeration's guard."""
+    if count > bound:
+        raise CapacityError(f"{count} {what} exceed the bound {bound}")
+    return count
+
+
+def _count(value, what, least):
+    """``value``, or ValueError unless it is an int (not a bool) of at least ``least``,
+    which is 0 or 1: every size and count argument's check."""
+    if type(value) is not int or value < least:
+        kind = "a nonnegative int" if least == 0 else "a positive integer"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FiniteTopology:
     """A finite point set together with its family of open sets.
@@ -93,8 +109,7 @@ def make_topology(points, generators=()):
             raise ValueError(f"generator mentions unknown points: {sorted(unknown)}")
         opens.add(g)
     while True:
-        if len(opens) > MAX_OPENS:
-            raise CapacityError(f"the topology has more than the bound of {MAX_OPENS} opens")
+        _bounded(len(opens), "opens", MAX_OPENS)
         new = {c for a, b in combinations(opens, 2) for c in (a | b, a & b)} - opens
         if not new:
             break
@@ -325,9 +340,7 @@ class ChainLattice(FiniteLattice):
     """
 
     def __init__(self, n):
-        if n < 1:
-            raise ValueError("chain size must be a positive integer")
-        self.size = n
+        self.size = _count(n, "chain size", 1)
         super().__init__((Fraction(k, n) for k in range(n + 1)), lambda a, b: a <= b)
 
     def join_all(self, items):
@@ -396,13 +409,10 @@ def check_heyting_laws(lat, max_subset_size=2):
     witness. An answer that is one of ``elements`` is placed by identity,
     any other by equality; answers outside ``elements`` go to ``leq``.
     """
-    if max_subset_size < 0:
-        raise ValueError(f"max_subset_size must be nonnegative, got {max_subset_size}")
+    _count(max_subset_size, "max_subset_size", 0)
     els = lat.elements
     n, full = len(els), (1 << len(els)) - 1
-    planned = law_check_count(n, max_subset_size)
-    if planned > MAX_LAW_CHECKS:
-        raise CapacityError(f"{planned} law checks exceed the bound {MAX_LAW_CHECKS}")
+    _bounded(law_check_count(n, max_subset_size), "law checks", MAX_LAW_CHECKS)
     checks = 0
 
     def fail(law, detail):

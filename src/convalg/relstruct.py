@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from .convolution import MAX_MAPS
+from .lattice import _bounded, _count
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -23,8 +26,7 @@ class Signature:
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
         for name, arity in self.symbols:
-            if arity < 0:
-                raise ValueError(f"negative arity for {name}")
+            _count(arity, f"arity of {name}", 0)
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "_arities", dict(self.symbols))
 
@@ -107,44 +109,21 @@ class RelationalStructure:
         return self._masks[name]
 
 
-def relation_from_operation(carrier, table):
-    """Graph of a total n-ary operation as an (n+1)-ary relation.
-
-    ``table`` maps argument tuples to results and must be total on the
-    n-fold power of the carrier; nullary operations use the empty tuple
-    as their single key.
-    """
-    cset = set(carrier)
-    if not table:
-        raise ValueError("operation table is empty")
-    n = len(next(iter(table)))
-    for k, v in table.items():
-        if len(k) != n:
-            raise ValueError("operation table keys have mixed arities")
-        if not cset.issuperset(k):
-            raise ValueError(f"table key {k!r} mentions unknown element")
-        if v not in cset:
-            raise ValueError(f"table value {v!r} is not a carrier element")
-    if len(table) != len(cset) ** n:
-        raise ValueError(f"operation table is partial: {len(table)} of {len(cset) ** n} entries")
-    return frozenset(tuple(k) + (v,) for k, v in table.items())
-
-
 def interval_structure(n):
     """The n-step discretization of the unit-interval algebra as a relational structure.
 
     Carrier is the chain 0, 1/n, ..., 1; the relations are the graphs of
     min, max and x -> 1 - x, plus the endpoint constants as unary
-    relations. The type is 2, 2, 1, 0, 0.
+    relations. The type is 2, 2, 1, 0, 0. Raises CapacityError, building
+    nothing, when a binary graph's (n + 1)**2 tuples exceed ``MAX_MAPS``.
     """
-    if n < 1:
-        raise ValueError("chain size must be a positive integer")
+    _bounded((_count(n, "chain size", 1) + 1) ** 2, "tuples per binary relation", MAX_MAPS)
     elems = tuple(Fraction(k, n) for k in range(n + 1))
     sig = Signature((("meet", 2), ("join", 2), ("neg", 1), ("zero", 0), ("one", 0)))
     relations = {
-        "meet": relation_from_operation(elems, {(x, y): min(x, y) for x in elems for y in elems}),
-        "join": relation_from_operation(elems, {(x, y): max(x, y) for x in elems for y in elems}),
-        "neg": relation_from_operation(elems, {(x,): 1 - x for x in elems}),
+        "meet": frozenset([(x, y, min(x, y)) for x in elems for y in elems]),
+        "join": frozenset([(x, y, max(x, y)) for x in elems for y in elems]),
+        "neg": frozenset([(x, 1 - x) for x in elems]),
         "zero": frozenset({(Fraction(0),)}),
         "one": frozenset({(Fraction(1),)}),
     }

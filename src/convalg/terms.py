@@ -14,8 +14,8 @@ from functools import cached_property
 from itertools import product
 
 from .complexalg import all_subsets, count_subsets, rel_image
-from .convolution import CapacityError, LatticeMap, conv_op, count_maps, enumerate_maps
-from .lattice import chain_lattice
+from .convolution import LatticeMap, conv_op, count_maps, enumerate_maps
+from .lattice import CapacityError, _bounded, _count, chain_lattice
 
 
 @dataclass(frozen=True)
@@ -201,15 +201,12 @@ def holds_in(algebra, equation, max_assignments=10**6):
     to elements. So a failing equation always yields the same witness.
     Syntactically identical sides agree without enumeration.
     """
-    if max_assignments < 0:
-        raise ValueError(f"max_assignments must be nonnegative, got {max_assignments}")
+    _count(max_assignments, "max_assignments", 0)
     if equation.lhs == equation.rhs:
         return EquationCheck(True, None)
     names = equation.variables()
     n = algebra.size()
-    total = n ** len(names)
-    if total > max_assignments:
-        raise CapacityError(f"{total} assignments exceed the bound {max_assignments}")
+    total = _bounded(n ** len(names), "assignments", max_assignments)
     if algebra.two_valued is not None:
         check = holds_in(algebra.two_valued, equation, max_assignments)
         if check.holds:
@@ -280,8 +277,7 @@ def same_equations_report(lattice, structure, equations, max_assignments=10**6):
     skipped rather than evaluated. Requires a Heyting lattice with at
     least two elements.
     """
-    if max_assignments < 0:
-        raise ValueError(f"max_assignments must be nonnegative, got {max_assignments}")
+    _count(max_assignments, "max_assignments", 0)
     if len(lattice.elements) < 2:
         raise ValueError("requires a lattice with at least two elements")
     law = lattice.heyting_report

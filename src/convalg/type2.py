@@ -14,7 +14,7 @@ each closed form is one merge of breakpoint lists. They are checked
 against :func:`grid_conv_oracle`, a literal brute-force convolution that
 shares no envelope or merge code with them and visits each of the
 (n + 1)**2 argument pairs of an n-grid once; :func:`crosscheck` refuses
-grids whose pair count exceeds :data:`MAX_GRID_PAIRS`.
+grids whose pair count exceeds ``MAX_MAPS``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-from .convolution import CapacityError, _compare_routes
-
-MAX_GRID_PAIRS = 10**6
+from .convolution import MAX_MAPS, _compare_routes
+from .lattice import _bounded, _count
 
 
 def _decoded(field):
@@ -224,7 +223,7 @@ class GridFunction:
     nums: tuple
 
     def __init__(self, size, values):
-        if len(values) != size + 1:
+        if len(values) != _count(size, "grid size", 1) + 1:
             raise ValueError("value count must be size + 1")
         self.__dict__.update(vars(_grid(size, *_encode(values))))
 
@@ -238,8 +237,7 @@ class GridFunction:
 
 
 def _grid(size, den, nums):
-    if type(size) is not int or size < 1:
-        raise ValueError("grid size must be a positive integer")
+    """A GridFunction built unchecked; every caller has checked ``size``."""
     g = _lowest(GridFunction, den, nums=nums)
     g.__dict__["size"] = size
     return g
@@ -256,6 +254,7 @@ def grid_conv_oracle(n, op, *args):
     is the oracle the closed forms are validated against. Join and meet
     compare the arguments' numerators over their common denominator.
     """
+    _count(n, "grid size", 1)
     for g in args:
         if g.size != n:
             raise ValueError("grid size mismatch")
@@ -295,8 +294,10 @@ def sample_to_grid(f, n):
     restriction would lose pieces and grid comparisons would be
     meaningless. Grid slots are filled straight from the pieces: a
     breakpoint's value at its own slot and its interval's value at the
-    slots up to the next breakpoint.
+    slots up to the next breakpoint. Raises CapacityError, filling
+    nothing, when the n + 1 slots exceed ``MAX_MAPS``.
     """
+    _bounded(_count(n, "grid size", 1) + 1, "grid slots", MAX_MAPS)
     for b in f.bps:
         if b * n % f.den:
             raise ValueError(f"breakpoint {Fraction(b, f.den)} is not a multiple of 1/{n}")
@@ -362,14 +363,11 @@ def crosscheck(n, trials, seed=0):
 
     Equality is exact; a single mismatch is a bug in one of the two
     routes. Deterministic for a fixed seed. Raises CapacityError when
-    the oracle's (n + 1)**2 argument pairs exceed :data:`MAX_GRID_PAIRS`.
+    the oracle's (n + 1)**2 argument pairs exceed ``MAX_MAPS``.
     """
-    if type(n) is not int or type(trials) is not int or n < 1 or trials < 0:
-        raise ValueError(f"need a grid size n >= 1 and trials >= 0, got n={n!r}, trials={trials!r}")
-    if (n + 1) ** 2 > MAX_GRID_PAIRS:
-        raise CapacityError(
-            f"grid {n} has {(n + 1) ** 2} argument pairs, above the bound {MAX_GRID_PAIRS}"
-        )
+    _count(n, "grid size", 1)
+    _count(trials, "trials", 0)
+    _bounded((n + 1) ** 2, f"argument pairs of grid {n}", MAX_MAPS)
     rng = random.Random(seed)
 
     def cases():

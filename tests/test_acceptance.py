@@ -7,10 +7,7 @@ to see the per-criterion lines.
 """
 
 import time
-from fractions import Fraction
 from itertools import product
-
-import pytest
 
 from convalg import (
     App,
@@ -33,7 +30,6 @@ from convalg import (
     phi,
     random_equations,
     random_step,
-    relation_from_operation,
     same_equations_report,
     t2_constants,
     t2_join,
@@ -41,8 +37,10 @@ from convalg import (
     t2_neg,
     verify_main_iso,
 )
-from convalg.cli import main, worked_example
+from convalg.cli import main
 from convalg.terms import term_variables
+
+from helpers import graph
 
 
 def _stamp(cid, desc, t0, capsys=None):
@@ -185,14 +183,7 @@ def test_criterion_3_two_valued_isomorphism(four_point_structure):
         ("0", "1", "2"),
         Signature((("add", 2),)),
         {
-            "add": relation_from_operation(
-                ("0", "1", "2"),
-                {
-                    (x, y): str((int(x) + int(y)) % 3)
-                    for x in "012"
-                    for y in "012"
-                },
-            )
+            "add": graph(("0", "1", "2"), lambda x, y: str((int(x) + int(y)) % 3), 2)
         },
     )
     small = [s for s in _small_structures()] + [interval_structure(1), group]

@@ -102,6 +102,14 @@ class TestConvEval:
             "x4 -> {t1 t3}",
         ]
 
+    def test_repeated_subset_element_in_a_map_is_input_error(self, capsys, tmp_path, demo_files):
+        bad = tmp_path / "dup.txt"
+        bad.write_text(MAP_A.replace("x3 -> {t2 t3}", "x3 -> {t2 t3 t2}"))
+        argv = ["conv", "eval", "--lattice", demo_files["topology.txt"], "--structure",
+                demo_files["structure.txt"], "--relation", "f", "--arg", str(bad), "--arg",
+                demo_files["b.txt"]]
+        assert run(capsys, argv) == (2, "", f"error: {bad}:3: duplicate subset elements ['t2']\n")
+
 
 class TestExponentTokens:
     """Exponent notation is a parse error naming the line, refused before ``Fraction``
@@ -162,6 +170,11 @@ class TestComplexEval:
         path.write_text("carrier: x x\nrelation f arity 1\nx x\n")
         argv = ["complex", "eval", "--structure", str(path), "--relation", "f", "--arg", "{x}"]
         assert run(capsys, argv) == (2, "", f"error: {path}:1: duplicate carrier elements ['x']\n")
+
+    def test_repeated_subset_element_is_input_error(self, capsys, demo_files):
+        argv = ["complex", "eval", "--structure", demo_files["structure.txt"], "--relation", "f",
+                "--arg", "{x1 x2}", "--arg", "{x3 x1 x3}"]
+        assert run(capsys, argv) == (2, "", "error: <input>: duplicate subset elements ['x3']\n")
 
 
 class TestEtaleVerifyIso:
@@ -348,6 +361,13 @@ class TestLatticeCheck:
         rc, out, err = run(capsys, ["lattice", "check", "--lattice", str(bad)])
         assert (rc, out) == (2, "")
         assert err == f"error: {bad}:1: duplicate points ['a']\n"
+
+    def test_repeated_point_of_an_open_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "dup.txt"
+        bad.write_text("points: a b\nopen: a\nopen: b a b\n")
+        rc, out, err = run(capsys, ["lattice", "check", "--lattice", str(bad)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: {bad}:3: duplicate points ['b']\n"
 
 
 class TestType2Commands:

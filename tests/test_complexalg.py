@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -16,9 +15,10 @@ from convalg import (
     interval_structure,
     pointwise_meet,
     rel_image,
-    relation_from_operation,
     subset_from_map,
 )
+
+from helpers import graph
 
 
 def fs(*labels):
@@ -48,9 +48,7 @@ class TestRelImage:
 
     def test_cyclic_group_complex_multiplication(self):
         carrier = (0, 1, 2)
-        add = relation_from_operation(
-            carrier, {(x, y): (x + y) % 3 for x in carrier for y in carrier}
-        )
+        add = graph(carrier, lambda x, y: (x + y) % 3, 2)
         group = RelationalStructure(carrier, Signature((("add", 2),)), {"add": add})
         for a in carrier:
             for b in carrier:
@@ -116,10 +114,8 @@ class TestCharacteristicIso:
 
     def test_sampled_mode_for_medium_carriers(self):
         carrier = tuple("abcde")
-        table = {(x,): x for x in carrier}
-        s = RelationalStructure(
-            carrier, Signature((("g", 1),)), {"g": relation_from_operation(carrier, table)}
-        )
+        identity = graph(carrier, lambda x: x, 1)
+        s = RelationalStructure(carrier, Signature((("g", 1),)), {"g": identity})
         report = characteristic_iso(s, trials=25, seed=1)
         assert report.ok
         assert report.mode == "sampled"

@@ -1,0 +1,66 @@
+"""Every size or count argument of the package refuses a bool, a float and the value
+one below its least with a ValueError that names the argument, never a TypeError and
+never by building something."""
+
+import pytest
+
+from convalg import (
+    App,
+    ComplexAlgebra,
+    Equation,
+    GridFunction,
+    RelationalStructure,
+    Signature,
+    Var,
+    chain_lattice,
+    characteristic_iso,
+    check_heyting_laws,
+    crosscheck,
+    grid_conv_oracle,
+    holds_in,
+    interval_structure,
+    make_topology,
+    open_set_heyting,
+    same_equations_report,
+    sample_to_grid,
+    t2_constants,
+    verify_main_iso,
+)
+
+TWO = chain_lattice(1)
+POINT = make_topology({"p"})
+STRUCTURE = RelationalStructure(("a", "b"), Signature((("g", 1),)), {"g": {("a", "b")}})
+EQUATION = Equation(App("g", (Var("v"),)), Var("v"))
+
+# entry point -> (the argument's name in the message, its least value, a call passing v)
+ENTRY_POINTS = {
+    "chain_lattice": ("chain size", 1, lambda v: chain_lattice(v)),
+    "interval_structure": ("chain size", 1, lambda v: interval_structure(v)),
+    "Signature": ("arity of g", 0, lambda v: Signature((("g", v),))),
+    "check_heyting_laws": ("max_subset_size", 0, lambda v: check_heyting_laws(TWO, v)),
+    "characteristic_iso": ("trials", 0, lambda v: characteristic_iso(STRUCTURE, trials=v)),
+    "verify_main_iso": (
+        "trials", 0, lambda v: verify_main_iso(open_set_heyting(POINT), STRUCTURE, POINT, v)
+    ),
+    "crosscheck n": ("grid size", 1, lambda v: crosscheck(v, 1)),
+    "crosscheck trials": ("trials", 0, lambda v: crosscheck(4, v)),
+    "holds_in": ("max_assignments", 0, lambda v: holds_in(ComplexAlgebra(STRUCTURE), EQUATION, v)),
+    "same_equations_report": (
+        "max_assignments", 0, lambda v: same_equations_report(TWO, STRUCTURE, [EQUATION], v)
+    ),
+    "GridFunction": ("grid size", 1, lambda v: GridFunction(v, (0, 0, 1))),
+    "sample_to_grid": ("grid size", 1, lambda v: sample_to_grid(t2_constants()[0], v)),
+    "grid_conv_oracle": (
+        "grid size", 1, lambda v: grid_conv_oracle(v, "neg", GridFunction(2, (0, 0, 1)))
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", ["bool", "float", "below"])
+def test_bad_count_names_the_argument(entry, bad):
+    what, least, call = ENTRY_POINTS[entry]
+    value = {"bool": True, "float": 2.5, "below": least - 1}[bad]
+    kind = "a nonnegative int" if least == 0 else "a positive integer"
+    with pytest.raises(ValueError, match=f"^{what} must be {kind}, got {value!r}$"):
+        call(value)

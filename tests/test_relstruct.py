@@ -4,46 +4,13 @@ from itertools import product
 import pytest
 
 from convalg import (
+    CapacityError,
     RelationalStructure,
     Signature,
     interval_structure,
-    relation_from_operation,
 )
 
-
-class TestRelationFromOperation:
-    def test_binary_join_on_two_elements(self):
-        rel = relation_from_operation(
-            (0, 1), {(x, y): max(x, y) for x in (0, 1) for y in (0, 1)}
-        )
-        assert rel == {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)}
-
-    def test_nullary_constant(self):
-        assert relation_from_operation((0, 1), {(): 0}) == {(0,)}
-
-    def test_unary_negation_on_three_chain(self):
-        elems = (Fraction(0), Fraction(1, 2), Fraction(1))
-        rel = relation_from_operation(elems, {(x,): 1 - x for x in elems})
-        assert rel == {
-            (Fraction(0), Fraction(1)),
-            (Fraction(1, 2), Fraction(1, 2)),
-            (Fraction(1), Fraction(0)),
-        }
-
-    def test_partial_table_rejected(self):
-        with pytest.raises(ValueError):
-            relation_from_operation((0, 1), {(0,): 0})
-
-    def test_unknown_value_rejected(self):
-        with pytest.raises(ValueError):
-            relation_from_operation((0, 1), {(0,): 2, (1,): 0})
-
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_graph_size_is_carrier_power(self, n):
-        carrier = ("a", "b", "c")
-        table = {k: "a" for k in product(carrier, repeat=n)}
-        rel = relation_from_operation(carrier, table)
-        assert len(rel) == len(carrier) ** n
+from helpers import graph
 
 
 class TestIntervalStructure:
@@ -73,6 +40,18 @@ class TestIntervalStructure:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             interval_structure(0)
+
+    def test_graphs_are_min_max_and_reflection(self):
+        s = interval_structure(3)
+        assert s.relations["meet"] == graph(s.carrier, min, 2)
+        assert s.relations["join"] == graph(s.carrier, max, 2)
+        assert s.relations["neg"] == graph(s.carrier, lambda x: 1 - x, 1)
+
+    def test_binary_graphs_past_the_bound_are_refused(self, monkeypatch):
+        monkeypatch.setattr("convalg.relstruct.MAX_MAPS", 24)
+        assert len(interval_structure(3).relations["meet"]) == 16
+        with pytest.raises(CapacityError, match="^25 tuples per binary relation exceed the bound"):
+            interval_structure(4)
 
 
 class TestValidateStructure:

@@ -24,8 +24,7 @@ from convalg import (
     t2_meet,
     t2_neg,
 )
-from convalg.convolution import LatticeMap
-from convalg.type2 import MAX_GRID_PAIRS
+from convalg.convolution import MAX_MAPS, LatticeMap
 
 
 def step_from_grid(g):
@@ -172,7 +171,8 @@ class TestClosedFormVsOracle:
         "n,trials", [(0, 1), (-3, 1), (4, -1), (True, True), (4, True), (4, 2.0), (2.0, 1)]
     )
     def test_bad_counts_rejected(self, n, trials):
-        with pytest.raises(ValueError, match="grid size"):
+        # n is checked first; the cases with the good n = 4 fail on trials
+        with pytest.raises(ValueError, match="trials" if n == 4 else "grid size"):
             crosscheck(n, trials)
 
     def test_failure_report(self, monkeypatch):
@@ -189,7 +189,7 @@ class TestClosedFormVsOracle:
         assert str(report) == f"oracle mismatch: {detail}"
 
     def test_grid_above_pair_bound_rejected_before_any_trial(self, monkeypatch):
-        assert (999 + 1) ** 2 <= MAX_GRID_PAIRS < (1000 + 1) ** 2
+        assert (999 + 1) ** 2 <= MAX_MAPS < (1000 + 1) ** 2
         assert crosscheck(999, 0).ok
         calls = []
         monkeypatch.setattr("convalg.type2.random_grid_step", lambda *a: calls.append(a))
@@ -362,7 +362,7 @@ class TestArbitraryBreakpointsVsOracle:
         # Breakpoint denominators divide 60, so the 120-grid has a sample
         # inside every piece of the inputs and of the results.
         n = 120
-        assert (n + 1) ** 2 <= MAX_GRID_PAIRS
+        assert (n + 1) ** 2 <= MAX_MAPS
         rng = random.Random(60)
         mixed_denominators = int_pieces = 0
         for _ in range(100):
@@ -592,6 +592,10 @@ class TestRepresentation:
         g = GridFunction(2, (F(0), F(1, 2), F(1)))
         with pytest.raises(ValueError):
             g(F(1, 3))
+
+    def test_sampling_past_the_slot_bound_is_refused(self):
+        with pytest.raises(CapacityError, match=f"^{MAX_MAPS + 1} grid slots exceed the bound"):
+            sample_to_grid(t2_constants()[0], MAX_MAPS)
 
     def test_oracle_input_validation(self):
         g2 = GridFunction(2, (F(0), F(1, 2), F(1)))
