@@ -90,16 +90,14 @@ def characteristic_iso(structure, exhaustive=None, trials=200, seed=0):
     For each relation, argument subsets are mapped through the
     characteristic bijection and pushed through both code paths; the
     results must coincide exactly. Carriers of up to 3 elements default
-    to an exhaustive scan over argument tuples, carriers of up to 6 to a
-    seeded random sample; ``exhaustive`` overrides the choice. Raises
+    to an exhaustive scan over argument tuples, larger ones to a seeded
+    random sample; ``exhaustive`` overrides the choice. Raises
     CapacityError, building nothing, above ``MAX_MAPS`` subsets or, when
     exhaustive, above ``MAX_MAPS`` argument tuples for one relation.
     """
     _count(trials, "trials", 0)
     carrier, sig = tuple(structure.carrier), structure.signature
     if exhaustive is None:
-        if len(carrier) > 6:
-            raise ValueError("carrier too large; pass exhaustive explicitly")
         exhaustive = len(carrier) <= 3
     widest = max(map(sig.arity, sig.names), default=0) if exhaustive else 0
     _bounded(count_subsets(carrier) ** widest, "argument tuples", MAX_MAPS)

@@ -135,17 +135,14 @@ def phi(lattice, alpha):
 
 
 def _checked_plan(rel_etale, name, args):
-    """The plan of ``name``, over the parent object of the arguments it checks."""
+    """The plan of ``name``, once each argument is checked to live over its bundle."""
     n, parent, tuples, image = rel_etale.plan(name)
     if len(args) != n:
         raise ValueError(f"{name} expects {n} arguments, got {len(args)}")
-    seen = parent  # each run of one parent object is compared once
     for a in args:
-        if a.parent is not seen:
-            if a.parent != parent:
-                raise ValueError("argument subobject lives over a different bundle")
-            seen = a.parent
-    return n, seen, tuples, image
+        if a.parent is not parent and a.parent != parent:
+            raise ValueError("argument subobject lives over a different bundle")
+    return n, parent, tuples, image
 
 
 def fiberwise_rel_image(rel_etale, name, args):

@@ -25,8 +25,6 @@ class ParseError(ValueError):
         if line is not None:
             where = f"{where}:{line}"
         super().__init__(f"{where}: {message}")
-        self.path = path
-        self.line = line
 
 
 def _lines(text):
@@ -73,7 +71,7 @@ def parse_structure(text, path=None):
     carrier = None
     symbols = []
     relations = {}
-    current = None
+    current = want = None
     for i, line in _lines(text):
         parts = line.split()
         if line.startswith("carrier:"):
@@ -94,12 +92,11 @@ def parse_structure(text, path=None):
                 raise ParseError(f"duplicate relation {name}", i, path)
             symbols.append((name, arity))
             relations[name] = set()
-            current = name
+            current, want = name, arity + 1
         else:
             if carrier is None or current is None:
                 raise ParseError("tuple line outside a relation block", i, path)
             entries = tuple(parts)
-            want = dict(symbols)[current] + 1
             if len(entries) != want:
                 raise ParseError(
                     f"tuple has {len(entries)} entries, expected {want}", i, path

@@ -249,8 +249,6 @@ class EquationOutcome:
     equation: Equation
     conv_holds: bool | None
     complex_holds: bool | None
-    conv_skipped: str | None = None
-    complex_skipped: str | None = None
 
     @property
     def agree(self):
@@ -286,13 +284,13 @@ def same_equations_report(lattice, structure, equations, max_assignments=10**6):
     algebras = ConvolutionAlgebra(lattice, structure), ComplexAlgebra(structure)
     outcomes = []
     for eq in equations:
-        verdicts, skips = [None, None], [None, None]
+        verdicts = [None, None]
         for i, algebra in enumerate(algebras):
             try:
                 verdicts[i] = holds_in(algebra, eq, max_assignments).holds
-            except CapacityError as e:
-                skips[i] = str(e)
-        outcomes.append(EquationOutcome(eq, *verdicts, *skips))
+            except CapacityError:
+                pass  # this side stays undecided and counts as skipped
+        outcomes.append(EquationOutcome(eq, *verdicts))
     compared = sum(o.agree is not None for o in outcomes)
     disagreements = sum(o.agree is False for o in outcomes)
     return SameEquationsReport(

@@ -229,12 +229,6 @@ class GridFunction:
 
     values = _decoded("nums")
 
-    def __call__(self, x):
-        k = Fraction(x) * self.size
-        if k.denominator != 1 or not (0 <= k <= self.size):
-            raise ValueError(f"{x} is not a grid point")
-        return Fraction(self.nums[k.numerator], self.den)
-
 
 def _grid(size, den, nums):
     """A GridFunction built unchecked; every caller has checked ``size``."""

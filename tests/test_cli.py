@@ -489,6 +489,72 @@ def test_golden_output(capsys, demo_files, case, records):
     assert f"exit={rc}\n{out}".encode() == (GOLDEN / name).read_bytes()
 
 
+# One malformed file per parse check: the command that reads it, `{bad}` standing for
+# its path; the file's text; the line the error names (None for a missing line); the message.
+READS = {
+    "topology": ["lattice", "check", "--lattice", "{bad}"],
+    "structure": ["complex", "eval", "--structure", "{bad}", "--relation", "f"],
+    "map": ["conv", "eval", "--lattice", "{topology.txt}", "--structure", "{structure.txt}",
+            "--relation", "f", "--arg", "{bad}", "--arg", "{b.txt}"],
+    "step": ["type2", "eval", "--op", "neg", "-a", "{bad}"],
+    "equations": ["equations", "check", "--lattice", "chain:1", "--structure",
+                  "{structure.txt}", "--eqs", "{bad}"],
+}
+PARSE_ERRORS = {
+    "duplicate-points-line": ("topology", "points: a\npoints: b\n", 2, "duplicate points line"),
+    "unrecognized-line": ("topology", "points: a\nclosed: a\n", 2, "unrecognized line 'closed: a'"),
+    "missing-points-line": ("topology", "# no points\n", None, "missing points line"),
+    "duplicate-carrier-line": (
+        "structure", "carrier: a\ncarrier: b\n", 2, "duplicate carrier line"
+    ),
+    "bad-arity": ("structure", "carrier: a\nrelation f arity two\n", 2, "bad arity 'two'"),
+    "negative-arity": (
+        "structure", "carrier: a\nrelation f arity -1\n", 2, "arity must be nonnegative"
+    ),
+    "duplicate-relation": (
+        "structure", "carrier: a\nrelation f arity 0\nrelation f arity 1\n", 3,
+        "duplicate relation f",
+    ),
+    "tuple-outside-block": (
+        "structure", "carrier: a\na a\n", 2, "tuple line outside a relation block"
+    ),
+    "missing-carrier-line": ("structure", "relation f arity 0\n", None, "missing carrier line"),
+    "map-without-arrow": ("map", "x1 {t1}\n", 1, "expected `element -> value`"),
+    "unknown-carrier-element": ("map", "x9 -> {t1}\n", 1, "unknown carrier element 'x9'"),
+    "duplicate-entry": ("map", "x1 -> {t1}\nx1 -> {t2}\n", 2, "duplicate entry for 'x1'"),
+    "non-numeric-rational": ("step", "point 0 -> half\n", 1, "bad rational 'half'"),
+    "step-without-arrow": (
+        "step", "point 0 1\n", 1, "expected `point ... -> v` or `interval ... -> v`"
+    ),
+    "piece-without-place": ("step", "point -> 1\n", 1, "expected `point X` or `interval (A,B)`"),
+    "duplicate-point": ("step", "point 1/2 -> 1\npoint 1/2 -> 0\n", 2, "duplicate point 1/2"),
+    "interval-without-comma": (
+        "step", "interval (0 1) -> 1\n", 1, "interval must be written (A,B)"
+    ),
+    "empty-interval": ("step", "interval (1/2,1/4) -> 1\n", 1, "bad interval (1/2,1/4)"),
+    "unrecognized-piece": ("step", "segment (0,1) -> 1\n", 1, "unrecognized piece kind 'segment'"),
+    "empty-side": ("equations", "v = v\n = v\n", 2, "unexpected end of term"),
+    "open-paren-at-end": ("equations", "( = v\n", 1, "unexpected end of term"),
+    "paren-after-paren": ("equations", "((f v w) w) = v\n", 1, "expected a symbol after ("),
+    "unclosed-application": ("equations", "(f v w w) = v\n", 1, "expected ) closing f"),
+    "bare-operation": ("equations", "f = v\n", 1, "symbol 'f' needs arguments"),
+    "no-equals": ("equations", "(f v w)\n", 1, "equation needs a top-level ="),
+    "trailing-left": ("equations", "v w = v\n", 1, "trailing tokens on left side"),
+    "trailing-right": ("equations", "v = v w\n", 1, "trailing tokens on right side"),
+}
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("case", PARSE_ERRORS)
+    def test_input_error_names_file_and_line(self, capsys, tmp_path, demo_files, case):
+        reads, text, line, message = PARSE_ERRORS[case]
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        rc, out, err = run(capsys, with_files(READS[reads], {**demo_files, "bad": str(bad)}))
+        where = str(bad) if line is None else f"{bad}:{line}"
+        assert (rc, out, err) == (2, "", f"error: {where}: {message}\n")
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2

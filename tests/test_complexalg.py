@@ -203,8 +203,12 @@ class TestCharacteristicIso:
             want.append((frozenset(x for x in carrier if bits >> x & 1),))
         assert drawn == want
 
-    def test_large_carrier_needs_explicit_mode(self):
+    def test_default_mode_samples_a_seven_element_carrier(self, monkeypatch):
+        def refuse(carrier):
+            raise AssertionError("sampled mode listed every subset")
+
+        monkeypatch.setattr(convalg.complexalg, "all_subsets", refuse)
         carrier = tuple("abcdefg")
-        s = RelationalStructure(carrier, Signature((("g", 1),)), {"g": set()})
-        with pytest.raises(ValueError):
-            characteristic_iso(s)
+        s = RelationalStructure(carrier, Signature((("g", 1),)), {"g": {(x, x) for x in carrier}})
+        report = characteristic_iso(s, trials=5)
+        assert (report.ok, report.mode, report.checked) == (True, "sampled", 5)

@@ -63,6 +63,11 @@ class TestConvOp:
         with pytest.raises(ValueError):
             conv_op(other, four_point_structure, "f", [thirds_args[0], bad])
 
+    def test_carrier_mismatch(self, thirds_lattice, four_point_structure, thirds_args):
+        bad = LatticeMap(("x1", "x2", "x3", "x5"), thirds_lattice, thirds_args[1].codes)
+        with pytest.raises(ValueError, match="^argument carrier does not match the structure$"):
+            conv_op(thirds_lattice, four_point_structure, "f", [thirds_args[0], bad])
+
     def test_monotone_in_each_argument(self, wedge_lattice, four_point_structure):
         rng = random.Random(11)
         carrier = four_point_structure.carrier

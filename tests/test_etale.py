@@ -104,6 +104,10 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(lat, alpha)
 
+    def test_map_over_another_lattice_is_refused(self, wedge_lattice, thirds_args):
+        with pytest.raises(ValueError, match="^map does not live over the given lattice$"):
+            phi(wedge_lattice, thirds_args[0])
+
     def test_sections_must_be_open(self, wedge_topology):
         parent = ConstantEtale(("p", "q"), wedge_topology)
         with pytest.raises(ValueError, match="section at 'p' is not an open set"):
@@ -334,15 +338,15 @@ class TestCachedViews:
         assert rel_etale.plan("f") is plan
         assert built == ["f"]
 
-    def test_results_share_the_arguments_parent(self, thirds_lattice, four_point_structure):
-        # over an equal but distinct topology, so that the étalé's own bundle is another object
+    def test_results_live_over_the_etales_bundle(self, thirds_lattice, four_point_structure):
+        # over an equal but distinct topology, so that the arguments' bundle is another object
         base = FiniteTopology(thirds_lattice.topology.points, thirds_lattice.topology.opens)
         rel_etale = ConstantRelationalEtale(four_point_structure, base)
         top = constant(thirds_lattice, four_point_structure.carrier, thirds_lattice.top_code)
         subs = [phi(thirds_lattice, top)] * 2
         assert subs[0].parent is not rel_etale.etale
         for route in (fiberwise_rel_image, per_fiber_rel_image):
-            assert route(rel_etale, "f", subs).parent is subs[0].parent
+            assert route(rel_etale, "f", subs).parent is rel_etale.etale
 
     def test_remembered_images_match_fresh_plans(self, wedge_topology, wedge_lattice):
         rng = random.Random(5)

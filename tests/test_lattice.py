@@ -95,6 +95,18 @@ class TestMakeTopology:
             # closed under neither union nor intersection
             FiniteTopology(fs("a", "b", "c"), frozenset({fs(), fs("a"), fs("b"), fs("a", "b", "c")}))
 
+    @pytest.mark.parametrize(
+        "opens,message",
+        [
+            ({fs(), fs("a"), fs("a", "z")}, r"^open set \['a', 'z'\] is not a subset of the points$"),
+            ({fs("a")}, "^the empty set must be open$"),
+        ],
+        ids=["outside-the-points", "no-empty-set"],
+    )
+    def test_malformed_family_named(self, opens, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteTopology(fs("a"), frozenset(opens))
+
 
 class TestOpenSetHeyting:
     def test_negation_of_ab_is_empty(self, wedge_topology, wedge_lattice):
@@ -328,6 +340,15 @@ class TestEnumerateTopologies:
 
 
 class TestLatticeIdentity:
+    @pytest.mark.parametrize(
+        "elements,message",
+        [((), "^a lattice needs at least one element$"), (("a", "a"), "^duplicate lattice elements$")],
+        ids=["empty", "duplicate"],
+    )
+    def test_malformed_elements_named(self, elements, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteLattice(elements, lambda x, y: x <= y)
+
     def test_equality_includes_the_order(self):
         up = FiniteLattice(("a", "b"), lambda x, y: x <= y)
         down = FiniteLattice(("a", "b"), lambda x, y: x >= y)

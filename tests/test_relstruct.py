@@ -99,6 +99,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Signature((("f", -1),))
 
+    def test_duplicate_carrier_elements_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate carrier elements$"):
+            RelationalStructure(("a", "a"), Signature((("f", 1),)), {"f": set()})
+
     def test_relations_must_match_signature(self):
         with pytest.raises(ValueError):
             RelationalStructure(("a",), Signature((("f", 1),)), {"g": set()})

@@ -589,9 +589,6 @@ class TestRepresentation:
                 GridFunction(size, values)
         with pytest.raises(ValueError):
             GridFunction(2, (F(0), F(3, 2), F(1)))
-        g = GridFunction(2, (F(0), F(1, 2), F(1)))
-        with pytest.raises(ValueError):
-            g(F(1, 3))
 
     def test_sampling_past_the_slot_bound_is_refused(self):
         with pytest.raises(CapacityError, match=f"^{MAX_MAPS + 1} grid slots exceed the bound"):
@@ -604,6 +601,15 @@ class TestRepresentation:
             grid_conv_oracle(2, "join", g2, g3)
         with pytest.raises(ValueError):
             grid_conv_oracle(2, "flip", g2)
+
+    @pytest.mark.parametrize(
+        "op,count,message",
+        [("join", 1, "^join takes two arguments$"), ("neg", 2, "^neg takes one argument$")],
+    )
+    def test_oracle_argument_count(self, op, count, message):
+        g = GridFunction(2, (F(0), F(1, 2), F(1)))
+        with pytest.raises(ValueError, match=message):
+            grid_conv_oracle(2, op, *[g] * count)
 
 
 def numerators(f):
