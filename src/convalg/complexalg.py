@@ -60,7 +60,8 @@ def count_subsets(carrier):
 
 
 def char_map(two, carrier, subset):
-    """Characteristic map of a subset over the two-element lattice."""
+    """Characteristic map of a subset: top on it, bottom off it. Over the two-element
+    lattice it is the bijection that :func:`subset_from_map` inverts."""
     subset, top, bottom = frozenset(subset), two.top_code, two.bottom_code
     return LatticeMap(tuple(carrier), two, tuple([top if x in subset else bottom for x in carrier]))
 

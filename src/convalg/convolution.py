@@ -35,9 +35,9 @@ class LatticeMap:
 
     ``codes[i]`` is the position in ``lattice.elements`` of the value at
     ``carrier[i]``. Construction checks that there is one int code per
-    carrier element and that each names an element. ``values`` and
-    calling the map derive lattice elements on demand; use
-    :meth:`from_values` to build a map from element values.
+    carrier element and that each names an element. ``values`` derives
+    lattice elements on demand; use :meth:`from_values` to build a map
+    from element values.
     """
 
     carrier: tuple
@@ -70,9 +70,6 @@ class LatticeMap:
         """A fresh dict from carrier elements to lattice elements."""
         els = self.lattice.elements
         return {x: els[c] for x, c in zip(self.carrier, self.codes)}
-
-    def __call__(self, x):
-        return self.values[x]
 
 
 def _check_compatible(a, b):

@@ -44,7 +44,8 @@ class ConstantEtale:
 class EtaleSubobject:
     """An open subobject of a constant bundle: ``masks[i]`` is the open cross-section over
     ``parent.fibers[i]`` as its ``FiniteTopology.mask_of`` mask, so equality is mask
-    equality. ``sections`` derives the opens on demand; :meth:`from_sections` takes them.
+    equality. ``sections`` derives the opens on demand; :func:`phi` builds a subobject from
+    a lattice-valued map.
     ``stalks`` is the transposed view, built on first use and kept out of the fields."""
 
     parent: ConstantEtale
@@ -57,17 +58,6 @@ class EtaleSubobject:
         for m in masks:
             if type(m) is not int or m not in open_of:
                 raise ValueError(f"mask {m!r} does not name an open set")
-
-    @classmethod
-    def from_sections(cls, parent, sections):
-        """The subobject whose cross-section at x is the open ``sections[x]``."""
-        sections, base = dict(sections), parent.base
-        if set(sections) != set(parent.fibers):
-            raise ValueError("sections must cover every fiber label")
-        for x, a in sections.items():
-            if not isinstance(a, (set, frozenset)) or a not in base.opens:
-                raise ValueError(f"section at {x!r} is not an open set: {a!r}")
-        return cls(parent, tuple([base.mask_of[frozenset(sections[x])] for x in parent.fibers]))
 
     @property
     def sections(self):

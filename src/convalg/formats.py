@@ -219,7 +219,7 @@ def parse_step_function(text, path=None):
         if len(vals) > 1:
             raise ParseError(f"conflicting values on ({lo},{hi})", decls[0][1], path)
         ivs.append(vals.pop() if vals else _ZERO)
-    return StepFunction.make(tuple(bps), tuple(pvs), tuple(ivs))
+    return StepFunction(bps, pvs, ivs)
 
 
 def _tokenize(line):

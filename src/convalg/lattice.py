@@ -340,7 +340,7 @@ class ChainLattice(FiniteLattice):
     """
 
     def __init__(self, n):
-        self.size = _count(n, "chain size", 1)
+        _count(n, "chain size", 1)
         super().__init__((Fraction(k, n) for k in range(n + 1)), lambda a, b: a <= b)
 
     def join_all(self, items):

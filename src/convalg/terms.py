@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .complexalg import all_subsets, count_subsets, rel_image
-from .convolution import LatticeMap, conv_op, count_maps, enumerate_maps
+from .complexalg import all_subsets, char_map, count_subsets, rel_image, subset_from_map
+from .convolution import conv_op, count_maps, enumerate_maps
 from .lattice import CapacityError, _bounded, _count, chain_lattice
 
 
@@ -132,12 +132,6 @@ class ConvolutionAlgebra(_TabledAlgebra):
         return el.codes
 
 
-def _crisp(lattice, m):
-    """The map valued top where the two-valued map ``m`` is 1, bottom where it is 0."""
-    codes = (lattice.bottom_code, lattice.top_code)
-    return LatticeMap(m.carrier, lattice, tuple([codes[c] for c in m.codes]))
-
-
 class ComplexAlgebra(_TabledAlgebra):
     """The powerset algebra of a structure, symbols acting by relational image."""
 
@@ -212,7 +206,8 @@ def holds_in(algebra, equation, max_assignments=10**6):
         if check.holds:
             return check
         lat = algebra.lattice
-        witness = {name: _crisp(lat, m) for name, m in check.witness.items()}
+        witness = {name: char_map(lat, m.carrier, subset_from_map(m))
+                   for name, m in check.witness.items()}
         if eval_term(algebra, equation.lhs, witness) == eval_term(algebra, equation.rhs, witness):
             raise RuntimeError(f"{format_equation(equation)} holds at the crisp lift "
                                f"of its two-valued counterexample over {lat!r}")

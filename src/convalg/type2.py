@@ -44,8 +44,9 @@ class StepFunction:
     breakpoints i and i+1. 0 and 1 are always breakpoints. The fields
     hold them as numerators ``bps``, ``pvs`` and ``ivs`` over ``den``.
     The constructor takes ``int`` (not ``bool``) or ``Fraction`` pieces
-    in canonical form, with no interior breakpoint whose point value
-    equals both neighbouring interval values; use :meth:`make` to normalize.
+    and merges every interior breakpoint whose point value equals both
+    neighbouring interval values; calling refuses the same kinds of
+    argument that the constructor refuses as pieces.
     """
 
     den: int
@@ -54,55 +55,38 @@ class StepFunction:
     ivs: tuple
 
     def __init__(self, breakpoints, point_values, interval_values):
-        f = _checked_step(breakpoints, point_values, interval_values)
-        if len(f.bps) < len(breakpoints):
-            raise ValueError("redundant interior breakpoint; use StepFunction.make")
-        self.__dict__.update(vars(f))
-
-    @classmethod
-    def make(cls, breakpoints, point_values, interval_values):
-        """Build in canonical form, merging redundant interior breakpoints."""
-        exact = [[v if type(v) is int or isinstance(v, Fraction) else Fraction(v) for v in vs]
-                 for vs in (breakpoints, point_values, interval_values)]
-        return _checked_step(*exact)
+        if len(point_values) != len(breakpoints) or len(interval_values) != len(breakpoints) - 1:
+            raise ValueError("value tuples do not match the breakpoint count")
+        den, bps, pvs, ivs = _encode(breakpoints, point_values, interval_values)
+        if bps[0] != 0 or bps[-1] != den:
+            raise ValueError("0 and 1 must be breakpoints")
+        if any(a >= b for a, b in zip(bps, bps[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        self.__dict__.update(vars(_step(den, bps, pvs, ivs)))
 
     breakpoints, point_values, interval_values = map(_decoded, ("bps", "pvs", "ivs"))
 
     def __call__(self, x):
-        x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise ValueError(f"argument {x} outside [0, 1]")
-        k = x * self.den
+        k = _exact(x) * self.den
         i = bisect_right(self.bps, k) - 1
         return Fraction(self.pvs[i] if self.bps[i] == k else self.ivs[i], self.den)
 
-    def sup(self):
-        return Fraction(max(*self.pvs, *self.ivs), self.den)
+
+def _exact(v):
+    """``v``, or ValueError unless it is an int (not a bool) or a Fraction in [0, 1]."""
+    if type(v) is bool or not isinstance(v, (int, Fraction)):
+        raise ValueError(f"value {v!r} is not an int or a Fraction")
+    # Normalized numerator and denominator: no Fraction comparison.
+    if not 0 <= v.numerator <= v.denominator:
+        raise ValueError(f"value {v} outside [0, 1]")
+    return v
 
 
 def _encode(*groups):
     """Check that every value is an exact rational in [0, 1]; return den and numerator lists."""
-    values = [v for vs in groups for v in vs]
-    for v in values:
-        if type(v) is bool or not isinstance(v, (int, Fraction)):
-            raise ValueError(f"value {v!r} is not an int or a Fraction")
-        # Normalized numerator and denominator: no Fraction comparison.
-        if not 0 <= v.numerator <= v.denominator:
-            raise ValueError(f"value {v} outside [0, 1]")
+    values = [_exact(v) for vs in groups for v in vs]
     den = lcm(*[v.denominator for v in values])
     return den, *[[v.numerator * (den // v.denominator) for v in vs] for vs in groups]
-
-
-def _checked_step(bps, pvs, ivs):
-    """Canonical step function of raw pieces, after checking them."""
-    if len(pvs) != len(bps) or len(ivs) != len(bps) - 1:
-        raise ValueError("value tuples do not match the breakpoint count")
-    den, bps, pvs, ivs = _encode(bps, pvs, ivs)
-    if bps[0] != 0 or bps[-1] != den:
-        raise ValueError("0 and 1 must be breakpoints")
-    if any(a >= b for a, b in zip(bps, bps[1:])):
-        raise ValueError("breakpoints must be strictly increasing")
-    return _step(den, bps, pvs, ivs)
 
 
 def _lowest(cls, den, **groups):

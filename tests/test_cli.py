@@ -74,6 +74,16 @@ class TestPaperDemo:
         assert out.count("x4 -> {t1 t3}") == 3
         assert "all three routes agree" in out
 
+    @pytest.mark.parametrize("records", [False, True])
+    def test_a_wrong_route_exits_1(self, monkeypatch, capsys, records):
+        # the per-fiber route with f's arguments reversed
+        image = cli.per_fiber_rel_image
+        monkeypatch.setattr(cli, "per_fiber_rel_image", lambda rel_etale, name, args: image(
+            rel_etale, name, args[::-1]))
+        rc, out, err = run(capsys, ["paper-demo"] + ["--records"] * records)
+        assert rc == 1 and err == ""
+        assert out.splitlines()[-1] == ("agree=false" if records else "ROUTES DISAGREE")
+
 
 class TestConvEval:
     def test_worked_example(self, capsys, demo_files):
@@ -216,6 +226,33 @@ class TestEtaleVerifyIso:
 
 
 class TestEquationsCheck:
+    @pytest.mark.parametrize("records", [False, True])
+    def test_forced_disagreement_exits_1(self, monkeypatch, capsys, tmp_path, demo_files, records):
+        # the equation holds with f's arguments in order and fails with them reversed
+        from convalg.terms import ComplexAlgebra
+
+        apply = ComplexAlgebra.apply
+        monkeypatch.setattr(ComplexAlgebra, "apply", lambda self, name, args: apply(
+            self, name, list(args)[::-1]))
+        eqs = tmp_path / "eqs.txt"
+        eqs.write_text("(f (f w w) (f v w)) = (f w (f v w))\n")
+        argv = ["equations", "check", "--lattice", "chain:1",
+                "--structure", demo_files["structure.txt"], "--eqs", str(eqs)]
+        rc, out, err = run(capsys, argv + ["--records"] * records)
+        assert rc == 1 and err == ""
+        if records:
+            assert out.splitlines() == [
+                "command=equations.check",
+                "eq.0.text=(f (f w w) (f v w)) = (f w (f v w))",
+                "eq.0.conv=true", "eq.0.complex=false", "eq.0.agree=false",
+                "compared=1", "skipped=0", "disagreements=1", "ok=false",
+            ]
+        else:
+            assert out.splitlines() == [
+                "(f (f w w) (f v w)) = (f w (f v w)): maps=true powerset=false",
+                "compared 1, skipped 0, disagreements 1",
+            ]
+
     def test_agreeing_suite(self, capsys, tmp_path, demo_files):
         eqs = tmp_path / "eqs.txt"
         eqs.write_text("(f v w) = (f w v)\n(f v v) = v\n")
@@ -266,10 +303,10 @@ class TestEquationsCheck:
         import convalg.terms
         from convalg import LatticeMap
 
-        def bottom(lat, m):
-            return LatticeMap(m.carrier, lat, (lat.bottom_code,) * len(m.carrier))
+        def bottom(lat, carrier, subset):
+            return LatticeMap(carrier, lat, (lat.bottom_code,) * len(carrier))
 
-        monkeypatch.setattr(convalg.terms, "_crisp", bottom)
+        monkeypatch.setattr(convalg.terms, "char_map", bottom)
         argv = ["equations", "check", "--lattice", "chain:2",
                 "--structure", demo_files["structure.txt"], "--eqs", demo_files["eqs.txt"]]
         message = r"^\(f v w\) = \(f w v\) holds at the crisp lift of its two-valued counterexample"

@@ -192,7 +192,7 @@ class TestCodeConstructor:
         els = wedge_lattice.elements
         assert m.codes == (4, 0, 2)
         assert m.values == {"p": els[4], "q": els[0], "r": els[2]}
-        assert [m(x) for x in carrier] == [els[4], els[0], els[2]]
+        assert [m.values[x] for x in carrier] == [els[4], els[0], els[2]]
         assert LatticeMap.from_values(carrier, wedge_lattice, m.values) == m
 
     def test_values_is_a_fresh_dict(self, wedge_lattice):
@@ -205,7 +205,7 @@ class TestCodeConstructor:
         carrier = ("p", "q", "r", "s")
         for _ in range(50):
             m = random_map(rng, wedge_lattice, carrier)
-            assert tuple(wedge_lattice.index[m(x)] for x in carrier) == m.codes
+            assert tuple(wedge_lattice.index[m.values[x]] for x in carrier) == m.codes
             assert hash(m) == hash(LatticeMap(carrier, wedge_lattice, m.codes))
 
     def test_from_values_rejects_extra_keys(self, wedge_lattice):

@@ -109,9 +109,11 @@ class TestPhi:
             phi(wedge_lattice, thirds_args[0])
 
     def test_sections_must_be_open(self, wedge_topology):
+        # {a} is not open in the wedge; its mask over sorted points a, b, c would be 1
         parent = ConstantEtale(("p", "q"), wedge_topology)
-        with pytest.raises(ValueError, match="section at 'p' is not an open set"):
-            EtaleSubobject.from_sections(parent, {"p": fs("a"), "q": fs("b")})
+        assert fs("a") not in wedge_topology.mask_of
+        with pytest.raises(ValueError, match="mask 1 does not name an open set"):
+            EtaleSubobject(parent, (1, wedge_topology.mask_of[fs("b")]))
 
     def test_open_masks_follow_element_positions(self, wedge_lattice, wedge_topology):
         masks = wedge_lattice.open_masks
@@ -139,27 +141,8 @@ class TestPhi:
 
 
 class TestSubobjectConstruction:
-    """``from_sections`` validates open sets by label; the constructor
-    validates the masks themselves. Wedge masks over sorted points a, b, c:
-    {} 0, {b} 2, {a b} 3, {b c} 6, {a b c} 7."""
-
-    @pytest.mark.parametrize(
-        "sections",
-        [{"p": fs("b")}, {"p": fs("b"), "q": fs(), "r": fs()}],
-        ids=["missing", "extra"],
-    )
-    def test_from_sections_needs_every_label_once(self, wedge_topology, sections):
-        parent = ConstantEtale(("p", "q"), wedge_topology)
-        with pytest.raises(ValueError, match="every fiber label"):
-            EtaleSubobject.from_sections(parent, sections)
-
-    def test_from_sections_stores_masks(self, wedge_topology):
-        parent = ConstantEtale(("p", "q"), wedge_topology)
-        sections = {"q": fs("b"), "p": fs("a", "b")}
-        sub = EtaleSubobject.from_sections(parent, sections)
-        assert sub.masks == (3, 2)
-        assert sub.sections == sections
-        assert sub == EtaleSubobject(parent, (3, 2))
+    """The constructor validates the masks. Wedge masks over sorted points
+    a, b, c: {} 0, {b} 2, {a b} 3, {b c} 6, {a b c} 7."""
 
     @pytest.mark.parametrize("masks", [(1, 0), (4, 2), (8, 0), (-1, 0)], ids=repr)
     def test_mask_must_name_an_open(self, wedge_topology, masks):
@@ -183,17 +166,6 @@ class TestSubobjectConstruction:
         parent = ConstantEtale(("p", "q"), wedge_topology)
         with pytest.raises(ValueError, match="one entry per fiber label"):
             EtaleSubobject(parent, masks)
-
-    @pytest.mark.parametrize("bad", [["b"], {"b": 1}, [], None, "b"], ids=repr)
-    def test_from_sections_rejects_non_set_sections(self, wedge_topology, bad):
-        parent = ConstantEtale(("p", "q"), wedge_topology)
-        with pytest.raises(ValueError, match="section at 'p' is not an open set"):
-            EtaleSubobject.from_sections(parent, {"p": bad, "q": fs("b")})
-
-    def test_from_sections_takes_plain_sets(self, wedge_topology):
-        parent = ConstantEtale(("p", "q"), wedge_topology)
-        sub = EtaleSubobject.from_sections(parent, {"p": {"a", "b"}, "q": set()})
-        assert sub.masks == (3, 0)
 
     def test_mutating_sections_leaves_the_subobject_unchanged(self):
         topology, lattice, structure, (alpha1, _) = worked_example()
@@ -395,9 +367,9 @@ class TestSubobjectOps:
         # one fiber per open a, holding a; the section at a of a => b is impl(a, b)
         topo = make_topology({"a", "b", "c"}, generators)
         parent = ConstantEtale(tuple(topo.opens), topo)
-        every = EtaleSubobject.from_sections(parent, {a: a for a in parent.fibers})
+        every = EtaleSubobject(parent, tuple(topo.mask_of[a] for a in parent.fibers))
         for b in topo.opens:
-            const = EtaleSubobject.from_sections(parent, {a: b for a in parent.fibers})
+            const = EtaleSubobject(parent, (topo.mask_of[b],) * len(parent.fibers))
             assert sub_impl(every, const).sections == {a: topo.impl(a, b) for a in parent.fibers}
 
     def test_union_parent_mismatch(self, wedge_topology, thirds_topology):
@@ -505,7 +477,7 @@ class TestType2ThroughEtale:
         sizes = [self.M * v for v in g.values]
         assert all(k.denominator == 1 for k in sizes)
         sections = [frozenset(range(int(k))) for k in sizes]
-        return EtaleSubobject.from_sections(rel_etale.etale, zip(rel_etale.etale.fibers, sections))
+        return EtaleSubobject(rel_etale.etale, tuple(map(rel_etale.base.mask_of.get, sections)))
 
     def lower(self, sub):
         return GridFunction(self.N, [Fraction(len(a), self.M) for a in sub.sections.values()])

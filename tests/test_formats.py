@@ -187,7 +187,7 @@ def canonical_step_functions(draw):
         return f
     # the same breakpoints with every value zero: canonical form is the zero function
     pieces = len(f.breakpoints)
-    return StepFunction.make(f.breakpoints, [F(0)] * pieces, [F(0)] * (pieces - 1))
+    return StepFunction(f.breakpoints, [F(0)] * pieces, [F(0)] * (pieces - 1))
 
 
 class TestStepFunctionFormat:

@@ -394,3 +394,13 @@ class TestPositionTables:
         assert lat.bottom == "0" and lat.top == "1"
         with pytest.raises(ValueError, match="no least upper bound"):
             lat.join_table
+
+    def test_join_override_that_leaves_the_elements_is_refused_at_the_table(self):
+        class Leaky(FiniteLattice):
+            def join(self, a, b):
+                return a + b
+
+        lat = Leaky((0, 1), lambda a, b: a <= b)
+        assert lat.bottom == 0 and lat.top == 1 and lat.meet_table == ((0, 0), (0, 1))
+        with pytest.raises(ValueError, match=r"^join\(1, 1\) = 2 left the lattice$"):
+            lat.join_table

@@ -945,5 +945,5 @@ def test_birkhoff_masks(lattice):
     if isinstance(lattice, OpenSetLattice):
         assert width == len(minimal_neighbourhoods(lattice.topology))
     elif isinstance(lattice, ChainLattice):
-        assert width == lattice.size
+        assert width == len(lattice.elements) - 1
     assert masks[lattice.bottom_code] == 0 and masks[lattice.top_code] == (1 << width) - 1

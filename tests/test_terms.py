@@ -376,6 +376,22 @@ class TestSameEquationsReport:
         assert report.skipped == 1
         assert report.ok
 
+    def test_a_forced_disagreement_is_reported(self, monkeypatch, four_point_structure):
+        # holds with f's arguments in order, fails with them reversed
+        w, v = Var("w"), Var("v")
+        fvw = App("f", (v, w))
+        eq = Equation(App("f", (App("f", (w, w)), fvw)), App("f", (w, fvw)))
+        two = chain_lattice(1)
+        assert same_equations_report(two, four_point_structure, [eq]).ok
+        apply = ComplexAlgebra.apply
+        monkeypatch.setattr(ComplexAlgebra, "apply", lambda self, name, args: apply(
+            self, name, list(args)[::-1]))
+        report = same_equations_report(two, four_point_structure, [eq])
+        assert not report.ok and report.disagreements == 1 and report.compared == 1
+        outcome = report.outcomes[0]
+        assert outcome.conv_holds is True and outcome.complex_holds is False
+        assert outcome.agree is False
+
 
 class TestRandomEquations:
     def test_deterministic_for_seed(self, four_point_structure):
