@@ -9,6 +9,7 @@ runs with the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -188,17 +189,13 @@ def cmd_paper_demo(args):
     return 0 if agree else 1, records, "\n".join(lines)
 
 
-# The command groups, in the order the full tree lists them.
-_GROUPS = ("lattice", "conv", "complex", "etale", "equations", "type2", "paper-demo")
-
-
-def _build_parser(only=None):
-    """The argparse tree: every group, or with ``only`` that group alone."""
+@functools.cache
+def _build_parser():
+    """The argparse tree, built once per process. Each command stores its
+    handler's name and ``main`` looks the handler up when the call runs, so
+    a ``cmd_*`` function rebound after the first call is the one that runs."""
     parser = argparse.ArgumentParser(prog="convalg", description=__doc__)
-    # One-group usage lines list every group as the full tree does; the full
-    # tree sets no metavar, which its `required: command` error would name.
-    metavar = None if only is None else "{" + ",".join(_GROUPS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def group(name, help):
         return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
@@ -206,68 +203,57 @@ def _build_parser(only=None):
     def command(parent, name, func, **kwargs):
         p = parent.add_parser(name, **kwargs)
         p.add_argument("--records", action="store_true", help="machine-parseable key=value output")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         return p
 
-    if only in (None, "lattice"):
-        p = command(group("lattice", "lattice law checks"), "check", cmd_lattice_check)
-        p.add_argument("--lattice", required=True, help="chain:N or a topology file")
-        p.add_argument("--max-subset-size", type=int, default=2)
+    p = command(group("lattice", "lattice law checks"), "check", cmd_lattice_check)
+    p.add_argument("--lattice", required=True, help="chain:N or a topology file")
+    p.add_argument("--max-subset-size", type=int, default=2)
 
-    if only in (None, "conv"):
-        p = command(group("conv", "convolution operations"), "eval", cmd_conv_eval)
-        p.add_argument("--lattice", required=True)
-        p.add_argument("--structure", required=True)
-        p.add_argument("--relation", required=True)
-        p.add_argument("--arg", action="append", help="map file, once per argument")
+    p = command(group("conv", "convolution operations"), "eval", cmd_conv_eval)
+    p.add_argument("--lattice", required=True)
+    p.add_argument("--structure", required=True)
+    p.add_argument("--relation", required=True)
+    p.add_argument("--arg", action="append", help="map file, once per argument")
 
-    if only in (None, "complex"):
-        p = command(group("complex", "relational image on subsets"), "eval", cmd_complex_eval)
-        p.add_argument("--structure", required=True)
-        p.add_argument("--relation", required=True)
-        p.add_argument("--arg", action="append", help="subset literal like '{x1 x2}'")
+    p = command(group("complex", "relational image on subsets"), "eval", cmd_complex_eval)
+    p.add_argument("--structure", required=True)
+    p.add_argument("--relation", required=True)
+    p.add_argument("--arg", action="append", help="subset literal like '{x1 x2}'")
 
-    if only in (None, "etale"):
-        etale = group("etale", "section correspondence checks")
-        p = command(etale, "verify-iso", cmd_etale_verify_iso)
-        p.add_argument("--structure", required=True)
-        p.add_argument("--topology", required=True)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+    p = command(group("etale", "section correspondence checks"), "verify-iso", cmd_etale_verify_iso)
+    p.add_argument("--structure", required=True)
+    p.add_argument("--topology", required=True)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
 
-    if only in (None, "equations"):
-        p = command(group("equations", "equational cross-checks"), "check", cmd_equations_check)
-        p.add_argument("--lattice", required=True)
-        p.add_argument("--structure", required=True)
-        p.add_argument("--eqs", required=True)
-        p.add_argument("--max-enum", type=int, default=10**6)
+    p = command(group("equations", "equational cross-checks"), "check", cmd_equations_check)
+    p.add_argument("--lattice", required=True)
+    p.add_argument("--structure", required=True)
+    p.add_argument("--eqs", required=True)
+    p.add_argument("--max-enum", type=int, default=10**6)
 
-    if only in (None, "type2"):
-        t2 = group("type2", "step-function operations")
-        p = command(t2, "eval", cmd_type2_eval)
-        p.add_argument("--op", choices=("join", "meet", "neg"), required=True)
-        p.add_argument("-a", required=True, help="step function file")
-        p.add_argument("-b", help="second step function file")
-        p = command(t2, "crosscheck", cmd_type2_crosscheck)
-        p.add_argument("--n", type=int, default=8)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+    t2 = group("type2", "step-function operations")
+    p = command(t2, "eval", cmd_type2_eval)
+    p.add_argument("--op", choices=("join", "meet", "neg"), required=True)
+    p.add_argument("-a", required=True, help="step function file")
+    p.add_argument("-b", help="second step function file")
+    p = command(t2, "crosscheck", cmd_type2_crosscheck)
+    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
 
-    if only in (None, "paper-demo"):
-        command(sub, "paper-demo", cmd_paper_demo, help="run the worked example three ways")
+    command(sub, "paper-demo", cmd_paper_demo, help="run the worked example three ways")
     return parser
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    # Only the group that argv names is built; the full tree when it names none.
-    only = argv[0] if argv and argv[0] in _GROUPS else None
     try:
-        args = _build_parser(only).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        status, records, text = args.func(args)
+        status, records, text = globals()[args.func](args)
     except (ValueError, OSError, CapacityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

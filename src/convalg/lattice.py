@@ -121,9 +121,9 @@ def enumerate_topologies(points):
     """Yield every topology on the given point set, in a fixed order.
 
     Brute force over families of subsets; intended for four or fewer
-    points.
+    points. Repeated labels name one point.
     """
-    pts = tuple(sorted(points))
+    pts = tuple(sorted(set(points)))
     if len(pts) > 4:
         raise ValueError("topology enumeration is exponential; at most 4 points")
     full = frozenset(pts)

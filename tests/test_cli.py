@@ -11,7 +11,7 @@ import convalg.etale
 import convalg.type2
 from convalg import cli
 from convalg.cli import _load_lattice, main
-from convalg.lattice import CapacityError
+from convalg.lattice import CapacityError, ChainLattice
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
@@ -457,6 +457,7 @@ class TestCounterexampleExit:
         "Fraction(1, 3)) vs oracle (Fraction(2, 3), Fraction(3, 4), Fraction(1, 1), "
         "Fraction(1, 1), Fraction(1, 12))"
     )
+    LATTICE_DETAIL = "w=Fraction(1, 3), a=Fraction(1, 1), b=Fraction(1, 1), impl=Fraction(0, 1)"
 
     @pytest.mark.parametrize("records", [False, True], ids=["human", "records"])
     def test_etale_verify_iso(self, monkeypatch, capsys, demo_files, records):
@@ -484,6 +485,23 @@ class TestCounterexampleExit:
                         "ok=false", f"counterexample={self.CROSSCHECK_DETAIL}"]
         else:
             expected = [f"oracle mismatch: {self.CROSSCHECK_DETAIL}"]
+        assert (rc, out.splitlines(), err) == (1, expected, "")
+
+    @pytest.mark.parametrize("records", [False, True], ids=["human", "records"])
+    def test_lattice_check(self, monkeypatch, capsys, records):
+        impl = ChainLattice.impl
+        monkeypatch.setattr(
+            ChainLattice, "impl",
+            lambda self, a, b: self.bottom if a == b == self.top else impl(self, a, b),
+        )
+        argv = ["lattice", "check", "--lattice", "chain:3"]
+        rc, out, err = run(capsys, argv + ["--records"] * records)
+        if records:
+            expected = ["command=lattice.check", "elements=4", "checks=322", "ok=false",
+                        "law=adjunction", f"detail={self.LATTICE_DETAIL}"]
+        else:
+            expected = [f"lattice with 4 elements: adjunction failed after 322 checks: "
+                        f"{self.LATTICE_DETAIL}"]
         assert (rc, out.splitlines(), err) == (1, expected, "")
 
 
@@ -696,31 +714,22 @@ def added_parsers(monkeypatch):
     return added
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-def test_call_builds_only_its_group(capsys, demo_files, added_parsers, case):
-    """A well-formed call builds the parsers of the group it names and no
-    other."""
-    argv = with_files(GOLDEN_CASES[case], demo_files)
-    run(capsys, argv)
-    assert added_parsers[0] == argv[0]
-    assert not set(added_parsers[1:]) & set(cli._GROUPS)
+def test_calls_share_one_tree(capsys, added_parsers):
+    """The parser tree is built by the first call and kept for the next."""
+    cli._build_parser.cache_clear()
+    argv = ["lattice", "check", "--lattice", "chain:2"]
+    assert run(capsys, argv)[0] == 0
+    built = list(added_parsers)
+    assert built[0] == "lattice" and "paper-demo" in built
+    assert run(capsys, argv)[0] == 0
+    assert added_parsers == built
 
 
-@pytest.mark.parametrize("case", ["trailing-argument", "unknown-action"])
-def test_parse_failure_builds_only_its_group(capsys, added_parsers, case):
-    """A parse error in a named group is reported by that group's parser;
-    its output is pinned by the usage goldens."""
-    assert run(capsys, list(USAGE_CASES[case]))[0] == 2
-    assert [name for name in added_parsers if name in cli._GROUPS] == ["lattice"]
-
-
-def test_groups_are_the_full_trees_commands():
-    """``_GROUPS`` spells the one-group parsers' usage line, so it must list
-    the full tree's commands in the full tree's order."""
-    (sub,) = [
-        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    assert tuple(sub.choices) == cli._GROUPS
+def test_handlers_are_looked_up_at_call_time(capsys, monkeypatch):
+    """A handler rebound after the tree is built is the one that runs."""
+    assert run(capsys, ["lattice", "check", "--lattice", "chain:2"])[0] == 0
+    monkeypatch.setattr(cli, "cmd_lattice_check", lambda args: (1, [("rebound", True)], "rebound"))
+    assert run(capsys, ["lattice", "check", "--lattice", "chain:2"]) == (1, "rebound\n", "")
 
 
 @pytest.mark.parametrize(

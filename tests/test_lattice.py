@@ -338,6 +338,10 @@ class TestEnumerateTopologies:
         with pytest.raises(ValueError):
             list(enumerate_topologies("abcde"))
 
+    @pytest.mark.parametrize("points,distinct", [(["a", "a", "b"], ["a", "b"]), ("aabbcc", "abc")])
+    def test_repeated_labels_name_one_point(self, points, distinct):
+        assert list(enumerate_topologies(points)) == list(enumerate_topologies(distinct))
+
 
 class TestLatticeIdentity:
     @pytest.mark.parametrize(

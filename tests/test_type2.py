@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from convalg import (
     CapacityError,
+    FiniteLattice,
     GridFunction,
     StepFunction,
     chain_lattice,
@@ -219,6 +220,25 @@ class TestClosedFormVsOracle:
                 oracle = grid_conv_oracle(n, op, *args)
                 conv = conv_op(lat, s, op, margs)
                 assert tuple(conv.values[F(k, n)] for k in range(n + 1)) == oracle.values
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12])
+    def test_oracle_is_convolution_over_the_chain_of_occurring_values(self, n):
+        """On the n-grid each type-2 operation is the convolution operation of
+        ``interval_structure(n)`` over the chain of the values that occur."""
+        s = interval_structure(n)
+        grid = [F(k, n) for k in range(n + 1)]
+        rng = random.Random(0)
+        for _ in range(20):
+            ga, gb = (sample_to_grid(random_grid_step(rng, n), n) for _ in "ab")
+            lat = FiniteLattice(sorted({F(0), F(1), *ga.values, *gb.values}), lambda a, b: a <= b)
+            ma, mb = (LatticeMap.from_values(grid, lat, dict(zip(grid, g.values))) for g in (ga, gb))
+            for op, args, margs in (
+                ("join", (ga, gb), [ma, mb]),
+                ("meet", (ga, gb), [ma, mb]),
+                ("neg", (ga,), [ma]),
+            ):
+                conv = conv_op(lat, s, op, margs)
+                assert tuple(conv.values[x] for x in grid) == grid_conv_oracle(n, op, *args).values
 
     def test_de_morgan_interchange(self):
         rng = random.Random(13)
