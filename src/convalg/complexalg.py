@@ -31,18 +31,15 @@ def image_mask(groups, inside):
 def rel_image(structure, name, args):
     """Relational image: last coordinates of relation tuples whose argument
     entries come from the given subsets. Nullary relations return their
-    own elements as a subset."""
+    own elements as a subset. Subsets and masks convert through the
+    structure's bounded memo, ``subset_mask`` and ``mask_subset``."""
     n, groups = structure.slot_masks(name)
     if len(args) != n:
         raise ValueError(f"{name} expects {n} arguments, got {len(args)}")
-    bits, inside = structure.carrier_bits, 0
-    for i, a in enumerate(map(frozenset, args)):
-        try:
-            inside |= sum(map(bits.__getitem__, a)) << i * len(bits)
-        except KeyError:
-            raise ValueError(f"subset {sorted(a)} is not contained in the carrier") from None
-    hits = image_mask(groups, inside)
-    return frozenset([x for x, b in bits.items() if hits & b])
+    mask, width, inside = structure.subset_mask, len(structure.carrier), 0
+    for i, a in enumerate(args):
+        inside |= mask(frozenset(a)) << i * width
+    return structure.mask_subset(image_mask(groups, inside))
 
 
 def all_subsets(carrier):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .convolution import MAX_MAPS
 from .lattice import _bounded, _count
@@ -79,6 +79,27 @@ class RelationalStructure:
     def carrier_bits(self):
         """Carrier element -> ``1 << position``."""
         return {x: 1 << p for p, x in enumerate(self.carrier)}
+
+    @cached_property
+    def subset_mask(self):
+        """Subset (a frozenset) -> its :attr:`carrier_bits` mask, remembered for up to
+        ``1 << 12`` subsets. An element outside the carrier raises ValueError and
+        leaves nothing remembered."""
+        bits = self.carrier_bits
+
+        def encode(subset):
+            try:
+                return sum(map(bits.__getitem__, subset))
+            except KeyError:
+                raise ValueError(f"subset {sorted(subset)} is not contained in the carrier") from None
+
+        return lru_cache(1 << 12)(encode)
+
+    @cached_property
+    def mask_subset(self):
+        """:attr:`carrier_bits` mask -> its frozenset, remembered for up to ``1 << 12`` masks."""
+        items = tuple(self.carrier_bits.items())
+        return lru_cache(1 << 12)(lambda mask: frozenset([x for x, b in items if mask & b]))
 
     def compiled(self, name):
         """Relation ``name`` in argument slots, compiled once: ``(arity, groups)``.

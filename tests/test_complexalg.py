@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from convalg import (
 )
 
 from helpers import graph
+from test_oracle import literal_image
 
 
 def fs(*labels):
@@ -68,6 +70,70 @@ class TestRelImage:
     def test_nullary_image_is_the_relation(self):
         s = interval_structure(1)
         assert rel_image(s, "zero", []) == {t[0] for t in s.relations["zero"]}
+
+
+def memo_sizes(structure):
+    return structure.subset_mask.cache_info().currsize, structure.mask_subset.cache_info().currsize
+
+
+def assert_literal_images(structure, name, arg_tuples):
+    for args in arg_tuples:
+        assert rel_image(structure, name, args) == literal_image(structure, name, args)
+
+
+class TestSubsetMemo:
+    """``rel_image`` reads argument masks and result subsets through the
+    structure's bounded memo; every answer stays the literal image."""
+
+    FORMS = [frozenset, set, list, tuple, lambda a: (x for x in a)]
+
+    @pytest.mark.parametrize("form", FORMS, ids=["frozenset", "set", "list", "tuple", "generator"])
+    def test_any_iterable_gives_the_literal_image(self, four_point_structure, form):
+        subsets = all_subsets(four_point_structure.carrier)
+        for a in subsets:
+            for b in subsets:
+                image = rel_image(four_point_structure, "f", [form(a), form(b)])
+                assert image == literal_image(four_point_structure, "f", [a, b])
+
+    def test_outside_the_carrier_raises_and_remembers_nothing(self, four_point_structure):
+        rel_image(four_point_structure, "f", [fs("x1"), fs("x2")])
+        before = memo_sizes(four_point_structure)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"^subset \['x2', 'zz'\] is not contained"):
+                rel_image(four_point_structure, "f", [fs("x1"), fs("x2", "zz")])
+        assert memo_sizes(four_point_structure) == before
+
+    def test_thirteen_elements_stay_within_the_bound(self):
+        # a permutation, so 8,192 distinct subsets have 8,192 distinct images
+        carrier = tuple(range(13))
+        rot = graph(carrier, lambda x: (x + 1) % 13, 1)
+        s = RelationalStructure(carrier, Signature((("rot", 1),)), {"rot": rot})
+        cases = [[a] for a in all_subsets(carrier)]
+        assert len(cases) == 8192
+        for _ in range(2):  # the second pass starts on a full memo
+            assert_literal_images(s, "rot", cases)
+            assert memo_sizes(s) == (1 << 12, 1 << 12)
+
+    def test_warm_structure_repeats_its_answers(self, four_point_structure):
+        subsets = all_subsets(four_point_structure.carrier)
+        cases = [[a, b] for a in subsets for b in subsets]
+        assert_literal_images(four_point_structure, "f", cases)
+        memo = four_point_structure.subset_mask, four_point_structure.mask_subset
+        misses = [m.cache_info().misses for m in memo]
+        assert_literal_images(four_point_structure, "f", cases)
+        assert [m.cache_info().misses for m in memo] == misses  # every lookup a hit
+
+    def test_memo_leaves_identity_unchanged(self, four_point_structure):
+        data = four_point_structure.carrier, four_point_structure.signature
+        s = RelationalStructure(*data, four_point_structure.relations)
+        before = hash(s), repr(s)
+        rel_image(s, "f", [fs("x1", "x2"), fs("x2", "x3")])
+        assert "subset_mask" in vars(s) and "mask_subset" in vars(s)
+        assert (hash(s), repr(s)) == before
+        twin = RelationalStructure(*data, four_point_structure.relations)
+        assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
+        assert "subset_mask" not in vars(twin) and "mask_subset" not in vars(twin)
+        assert [f.name for f in dataclasses.fields(s)] == ["carrier", "signature", "relations"]
 
 
 class TestCharacteristicIso:

@@ -9,14 +9,29 @@ bug, so that a flip is the bug's doing.
 
 import pytest
 
+import convalg.cli
 import convalg.complexalg
 import convalg.etale
+import convalg.terms
 import convalg.type2
-from convalg import characteristic_iso, crosscheck, verify_main_iso
+from convalg import (
+    App,
+    Equation,
+    Var,
+    chain_lattice,
+    characteristic_iso,
+    crosscheck,
+    same_equations_report,
+    verify_main_iso,
+)
 from convalg.cli import main
 from convalg.etale import worked_example
 
 TOPOLOGY, LATTICE, STRUCTURE, _ = worked_example()
+# holds with f's arguments in order, fails with them reversed
+W, V = Var("w"), Var("v")
+FVW = App("f", (V, W))
+ASYMMETRIC = Equation(App("f", (App("f", (W, W)), FVW)), App("f", (W, FVW)))
 
 
 def cli_passes(capsys, argv):
@@ -33,6 +48,10 @@ CHECKS = {
         LATTICE, STRUCTURE, TOPOLOGY, trials=20
     ).ok,
     "characteristic_iso": lambda capsys: characteristic_iso(STRUCTURE).ok,
+    "same_equations_report": lambda capsys: same_equations_report(
+        chain_lattice(1), STRUCTURE, [ASYMMETRIC]
+    ).ok,
+    "paper-demo": lambda capsys: cli_passes(capsys, ["paper-demo"]),
     "crosscheck": lambda capsys: crosscheck(4, 10).ok,
     "type2 crosscheck": lambda capsys: cli_passes(
         capsys, ["type2", "crosscheck", "--n", "4", "--trials", "10"]
@@ -41,7 +60,12 @@ CHECKS = {
 
 
 def reversed_arguments(f):
-    return lambda lattice, structure, name, args: f(lattice, structure, name, args[::-1])
+    """``f`` with its last argument, the operation's argument list, reversed."""
+    return lambda *call: f(*call[:-1], call[-1][::-1])
+
+
+def last_group_ignored(f):
+    return lambda groups, inside: f(groups[:-1], inside)
 
 
 def join_and_meet_swapped(f):
@@ -56,6 +80,26 @@ BUGS = {
         [(convalg.etale, "conv_op"), (convalg.complexalg, "conv_op")],
         reversed_arguments,
         ["verify_main_iso", "characteristic_iso"],
+    ),
+    "rel_image reads its arguments reversed": (
+        [(convalg.complexalg, "rel_image"), (convalg.terms, "rel_image")],
+        reversed_arguments,
+        ["characteristic_iso", "same_equations_report"],
+    ),
+    "image_mask ignores its last group": (
+        [(convalg.complexalg, "image_mask"), (convalg.etale, "image_mask")],
+        last_group_ignored,
+        ["characteristic_iso", "paper-demo"],
+    ),
+    "per_fiber_rel_image reads its arguments reversed": (
+        [(convalg.cli, "per_fiber_rel_image")],
+        reversed_arguments,
+        ["paper-demo"],
+    ),
+    "fiberwise_rel_image reads its arguments reversed": (
+        [(convalg.etale, "fiberwise_rel_image"), (convalg.cli, "fiberwise_rel_image")],
+        reversed_arguments,
+        ["verify_main_iso", "paper-demo"],
     ),
     "grid_conv_oracle swaps join and meet": (
         [(convalg.type2, "grid_conv_oracle")],
