@@ -29,7 +29,7 @@ def _compare_routes(cases):
     return checks, None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeMap:
     """A total map from a structure carrier into a lattice, stored as codes.
 
@@ -43,6 +43,11 @@ class LatticeMap:
     carrier: tuple
     lattice: object
     codes: tuple
+
+    def __init__(self, carrier, lattice, codes):
+        # one dict update instead of a frozen __setattr__ per field
+        self.__dict__.update(carrier=carrier, lattice=lattice, codes=codes)
+        self.__post_init__()
 
     def __post_init__(self):
         codes, size = self.codes, len(self.lattice.elements)
@@ -86,28 +91,33 @@ def conv_op(lattice, structure, name, args):
     the meets of the argument values at the tuple entries. It is computed
     in positions: the structure's compiled relation indexes the
     concatenated argument codes, and the lattice's meet and join tables
-    combine them.
+    combine them. A binary relation's tuples are read as pairs, since
+    meet with top is the identity.
     """
     n, groups = structure.compiled(name)
     if len(args) != n:
         raise ValueError(f"{name} expects {n} arguments, got {len(args)}")
-    carrier = tuple(structure.carrier)
+    carrier, codes = structure.carrier, ()
     for a in args:
         if a.carrier is not carrier and tuple(a.carrier) != carrier:
             raise ValueError("argument carrier does not match the structure")
         if a.lattice is not lattice and a.lattice != lattice:
             raise ValueError("argument lattice mismatch")
+        codes += a.codes
     meet, join = lattice.meet_table, lattice.join_table
     bottom, top = lattice.bottom_code, lattice.top_code
-    codes = [c for a in args for c in a.codes]
     out = []
     for group in groups:
         acc = bottom
-        for t in group:
-            m = top
-            for k in t:
-                m = meet[m][codes[k]]
-            acc = join[acc][m]
+        if n == 2:
+            for p, q in group:
+                acc = join[acc][meet[codes[p]][codes[q]]]
+        else:
+            for t in group:
+                m = top
+                for k in t:
+                    m = meet[m][codes[k]]
+                acc = join[acc][m]
         out.append(acc)
     return LatticeMap(carrier, lattice, tuple(out))
 

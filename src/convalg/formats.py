@@ -107,8 +107,7 @@ def parse_structure(text, path=None):
             relations[current].add(entries)
     if carrier is None:
         raise ParseError("missing carrier line", None, path)
-    sig = Signature(tuple(symbols))
-    return RelationalStructure(carrier, sig, {k: frozenset(v) for k, v in relations.items()})
+    return RelationalStructure(carrier, Signature(symbols), relations)
 
 
 def parse_subset(token, i=None, path=None):

@@ -22,6 +22,7 @@ class Signature:
     symbols: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "symbols", tuple((name, arity) for name, arity in self.symbols))
         names = [name for name, _ in self.symbols]
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
@@ -47,6 +48,7 @@ class RelationalStructure:
     relations: dict = field(compare=True)
 
     def __post_init__(self):
+        object.__setattr__(self, "carrier", tuple(self.carrier))
         if len(set(self.carrier)) != len(self.carrier):
             raise ValueError("duplicate carrier elements")
         if set(self.relations) != set(self.signature.names):

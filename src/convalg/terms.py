@@ -17,6 +17,9 @@ from .complexalg import all_subsets, char_map, count_subsets, rel_image, subset_
 from .convolution import conv_op, count_maps, enumerate_maps
 from .lattice import CapacityError, _bounded, _count, chain_lattice
 
+# the one two-element chain of every two_valued algebra, so its tables are built once
+_TWO = chain_lattice(1)
+
 
 @dataclass(frozen=True)
 class Var:
@@ -113,11 +116,11 @@ class ConvolutionAlgebra(_TabledAlgebra):
     def two_valued(self):
         lat = self.lattice
         if len(lat.elements) > 2 and lat.birkhoff_masks is not None:
-            return ConvolutionAlgebra(chain_lattice(1), self.structure)
+            return ConvolutionAlgebra(_TWO, self.structure)
         return None
 
     def apply(self, name, args):
-        return conv_op(self.lattice, self.structure, name, list(args))
+        return conv_op(self.lattice, self.structure, name, args)
 
     def size(self):
         """Element count; raises CapacityError above ``MAX_MAPS``."""
@@ -136,7 +139,7 @@ class ComplexAlgebra(_TabledAlgebra):
     """The powerset algebra of a structure, symbols acting by relational image."""
 
     def apply(self, name, args):
-        return rel_image(self.structure, name, list(args))
+        return rel_image(self.structure, name, args)
 
     def size(self):
         """Element count; raises CapacityError above ``MAX_MAPS``."""

@@ -148,9 +148,11 @@ def test_conv_op_matches_literal_convolution(lattice):
                     assert result.values[x] is lattice.elements[code]
 
 
-def test_conv_op_exhaustive_on_small_instances():
+def test_conv_op_exhaustive_on_small_instances(wedge_lattice):
+    # arities 0 to 2: the general fold and the binary pair loop, on chains,
+    # the wedge's open sets and both non-distributive five-element lattices
     rng = random.Random(5)
-    for lattice in (chain_lattice(1), chain_lattice(2), n5()):
+    for lattice in (chain_lattice(1), chain_lattice(2), n5(), m3(), wedge_lattice):
         s = random_structure(rng, 2)
         maps = list(enumerate_maps(lattice, s.carrier))
         for name, arity in SIG.symbols[:3]:

@@ -7,6 +7,8 @@ from convalg import (
     CapacityError,
     RelationalStructure,
     Signature,
+    chain_lattice,
+    conv_op,
     interval_structure,
 )
 
@@ -122,6 +124,19 @@ class TestConstruction:
         assert len({s, twin, other}) == 2
         s.compiled("f")  # cached views stay out of the hash
         assert hash(s) == hash(twin)
+
+    def test_list_inputs_are_stored_as_tuples(self):
+        sig = Signature((("f", 1), ("c", 0)))
+        listed = Signature([["f", 1], ["c", 0]])
+        assert listed.symbols == sig.symbols and type(listed.symbols) is tuple
+        assert listed == sig and hash(listed) == hash(sig)
+        relations = {"f": {("a", "b")}, "c": set()}
+        s = RelationalStructure(("a", "b"), sig, relations)
+        twin = RelationalStructure(["a", "b"], listed, relations)
+        assert type(twin.carrier) is tuple
+        assert twin == s and hash(twin) == hash(s)
+        # maps over the stored carrier take conv_op's identity fast path
+        assert conv_op(chain_lattice(1), twin, "c", []).carrier is twin.carrier
 
 
 class TestCompiled:

@@ -307,6 +307,21 @@ class TestHoldsIn:
         assert len(applied) == 16 * 16 + 2 and applied[-2:] == [5, 5]
         assert {m.lattice for m in check.witness.values()} == {wedge_lattice}
 
+    def test_two_valued_algebras_share_one_chain(self, four_point_structure, wedge_lattice):
+        # one two-element chain serves every reduction, so its tables are built
+        # once; a lifted witness is still over L
+        lattices = [chain_lattice(2), chain_lattice(3), wedge_lattice]
+        chains = [ConvolutionAlgebra(lat, s).two_valued.lattice
+                  for lat in lattices for s in (four_point_structure, interval_structure(1))]
+        assert all(chain is chains[0] for chain in chains)
+        assert chains[0] == chain_lattice(1)
+        v, w = Var("v"), Var("w")
+        failing = Equation(App("f", (v, w)), App("f", (w, v)))
+        for lat in lattices:
+            check = holds_in(ConvolutionAlgebra(lat, four_point_structure), failing)
+            assert not check.holds
+            assert all(m.lattice is lat for m in check.witness.values())
+
 
 class TestTwoValuedAgreement:
     def test_agreement_for_two_element_lattice(self, four_point_structure):

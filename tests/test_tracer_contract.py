@@ -9,6 +9,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,30 @@ def test_layer_metric_span_names_are_traced():
     assert len(literals) >= 23
     missing = sorted(literals - traced_span_names())
     assert not missing, f"layer_metrics reads spans no traced function opens: {missing}"
+
+
+# bench/run.py's own check of the wrappers, run where bench/run.py runs it:
+# after tracer.install() in a fresh process, since install rebinds names in
+# every convalg module. -B keeps bench/ free of bytecode.
+SELF_TEST = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import run
+W = run.load_workloads()
+import tracer
+t = tracer.Tracer()
+t.install()
+problems = run.self_test(W, t)
+print(problems)
+sys.exit(1 if problems else 0)
+"""
+
+
+def test_benchmark_tracer_self_test_passes():
+    # pins one apply and one conv_op or rel_image per table entry
+    bench = TRACER_PATH.parent
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", SELF_TEST, str(bench)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
