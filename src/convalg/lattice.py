@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations, product
+from itertools import chain, combinations, compress, count, product
 from math import comb
+from operator import ne
 
 # Planned checks above which check_heyting_laws refuses to start.
 MAX_LAW_CHECKS = 10**7
@@ -408,6 +409,8 @@ def check_heyting_laws(lat, max_subset_size=2):
     Every scan over elements is a mask test whose lowest bit is the first
     witness. An answer that is one of ``elements`` is placed by identity,
     any other by equality; answers outside ``elements`` go to ``leq``.
+    The distributive law is one sweep that stops only where a right-hand
+    side is unknown, a join lies outside ``elements`` or the sides differ.
     """
     _count(max_subset_size, "max_subset_size", 0)
     els = lat.elements
@@ -430,12 +433,12 @@ def check_heyting_laws(lat, max_subset_size=2):
     outside, vals = {}, list(els)
 
     def element(v):  # v's position in els, by identity before equality; None outside els
-        p = by_id.get(id(v))
-        return p if p is not None and els[p] is v else index.get(v)
+        p = by_id.get(id(v))  # a live object's id is its own, so a hit is v itself
+        return index.get(v) if p is None else p
 
     def code(v):  # v's position in vals, which appends each new value outside els
-        p = element(v)
-        if p is None and (p := outside.get(v)) is None:
+        p = by_id.get(id(v))
+        if p is None and (p := index.get(v)) is None and (p := outside.get(v)) is None:
             p = outside[v] = len(vals)
             vals.append(v)
             up.append(sum(1 << k for k, u in enumerate(els) if lat.leq(v, u)))
@@ -447,9 +450,11 @@ def check_heyting_laws(lat, max_subset_size=2):
     for i in range(n):
         if (k := scan(up[i] & down[i] & ~(1 << i))) >= 0:
             return fail("order", f"not antisymmetric at {els[i]!r}, {els[k]!r}")
-    for i, j in product(range(n), repeat=2):
-        if (k := scan(up[j] & ~up[i] if up[i] >> j & 1 else 0)) >= 0:
-            return fail("order", f"not transitive at {els[i]!r}, {els[j]!r}, {els[k]!r}")
+    masks = [up[j] & ~u if u >> j & 1 else 0 for u in up for j in range(n)]
+    checks += n * (t := next(compress(count(), masks), n * n))
+    if t < n * n:
+        (i, j), k = divmod(t, n), scan(masks[t])
+        return fail("order", f"not transitive at {els[i]!r}, {els[j]!r}, {els[k]!r}")
 
     if (k := scan(full & ~(up[code(lat.bottom)] & down[code(lat.top)]))) >= 0:
         return fail("bounds", f"{els[k]!r} not between bottom and top")
@@ -459,55 +464,63 @@ def check_heyting_laws(lat, max_subset_size=2):
     if lat.meet_all(()) != lat.top:
         return fail("bounds", "empty meet is not top")
 
+    # the checked subsets' positions by size; the full set is a group of its own
     sizes = range(1, min(max_subset_size, n) + 1)
-    subsets = [ps for k in sizes for ps in combinations(range(n), k)]
-    subsets = [(ps, tuple(els[p] for p in ps)) for ps in subsets + [tuple(range(n))]]
-    joins = []
-    for ps, s in subsets:
+    groups = [list(combinations(range(n), k)) for k in sizes] + [[tuple(range(n))]]
+    positions = [ps for g in groups for ps in g]
+    subsets = [tuple(map(els.__getitem__, ps)) for ps in positions]
+    joins, bit = [], [1 << p for p in range(n)]
+    for ps, s in zip(positions, subsets):
         j, m = code(lat.join_all(s)), code(lat.meet_all(s))
         joins.append(j)
-        members, uppers, lowers = sum(1 << p for p in ps), full, full
+        members, uppers, lowers = sum(map(bit.__getitem__, ps)), full, full
         for p in ps:
             uppers, lowers = uppers & up[p], lowers & down[p]
         checks += 1
         if members & ~down[j]:
             return fail("lub", f"join of {s!r} is not an upper bound")
-        if (k := scan(uppers & ~up[j])) >= 0:
-            return fail("lub", f"join of {s!r} is not least (witness {els[k]!r})")
-        checks += 1
+        if bad := uppers & ~up[j]:
+            return fail("lub", f"join of {s!r} is not least (witness {els[scan(bad)]!r})")
+        checks += n + 1
         if members & ~up[m]:
             return fail("glb", f"meet of {s!r} is not a lower bound")
-        if (k := scan(lowers & ~down[m])) >= 0:
-            return fail("glb", f"meet of {s!r} is not greatest (witness {els[k]!r})")
+        if bad := lowers & ~down[m]:
+            return fail("glb", f"meet of {s!r} is not greatest (witness {els[scan(bad)]!r})")
+        checks += n
 
     meet = [[code(lat.meet(a, b)) for b in els] for a in els]
     # join of the meets, by their positions; each checked subset's join is known
-    rhs_of = {ps: j for (ps, _), j in zip(subsets, joins)}
-    for i, a in enumerate(els):
-        row = meet[i]
-        for (ps, s), j in zip(subsets, joins):
-            checks += 1
-            lhs = row[j] if j < n else code(lat.meet(a, vals[j]))
-            key = tuple(map(row.__getitem__, ps))
-            if (rhs := rhs_of.get(key)) is None:
-                rhs = rhs_of[key] = code(lat.join_all([vals[p] for p in key]))
-            if lhs != rhs:
-                detail = f"{a!r} meet join{s!r}: {vals[lhs]!r} != {vals[rhs]!r}"
-                return fail("distributivity", detail)
+    rhs_of = dict(zip(positions, joins))
+    # one lazy sweep over t = i * last + u for a = els[i] and the u-th subset, its keys
+    # one zip per group of positions; -1 marks a join outside els, met with a in turn
+    cols, last, pad = [list(zip(*g)) for g in groups], len(positions), [-1] * (len(vals) - n)
+    lhs = chain.from_iterable(map((row + pad).__getitem__, joins) for row in meet)
+    keys = (zip(*[map(row.__getitem__, c) for c in g]) for row in meet for g in cols)
+    # a key asked at its first position is known when the sweep looks it up again
+    for t in compress(count(), map(ne, lhs, map(rhs_of.get, chain.from_iterable(keys)))):
+        i, u = divmod(t, last)
+        row, j, key = meet[i], joins[u], tuple(map(meet[i].__getitem__, positions[u]))
+        left = row[j] if j < n else code(lat.meet(els[i], vals[j]))
+        if (right := rhs_of.get(key)) is None:
+            right = rhs_of[key] = code(lat.join_all([vals[p] for p in key]))
+        if left != right:
+            checks += t + 1
+            detail = f"{els[i]!r} meet join{subsets[u]!r}: {vals[left]!r} != {vals[right]!r}"
+            return fail("distributivity", detail)
+    checks += n * last
 
-    # below[j] holds the w with (w meet a) <= els[j]: the up-sets of the meets as
-    # binary strings, w = n - 1 first, transposed by zip and read back as masks
-    bits = [format(u, f"0{n}b") for u in up]
+    # the w with (w meet a) <= els[j]: bit w is character j of the reversed binary
+    # string of up[meet[w][i]], so with those laid out w = n - 1 first, every n-th from j
+    bits = [format(u, f"0{n}b")[::-1] for u in up]
     for i, a in enumerate(els):
-        rows = [bits[meet[w][i]] for w in reversed(range(n))]
-        below = [int("".join(col), 2) for col in zip(*rows)][::-1]
+        below = "".join([bits[row[i]] for row in reversed(meet)])
         for j, b in enumerate(els):
             c = lat.impl(a, b)
-            p = element(c)
             checks += 1
-            if p is None:
+            if (p := element(c)) is None:
                 return fail("adjunction", f"impl({a!r}, {b!r}) left the lattice")
-            if (k := scan(below[j] ^ down[p])) >= 0:
-                return fail("adjunction", f"w={els[k]!r}, a={a!r}, b={b!r}, impl={c!r}")
+            if bad := int(below[j::n], 2) ^ down[p]:
+                return fail("adjunction", f"w={els[scan(bad)]!r}, a={a!r}, b={b!r}, impl={c!r}")
+            checks += n
 
     return LawReport(True, checks, None)

@@ -299,10 +299,14 @@ def same_equations_report(lattice, structure, equations, max_assignments=10**6):
 def random_equations(signature, count, seed=0, max_depth=3, max_vars=3):
     """Seeded random equations: bounded depth, bounded variable pool,
     symbols drawn uniformly."""
-    rng = random.Random(seed)
-    var_names = ["v", "w", "u", "s", "t"][:max_vars]
+    _count(count, "count", 0)
+    _count(max_depth, "max_depth", 0)
+    var_names = ["v", "w", "u", "s", "t"][:_count(max_vars, "max_vars", 0)]
     nullary = [name for name in signature.names if signature.arity(name) == 0]
-    vocab = signature, var_names, nullary, var_names + nullary, var_names + list(signature.names)
+    if not (leaves := var_names + nullary):
+        raise ValueError("no variables and no nullary symbol to draw leaves from")
+    rng = random.Random(seed)
+    vocab = signature, var_names, nullary, leaves, var_names + list(signature.names)
     return [Equation(_random_term(rng, max_depth, vocab), _random_term(rng, max_depth, vocab))
             for _ in range(count)]
 

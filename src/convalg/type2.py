@@ -297,7 +297,10 @@ def random_grid_step(rng, n, value_denominator=12, max_interior=4):
     the convolutions. Pieces spanning several grid cells expose their
     value at interior grid points, so theirs is unconstrained.
     """
-    d, den = value_denominator, lcm(n, value_denominator)
+    _count(n, "grid size", 1)
+    d = _count(value_denominator, "value_denominator", 1)
+    den = lcm(n, d)
+    _count(max_interior, "max_interior", 0)
     count = rng.randint(0, min(n - 1, max_interior))
     bps = [k * (den // n) for k in (0, *sorted(rng.sample(range(1, n), count)), n)]
     pvs = [rng.randint(0, d) * (den // d) for _ in bps]

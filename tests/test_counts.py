@@ -2,6 +2,8 @@
 one below its least with a ValueError that names the argument, never a TypeError and
 never by building something."""
 
+import random
+
 import pytest
 
 from convalg import (
@@ -21,6 +23,8 @@ from convalg import (
     interval_structure,
     make_topology,
     open_set_heyting,
+    random_equations,
+    random_grid_step,
     same_equations_report,
     sample_to_grid,
     t2_constants,
@@ -53,6 +57,20 @@ ENTRY_POINTS = {
     "grid_conv_oracle": (
         "grid size", 1, lambda v: grid_conv_oracle(v, "neg", GridFunction(2, (0, 0, 1)))
     ),
+    "random_equations count": ("count", 0, lambda v: random_equations(STRUCTURE.signature, v)),
+    "random_equations max_depth": (
+        "max_depth", 0, lambda v: random_equations(STRUCTURE.signature, 2, max_depth=v)
+    ),
+    "random_equations max_vars": (
+        "max_vars", 0, lambda v: random_equations(STRUCTURE.signature, 2, max_vars=v)
+    ),
+    "random_grid_step n": ("grid size", 1, lambda v: random_grid_step(random.Random(0), v)),
+    "random_grid_step value_denominator": (
+        "value_denominator", 1, lambda v: random_grid_step(random.Random(0), 4, value_denominator=v)
+    ),
+    "random_grid_step max_interior": (
+        "max_interior", 0, lambda v: random_grid_step(random.Random(0), 4, max_interior=v)
+    ),
 }
 
 
@@ -64,3 +82,12 @@ def test_bad_count_names_the_argument(entry, bad):
     kind = "a nonnegative int" if least == 0 else "a positive integer"
     with pytest.raises(ValueError, match=f"^{what} must be {kind}, got {value!r}$"):
         call(value)
+
+
+def test_random_equations_refuses_an_empty_leaf_pool():
+    # g is unary: with no variables nothing can end a term
+    with pytest.raises(ValueError, match="^no variables and no nullary symbol"):
+        random_equations(STRUCTURE.signature, 2, max_vars=0)
+    # a constant ends every term, so the pool is not empty without variables
+    with_constant = Signature((("g", 1), ("c", 0)))
+    assert all(not e.variables() for e in random_equations(with_constant, 5, max_vars=0))

@@ -1,7 +1,7 @@
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,13 @@ from convalg import (
     open_set_heyting,
     pointwise_join,
 )
-from convalg.lattice import MAX_LAW_CHECKS, MAX_OPENS, ChainLattice, law_check_count
+from convalg.lattice import (
+    MAX_LAW_CHECKS,
+    MAX_OPENS,
+    ChainLattice,
+    OpenSetLattice,
+    law_check_count,
+)
 
 
 def fs(*labels):
@@ -46,7 +52,7 @@ class TestMakeTopology:
         # oracle: closure of all singletons must be the full powerset
         t = make_topology({"1", "2", "3"}, [{"1"}, {"2"}, {"3"}])
         assert len(t.opens) == 8
-        from itertools import combinations
+        from itertools import combinations, product
 
         expected = {
             frozenset(c) for r in range(4) for c in combinations(("1", "2", "3"), r)
@@ -256,34 +262,52 @@ class TestLawCheckCapacity:
 
     def test_each_question_asked_once(self):
         """On a lawful lattice the checker makes n^2 calls each of leq,
-        meet and impl; ``literal_check_heyting_laws`` in test_oracle.py,
-        which scans element by element, makes about 2n^3."""
+        meet and impl at every subset size, on a chain and on an open-set
+        lattice; ``literal_check_heyting_laws`` in test_oracle.py, which
+        scans element by element, makes about 2n^3."""
         calls = Counter()
 
-        class CountingChain(FiniteLattice):
+        class Counting:
             def leq(self, a, b):
                 calls["leq"] += 1
-                return a <= b
-
-            def join_all(self, items):
-                return max(items, default=0)
-
-            def meet_all(self, items):
-                return min(items, default=n - 1)
+                return super().leq(a, b)
 
             def meet(self, a, b):
                 calls["meet"] += 1
-                return min(a, b)
+                return super().meet(a, b)
 
             def impl(self, a, b):
                 calls["impl"] += 1
-                return n - 1 if a <= b else b
+                return super().impl(a, b)
 
-        n = 30
-        lat = CountingChain(range(n), lambda a, b: a <= b)
-        assert check_heyting_laws(lat).ok
-        assert calls["leq"] <= n * n + 2 * n
-        assert calls["meet"] == calls["impl"] == n * n
+        class IntChain(FiniteLattice):
+            def join_all(self, items):
+                return max(items, default=self.elements[0])
+
+            def meet_all(self, items):
+                return min(items, default=self.elements[-1])
+
+            def meet(self, a, b):
+                return min(a, b)
+
+            def impl(self, a, b):
+                return self.elements[-1] if a <= b else b
+
+        class CountingChain(Counting, IntChain):
+            pass
+
+        class CountingOpens(Counting, OpenSetLattice):
+            pass
+
+        chain = CountingChain(range(30), lambda a, b: a <= b)
+        # the discrete topology on four points: 16 opens
+        opens = CountingOpens(make_topology("abcd", [{p} for p in "abcd"]))
+        for lat, size in product((chain, opens), (0, 1, 2, 3)):
+            n = len(lat.elements)
+            calls.clear()
+            assert check_heyting_laws(lat, max_subset_size=size).ok
+            assert calls["leq"] <= n * n + 2 * n
+            assert calls["meet"] == calls["impl"] == n * n
 
     def test_each_join_asked_once(self):
         """Each checked subset's ``join_all`` and ``meet_all`` is asked once, and the

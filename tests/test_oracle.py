@@ -572,7 +572,9 @@ def law_outcome(checker, lat, size):
 
 
 def assert_same_laws(lat):
-    for size in range(4):
+    # at the lattice's own size the full set is checked twice: as a subset of that
+    # size and as the full set every check appends
+    for size in (*range(4), len(lat.elements)):
         expected = law_outcome(literal_check_heyting_laws, lat, size)
         assert law_outcome(check_heyting_laws, lat, size) == expected
 
@@ -629,6 +631,15 @@ class BrokenChain(FiniteLattice):
         return self._answer("impl", (a, b), 4 if a <= b else b)
 
 
+class FloorChain(BrokenChain):
+    """A BrokenChain ordered by floors, so a wrong answer between an element
+    and the next passes as that element: a join outside the chain can pass
+    the least-upper-bound laws and reach the distributive law."""
+
+    def leq(self, a, b):
+        return a // 1 <= b // 1
+
+
 def shifted_bounds(bottom, top):
     lat = FiniteLattice(range(1, 4), lambda a, b: a <= b)
     lat.bottom, lat.top = bottom, top
@@ -650,6 +661,9 @@ BROKEN = {
     "glb outside, not greatest": (BrokenChain("meet_all", (2, 3), Fraction(3, 2)), "glb"),
     "distributivity": (n5(), "distributivity"),
     "meet outside, distributivity": (BrokenChain("meet", (1, 3), Fraction(1, 2)), "distributivity"),
+    "join outside, distributivity": (
+        FloorChain("join_all", (1, 2), Fraction(5, 2)), "distributivity"
+    ),
     "meet outside, adjunction": (BrokenChain("meet", (3, 2), Fraction(5, 2)), "adjunction"),
     "impl leaves the lattice": (BrokenChain("impl", (3, 1), 7), "adjunction"),
     "adjunction mismatch": (BrokenChain("impl", (3, 1), 2), "adjunction"),
