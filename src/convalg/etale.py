@@ -39,6 +39,12 @@ class ConstantEtale:
     fibers: tuple
     base: FiniteTopology
 
+    @cached_property
+    def _subobject(self):
+        """Masks tuple -> its checked :class:`EtaleSubobject` over this bundle, for up to
+        ``1 << 12`` tuples of ints; masks that fail the check raise and are not remembered."""
+        return lru_cache(1 << 12)(partial(EtaleSubobject, self))
+
 
 @dataclass(frozen=True)
 class EtaleSubobject:
@@ -72,7 +78,7 @@ class EtaleSubobject:
 
 
 def empty_subobject(parent):
-    return EtaleSubobject(parent, (0,) * len(parent.fibers))
+    return parent._subobject((0,) * len(parent.fibers))
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ def phi(lattice, alpha):
     if alpha.lattice is not lattice and alpha.lattice != lattice:
         raise ValueError("map does not live over the given lattice")
     parent, masks = _bundle(tuple(alpha.carrier), lattice.topology), lattice.open_masks
-    return EtaleSubobject(parent, tuple([masks[c] for c in alpha.codes]))
+    return parent._subobject(tuple([masks[c] for c in alpha.codes]))
 
 
 def _checked_plan(rel_etale, name, args):
@@ -149,7 +155,7 @@ def fiberwise_rel_image(rel_etale, name, args):
         full = parent.base.mask_of[parent.base.points]
         for t in tuples:  # map stops at the n argument entries
             out[t[-1]] |= reduce(and_, map(getitem, masks, t), full)
-    return EtaleSubobject(parent, tuple(out))
+    return parent._subobject(tuple(out))
 
 
 def per_fiber_rel_image(rel_etale, name, args):
@@ -165,7 +171,7 @@ def per_fiber_rel_image(rel_etale, name, args):
     inside = args[0].stalks if args else [0] * len(parent.base.points)
     for i in range(1, n):
         inside = [m | s << i * size for m, s in zip(inside, args[i].stalks)]
-    return EtaleSubobject(parent, tuple(_transpose(map(image, inside), size)))
+    return parent._subobject(tuple(_transpose(map(image, inside), size)))
 
 
 def _transpose(masks, width):
@@ -185,12 +191,12 @@ def _check_same_parent(a, b):
 
 def sub_union(a, b):
     _check_same_parent(a, b)
-    return EtaleSubobject(a.parent, tuple([p | q for p, q in zip(a.masks, b.masks)]))
+    return a.parent._subobject(tuple([p | q for p, q in zip(a.masks, b.masks)]))
 
 
 def sub_intersection(a, b):
     _check_same_parent(a, b)
-    return EtaleSubobject(a.parent, tuple([p & q for p, q in zip(a.masks, b.masks)]))
+    return a.parent._subobject(tuple([p & q for p, q in zip(a.masks, b.masks)]))
 
 
 def sub_impl(a, b):
@@ -198,7 +204,7 @@ def sub_impl(a, b):
     _check_same_parent(a, b)
     opens = a.parent.base.open_of
     masks = [reduce(or_, [w for w in opens if not w & p & ~q], 0) for p, q in zip(a.masks, b.masks)]
-    return EtaleSubobject(a.parent, tuple(masks))
+    return a.parent._subobject(tuple(masks))
 
 
 def sub_neg(a):

@@ -312,6 +312,9 @@ def random_grid_step(rng, n, value_denominator=12, max_interior=4):
 
 def random_step(rng, max_denominator=16, max_interior=4):
     """Random canonical step function with arbitrary rational breakpoints."""
+    _count(max_interior, "max_interior", 0)
+    if _count(max_denominator, "max_denominator", 1) < 2 and max_interior:
+        raise ValueError("max_denominator must be at least 2 when max_interior is positive")
     draws = []
     for _ in range(rng.randint(0, max_interior)):
         d = rng.randint(2, max_denominator)

@@ -25,6 +25,7 @@ from convalg import (
     open_set_heyting,
     random_equations,
     random_grid_step,
+    random_step,
     same_equations_report,
     sample_to_grid,
     t2_constants,
@@ -71,6 +72,12 @@ ENTRY_POINTS = {
     "random_grid_step max_interior": (
         "max_interior", 0, lambda v: random_grid_step(random.Random(0), 4, max_interior=v)
     ),
+    "random_step max_denominator": (
+        "max_denominator", 1, lambda v: random_step(random.Random(0), max_denominator=v)
+    ),
+    "random_step max_interior": (
+        "max_interior", 0, lambda v: random_step(random.Random(0), max_interior=v)
+    ),
 }
 
 
@@ -91,3 +98,12 @@ def test_random_equations_refuses_an_empty_leaf_pool():
     # a constant ends every term, so the pool is not empty without variables
     with_constant = Signature((("g", 1), ("c", 0)))
     assert all(not e.variables() for e in random_equations(with_constant, 5, max_vars=0))
+
+
+def test_random_step_needs_a_denominator_for_interior_breakpoints():
+    # an interior breakpoint k/d needs d >= 2; with none allowed, d = 1 gives a 0/1 function
+    with pytest.raises(ValueError, match="^max_denominator must be at least 2 when max_interior"):
+        random_step(random.Random(0), max_denominator=1, max_interior=1)
+    for seed in range(20):
+        f = random_step(random.Random(seed), max_denominator=1, max_interior=0)
+        assert (f.den, f.bps) == (1, (0, 1))

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 
@@ -25,7 +26,10 @@ from convalg import (
     open_set_heyting,
     per_fiber_rel_image,
     phi,
+    pointwise_impl,
+    pointwise_join,
     pointwise_meet,
+    pointwise_neg,
     random_grid_step,
     random_map,
     rel_image,
@@ -339,6 +343,72 @@ class TestCachedViews:
                 assert per_fiber_rel_image(kept, name, subs) == want
                 assert per_fiber_rel_image(fresh, name, subs) == want
         assert kept.plan("f")[3].cache_info().hits > 0
+
+
+class TestSubobjectMemo:
+    """Each bundle remembers the subobjects its constructors build, keyed by masks: every
+    constructor in ``convalg.etale`` returns the one checked object for its masks."""
+
+    def test_equal_masks_give_one_object_from_every_site(self, four_point_structure):
+        topology = make_topology(("t1", "t2", "t3"), [{"t1"}, {"t2"}, {"t3"}])
+        lattice = open_set_heyting(topology)
+        rel_etale = ConstantRelationalEtale(four_point_structure, topology)
+        rng = random.Random(3)
+        for _ in range(30):
+            alpha, beta = (random_map(rng, lattice, four_point_structure.carrier) for _ in "ab")
+            a, b = phi(lattice, alpha), phi(lattice, beta)
+            assert phi(lattice, alpha) is a and a.parent is rel_etale.etale
+            image = phi(lattice, conv_op(lattice, four_point_structure, "f", [alpha, beta]))
+            for route in (fiberwise_rel_image, per_fiber_rel_image):
+                assert route(rel_etale, "f", [a, b]) is image
+            for op, pointwise in [
+                (sub_union, pointwise_join),
+                (sub_intersection, pointwise_meet),
+                (sub_impl, pointwise_impl),
+            ]:
+                assert op(a, b) is op(a, b) is phi(lattice, pointwise(alpha, beta))
+            assert sub_neg(a) is phi(lattice, pointwise_neg(alpha))
+        bottom = constant(lattice, four_point_structure.carrier, lattice.bottom_code)
+        assert empty_subobject(a.parent) is empty_subobject(a.parent) is phi(lattice, bottom)
+
+    def test_equal_topologies_give_equal_distinct_objects(self, wedge_topology, wedge_lattice):
+        twin = FiniteTopology(wedge_topology.points, wedge_topology.opens)
+        alpha = random_map(random.Random(4), wedge_lattice, ("p", "q"))
+        sub = phi(wedge_lattice, alpha)
+        lattice = open_set_heyting(twin)
+        other = phi(lattice, LatticeMap(alpha.carrier, lattice, alpha.codes))
+        assert other == sub and hash(other) == hash(sub) and other is not sub
+        assert empty_subobject(other.parent) == empty_subobject(sub.parent)
+        assert empty_subobject(other.parent) is not empty_subobject(sub.parent)
+
+    def test_direct_construction_equals_the_remembered_object(self, thirds_lattice, thirds_args):
+        sub = phi(thirds_lattice, thirds_args[0])
+        direct = EtaleSubobject(sub.parent, sub.masks)
+        assert direct == sub and hash(direct) == hash(sub) and repr(direct) == repr(sub)
+        assert direct is not sub and phi(thirds_lattice, thirds_args[0]) is sub
+
+    @pytest.mark.parametrize("masks", [(1, 0), (8, 0), (2.5, 0), (3,), (3, 2, 0)], ids=repr)
+    def test_refused_masks_are_not_remembered(self, masks):
+        # the wedge's opens are masks 0, 2, 3, 6 and 7
+        wedge = make_topology({"a", "b", "c"}, [{"b"}, {"a", "b"}, {"b", "c"}])
+        parent = ConstantEtale(("p", "q"), wedge)
+        empty = empty_subobject(parent)
+        with pytest.raises(ValueError):
+            parent._subobject(masks)
+        assert parent._subobject.cache_info().currsize == 1
+        assert empty_subobject(parent) is empty
+
+    def test_memo_is_bounded(self):
+        # 8 opens on 5 fibers: 32,768 subobjects, more than the memo keeps
+        topology = make_topology(("t1", "t2", "t3"), [{"t1"}, {"t2"}, {"t3"}])
+        parent = ConstantEtale(("v", "w", "x", "y", "z"), topology)
+        whole = whole_sub(parent)
+        for masks in islice(product(sorted(topology.open_of), repeat=5), 5000):
+            got = sub_intersection(EtaleSubobject(parent, masks), whole)
+            assert got.masks == masks
+        info = parent._subobject.cache_info()
+        assert (info.currsize, info.maxsize, info.misses) == (4096, 4096, 5000)
+        assert sub_union(got, got) is got
 
 
 class TestSubobjectOps:

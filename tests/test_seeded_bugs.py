@@ -8,6 +8,7 @@ side of the comparison stays correct. Every check is first run without the
 bug, so that a flip is the bug's doing.
 """
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -33,6 +34,7 @@ from convalg import (
 from convalg.cli import main
 from convalg.etale import worked_example
 from convalg.lattice import ChainLattice
+from helpers import de_morgan_mismatches
 
 TOPOLOGY, LATTICE, STRUCTURE, _ = worked_example()
 # holds with f's arguments in order, fails with them reversed
@@ -75,6 +77,8 @@ CHECKS = {
     "type2 crosscheck": lambda capsys: cli_passes(
         capsys, ["type2", "crosscheck", "--n", "4", "--trials", "10"]
     ),
+    "crosscheck on grid 16": lambda capsys: crosscheck(16, 20, seed=3).ok,
+    "type2 De Morgan": lambda capsys: de_morgan_mismatches(random.Random(7), 300) == 0,
     "check_heyting_laws": lambda capsys: check_heyting_laws(chain_lattice(3)).ok,
     "lattice check": lambda capsys: cli_passes(
         capsys, ["lattice", "check", "--lattice", "chain:3"]
@@ -119,6 +123,10 @@ def binary_tables_transposed(f):
 
 def lifted_to_bottom(f):
     return lambda lattice, carrier, subset: f(lattice, carrier, ())
+
+
+def forward_only(f):
+    return lambda pieces, backward: f(pieces, False)
 
 
 # bug: (the (module, name) bindings it replaces, the wrapper that seeds it,
@@ -168,6 +176,11 @@ BUGS = {
         [(ComplexAlgebra, "table")],
         binary_tables_transposed,
         ["same_equations_report"],
+    ),
+    "_running_max ignores backward": (
+        [(convalg.type2, "_running_max")],
+        forward_only,
+        ["crosscheck", "crosscheck on grid 16", "type2 crosscheck", "type2 De Morgan"],
     ),
     "char_map lifts every witness to bottom": (
         [(convalg.terms, "char_map")],

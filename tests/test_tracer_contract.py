@@ -122,3 +122,34 @@ def test_benchmark_tracer_self_test_passes():
         capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+# bench/run.py's repeat check on the seed-0 etale job list: one untraced pass,
+# then two traced passes whose call and raise counts must be equal. An LRU memo
+# that evicts sees the same misses in every full pass, which that check cannot
+# tell from no eviction, so the traced passes must also construct no subobject:
+# the untraced pass left each one remembered by its bundle.
+REPEAT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import run
+W = run.load_workloads()
+jobs = W.build("etale", 0, None)
+untraced = run.run_passes(W, jobs, 0, 1)
+import tracer
+t = tracer.Tracer()
+t.install()
+traced = run.run_passes(W, jobs, 0, run.MIN_TRACED_PASSES, t)
+_, repeat_ok = run.traced_metrics(tracer, t, untraced, traced)
+built = [p.aggregates[0].get("etale.EtaleSubobject.__post_init__", 0) for p in traced]
+print(len(traced), repeat_ok, built, [p.failures for p in untraced + traced])
+"""
+
+
+def test_etale_call_counts_repeat_between_traced_passes():
+    bench = TRACER_PATH.parent
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", REPEAT, str(bench)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "2 True [0, 0] [[], [], []]\n", "")
