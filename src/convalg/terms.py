@@ -40,6 +40,15 @@ class Equation:
     def variables(self):
         return tuple(sorted(set(term_variables(self.lhs)) | set(term_variables(self.rhs))))
 
+    @cached_property
+    def program(self):
+        """``(names, steps, lhs slot, rhs slot)``: both sides as one program
+        by ``_slot``, compiled once and shared by every algebra."""
+        names = self.variables()
+        slots, steps = {name: i for i, name in enumerate(names)}, []
+        lhs, rhs = _slot(self.lhs, slots, steps), _slot(self.rhs, slots, steps)
+        return names, tuple(steps), lhs, rhs
+
 
 def term_variables(term):
     if isinstance(term, Var):
@@ -192,16 +201,17 @@ def holds_in(algebra, equation, max_assignments=10**6):
     lifted crisply and certified by one evaluation here; otherwise
     assignments run in lexicographic order over the canonical element
     enumeration, both sides run as one program of their distinct
-    subterms. The scan reads operation tables only when their missing
-    entries number at most the applications it would make without them
-    (assignments times distinct subterms); else it applies the operations
-    to elements. So a failing equation always yields the same witness.
+    subterms: ``equation.program``, compiled once per equation and shared
+    by every algebra that decides it. The scan reads operation tables only
+    when their missing entries number at most the applications it would
+    make without them (assignments times distinct subterms); else it
+    applies the operations to elements. So a failing equation always yields the same witness.
     Syntactically identical sides agree without enumeration.
     """
     _count(max_assignments, "max_assignments", 0)
     if equation.lhs == equation.rhs:
         return EquationCheck(True, None)
-    names = equation.variables()
+    names, steps, lhs, rhs = equation.program
     n = algebra.size()
     total = _bounded(n ** len(names), "assignments", max_assignments)
     if algebra.two_valued is not None:
@@ -216,8 +226,6 @@ def holds_in(algebra, equation, max_assignments=10**6):
                                f"of its two-valued counterexample over {lat!r}")
         return EquationCheck(False, witness)
     els = algebra.elements()
-    slots, steps = {name: i for i, name in enumerate(names)}, []
-    lhs, rhs = _slot(equation.lhs, slots, steps), _slot(equation.rhs, slots, steps)
     # tabulate only when the missing tables, n^arity applies each, cost
     # no more than the scan's len(steps) applies per assignment
     ops = {op for op, _ in steps if op not in algebra.tables}

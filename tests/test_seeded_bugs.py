@@ -9,8 +9,11 @@ bug, so that a flip is the bug's doing.
 """
 
 import random
+import sys
+import tempfile
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -33,14 +36,34 @@ from convalg import (
 )
 from convalg.cli import main
 from convalg.etale import worked_example
+from convalg.formats import parse_equations, parse_structure
 from convalg.lattice import ChainLattice
-from helpers import de_morgan_mismatches
+from helpers import de_morgan_mismatches, naturality_mismatches
 
 TOPOLOGY, LATTICE, STRUCTURE, _ = worked_example()
-# holds with f's arguments in order, fails with them reversed
 W, V = Var("w"), Var("v")
 FVW = App("f", (V, W))
-ASYMMETRIC = Equation(App("f", (App("f", (W, W)), FVW)), App("f", (W, FVW)))
+
+
+def asymmetric():
+    """Holds with f's arguments in order, fails with them reversed. A new
+    object each time: an equation compiles its program once, so one compiled
+    before a bug is seeded would hide a bug in the compiler."""
+    return Equation(App("f", (App("f", (W, W)), FVW)), App("f", (W, FVW)))
+
+
+# c = {x1}, g(x1) = x2 and f(x2, x1) = x1: both sides of CLOSED are empty,
+# but with f's arguments reversed the left one is {x1}
+CLOSED_STRUCTURE = """\
+carrier: x1 x2
+relation c arity 0
+x1
+relation g arity 1
+x1 x2
+relation f arity 2
+x2 x1 x1
+"""
+CLOSED = "(f (c) (g (c))) = (g (f (c) (c)))\n"
 
 
 def cli_passes(capsys, argv):
@@ -63,6 +86,20 @@ def equations_pass(lattice, equations):
     return False
 
 
+def closed_equation_passes(capsys, cli):
+    """CLOSED over chain:1, by ``same_equations_report`` or by ``equations check``."""
+    if not cli:
+        structure = parse_structure(CLOSED_STRUCTURE)
+        eqs = parse_equations(CLOSED, structure.signature)
+        return same_equations_report(chain_lattice(1), structure, eqs).ok
+    with tempfile.TemporaryDirectory() as tmp:
+        structure, eqs = Path(tmp, "structure.txt"), Path(tmp, "eqs.txt")
+        structure.write_text(CLOSED_STRUCTURE, encoding="utf-8")
+        eqs.write_text(CLOSED, encoding="utf-8")
+        return cli_passes(capsys, ["equations", "check", "--lattice", "chain:1",
+                                   "--structure", str(structure), "--eqs", str(eqs)])
+
+
 # Each check returns True when the comparison passed.
 CHECKS = {
     "verify_main_iso": lambda capsys: verify_main_iso(
@@ -70,7 +107,7 @@ CHECKS = {
     ).ok,
     "characteristic_iso": lambda capsys: characteristic_iso(STRUCTURE).ok,
     "same_equations_report": lambda capsys: same_equations_report(
-        chain_lattice(1), STRUCTURE, [ASYMMETRIC]
+        chain_lattice(1), STRUCTURE, [asymmetric()]
     ).ok,
     "paper-demo": lambda capsys: cli_passes(capsys, ["paper-demo"]),
     "crosscheck": lambda capsys: crosscheck(4, 10).ok,
@@ -84,10 +121,18 @@ CHECKS = {
         capsys, ["lattice", "check", "--lattice", "chain:3"]
     ),
     "same_equations_report over chain:3": lambda capsys: equations_pass(
-        chain_lattice(3), [ASYMMETRIC]
+        chain_lattice(3), [asymmetric()]
     ),
     # fails in the two-valued algebra, so its witness is lifted and certified
     "crisp certificate": lambda capsys: equations_pass(chain_lattice(3), [Equation(FVW, V)]),
+    "holds_in naturality": lambda capsys: naturality_mismatches(8, kinds=("complex",))[1] == 0,
+    # one assignment of 4 applies against 21 table entries: the untabled scan
+    "same_equations_report on a closed equation": lambda capsys: closed_equation_passes(
+        capsys, cli=False
+    ),
+    "equations check on a closed equation": lambda capsys: closed_equation_passes(
+        capsys, cli=True
+    ),
 }
 
 
@@ -127,6 +172,26 @@ def lifted_to_bottom(f):
 
 def forward_only(f):
     return lambda pieces, backward: f(pieces, False)
+
+
+def last_point_dropped(f):
+    return lambda structure, name, args: f(structure, name, args) - {structure.carrier[-1]}
+
+
+def compiled_reversed(f):
+    """``_slot`` compiling each application with its arguments reversed."""
+    return lambda term, slots, steps: f(
+        term if isinstance(term, Var) else App(term.op, term.args[::-1]), slots, steps
+    )
+
+
+def reversed_on_untabled_scan(f):
+    """``apply`` with its arguments reversed where ``holds_in`` calls it itself,
+    on its untabled scan; ``table`` and ``eval_term`` stay correct."""
+    def apply(self, name, args):
+        return f(self, name, args[::-1] if sys._getframe(1).f_code.co_name == "holds_in" else args)
+
+    return apply
 
 
 # bug: (the (module, name) bindings it replaces, the wrapper that seeds it,
@@ -186,6 +251,28 @@ BUGS = {
         [(convalg.terms, "char_map")],
         lifted_to_bottom,
         ["crisp certificate"],
+    ),
+    # In X ⊔ X′ the last point is one of X′, in X one of X, and a
+    # relabelling moves it: the algebra of X ⊔ X′ is no longer the product.
+    "rel_image never reaches the carrier's last point": (
+        [(convalg.terms, "rel_image")],
+        last_point_dropped,
+        ["holds_in naturality"],
+    ),
+    # Both algebras read the one compiled program, so this cannot flip
+    # "same_equations_report" over chain:1: maps and subsets agree on the
+    # mirrored equation. Over chain:3 the crisp certificate, by eval_term,
+    # refutes the two-valued counterexample; literal_holds in
+    # tests/test_oracle.py, also by eval_term, catches it as well.
+    "_slot compiles each application's arguments reversed": (
+        [(convalg.terms, "_slot")],
+        compiled_reversed,
+        ["same_equations_report over chain:3"],
+    ),
+    "ComplexAlgebra.apply reads its arguments reversed on the untabled scan": (
+        [(ComplexAlgebra, "apply")],
+        reversed_on_untabled_scan,
+        ["same_equations_report on a closed equation", "equations check on a closed equation"],
     ),
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 from fractions import Fraction
 from itertools import product
@@ -22,7 +23,9 @@ from convalg import (
     random_equations,
     same_equations_report,
 )
+import convalg.terms
 from convalg.terms import term_variables
+from helpers import naturality_mismatches
 
 
 def fs(*labels):
@@ -451,3 +454,73 @@ class TestRandomEquations:
         sig = interval_structure(1).signature
         for eq in random_equations(sig, 20, seed=3):
             assert parse_equation(format_equation(eq), sig) == eq
+
+
+def node_count(term):
+    return 1 if isinstance(term, Var) else 1 + sum(node_count(a) for a in term.args)
+
+
+class TestCompiledProgram:
+    """Each ``Equation`` compiles its straight-line program once, on first
+    use, and every algebra that decides it reads that one program."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Every term ``_slot`` visits; one compile visits each node of both sides once."""
+        visited = []
+        slot = convalg.terms._slot
+
+        def counting(term, slots, steps):
+            visited.append(term)
+            return slot(term, slots, steps)
+
+        monkeypatch.setattr(convalg.terms, "_slot", counting)
+        return visited
+
+    @pytest.mark.parametrize("lattice", [chain_lattice(3), chain_lattice(1)],
+                             ids=["chain:3", "chain:1"])
+    def test_report_compiles_each_equation_once(self, compiled, four_point_structure, lattice):
+        # chain:3 descends to the two-valued algebra and certifies its
+        # failures crisply; chain:1 decides every equation where it stands
+        v, w = Var("v"), Var("w")
+        holding = Equation(App("f", (v, App("f", (v, w)))), App("f", (v, App("f", (w, v)))))
+        eqs = [holding] + [eq for eq in random_equations(
+            four_point_structure.signature, 12, seed=3, max_vars=2) if eq.lhs != eq.rhs]
+        report = same_equations_report(lattice, four_point_structure, eqs)
+        assert report.ok and report.compared == len(eqs)
+        assert {o.conv_holds for o in report.outcomes} == {True, False}
+        assert len(compiled) == sum(node_count(eq.lhs) + node_count(eq.rhs) for eq in eqs)
+        compiled.clear()
+        again = same_equations_report(lattice, four_point_structure, eqs)
+        assert compiled == [] and again == report
+
+    def test_identical_sides_compile_nothing(self, compiled, four_point_structure):
+        eq = Equation(App("f", (Var("v"), Var("w"))), App("f", (Var("v"), Var("w"))))
+        assert holds_in(ComplexAlgebra(four_point_structure), eq).holds
+        assert compiled == [] and "program" not in vars(eq)
+
+    def test_program_is_no_field(self):
+        eq = Equation(App("f", (Var("w"), Var("v"))), Var("v"))
+        before = repr(eq), hash(eq), dataclasses.fields(eq)
+        assert eq.program == (("v", "w"), (("f", (1, 0)),), 2, 0)
+        assert (repr(eq), hash(eq), dataclasses.fields(eq)) == before
+        assert [f.name for f in dataclasses.fields(eq)] == ["lhs", "rhs"]
+        assert eq == Equation(eq.lhs, eq.rhs) and "program" not in repr(eq)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            eq.lhs = Var("v")
+
+    def test_equal_equations_share_verdicts(self, four_point_structure):
+        v, w = Var("v"), Var("w")
+        for make in (lambda: Equation(App("f", (v, w)), App("f", (w, v))),
+                     lambda: Equation(App("f", (App("f", (v, v)), v)), App("f", (v, v)))):
+            a, b = make(), make()
+            assert a == b and a is not b and a.program is not b.program
+            assert a.program == b.program
+            for algebra in (ComplexAlgebra(four_point_structure),
+                            ConvolutionAlgebra(chain_lattice(2), four_point_structure)):
+                assert holds_in(algebra, a) == holds_in(algebra, b)
+
+
+class TestNaturality:
+    def test_disjoint_union_and_relabelling(self):
+        assert naturality_mismatches(8) == (930, 0)

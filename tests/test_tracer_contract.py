@@ -153,3 +153,35 @@ def test_etale_call_counts_repeat_between_traced_passes():
         capture_output=True, text=True, timeout=300,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "2 True [0, 0] [[], [], []]\n", "")
+
+
+# The same repeat check on the seed-0 equations job list. Each equation
+# compiles its program on first use, so the untraced pass compiles every
+# program the job list holds and the traced passes compile none: they call
+# term_variables, which only a compile reaches, not once.
+EQUATIONS_REPEAT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import run
+W = run.load_workloads()
+jobs = W.build("equations", 0, None)
+untraced = run.run_passes(W, jobs, 0, 1)
+import tracer
+t = tracer.Tracer()
+t.install()
+traced = run.run_passes(W, jobs, 0, run.MIN_TRACED_PASSES, t)
+_, repeat_ok = run.traced_metrics(tracer, t, untraced, traced)
+compiled = [p.aggregates[0].get("terms.term_variables", 0) for p in traced]
+decided = [p.aggregates[0].get("terms.holds_in", 0) > 0 for p in traced]
+print(len(traced), repeat_ok, compiled, decided, [p.failures for p in untraced + traced])
+"""
+
+
+def test_equations_call_counts_repeat_between_traced_passes():
+    bench = TRACER_PATH.parent
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", EQUATIONS_REPEAT, str(bench)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "2 True [0, 0] [True, True] [[], [], []]\n", "")
