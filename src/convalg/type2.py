@@ -101,14 +101,19 @@ def _lowest(cls, den, **groups):
 def _step(den, bps, pvs, ivs):
     """Canonical step function with these numerators over den, built unchecked."""
     last = len(bps) - 1
-    keep = [0, *(i for i in range(1, last) if not ivs[i - 1] == pvs[i] == ivs[i]), last]
-    bps, pvs, ivs = [bps[i] for i in keep], [pvs[i] for i in keep], [ivs[i - 1] for i in keep[1:]]
+    keep = [0, *[i for i in range(1, last) if not ivs[i - 1] == pvs[i] == ivs[i]], last]
+    if len(keep) <= last:
+        bps, pvs = [bps[i] for i in keep], [pvs[i] for i in keep]
+        ivs = [ivs[i - 1] for i in keep[1:]]
     return _lowest(StepFunction, den, bps=bps, pvs=pvs, ivs=ivs)
 
 
+_CONSTANTS = StepFunction((0, 1), (1, 0), (0,)), StepFunction((0, 1), (0, 1), (0,))
+
+
 def t2_constants():
-    """The two distinguished elements: the unit spikes at 0 and at 1."""
-    return StepFunction((0, 1), (1, 0), (0,)), StepFunction((0, 1), (0, 1), (0,))
+    """The two distinguished elements, built once: the unit spikes at 0 and at 1."""
+    return _CONSTANTS
 
 
 def _pieces(f):
@@ -143,11 +148,16 @@ def sup_right(f):
 def _convolve(a, b, backward):
     """max(a min env(b), env(a) min b), env the running maximum from 0 or,
     backward, from 1, in one merge of the breakpoint lists, both
-    arguments' numerators scaled to their common denominator."""
+    arguments' numerators scaled to their common denominator, unless it is
+    their own. As env(f) >= f, the term led by the larger piece is the
+    maximum: two int comparisons per merged piece, with no builtin call."""
     den = lcm(a.den, b.den)
     ka, kb = den // a.den, den // b.den
-    fb, fv = [v * ka for v in a.bps], [v * ka for v in _pieces(a)]
-    gb, gv = [v * kb for v in b.bps], [v * kb for v in _pieces(b)]
+    fb, fv, gb, gv = a.bps, _pieces(a), b.bps, _pieces(b)
+    if ka > 1:
+        fb, fv = [v * ka for v in fb], [v * ka for v in fv]
+    if kb > 1:
+        gb, gv = [v * kb for v in gb], [v * kb for v in gv]
     fe, ge = _running_max(fv, backward), _running_max(gv, backward)
     last = len(fb) - 1
     bps, vals = [], []
@@ -158,14 +168,16 @@ def _convolve(a, b, backward):
         bps.append(x if at_f else y)
         # An input without a breakpoint here contributes the open interval around it.
         p, q = 2 * i - (not at_f), 2 * j - (not at_g)
-        vals.append(max(min(fv[p], ge[q]), min(fe[p], gv[q])))
+        u, v = fv[p], gv[q]
+        vals.append((u if u < ge[q] else ge[q]) if u >= v else (v if v < fe[p] else fe[p]))
         i += at_f
         j += at_g
         # Both lists end at 1, so f runs out exactly when g does.
         if i > last:
             break
         p, q = 2 * i - 1, 2 * j - 1
-        vals.append(max(min(fv[p], ge[q]), min(fe[p], gv[q])))
+        u, v = fv[p], gv[q]
+        vals.append((u if u < ge[q] else ge[q]) if u >= v else (v if v < fe[p] else fe[p]))
     return _step(den, bps, vals[::2], vals[1::2])
 
 

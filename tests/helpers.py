@@ -3,15 +3,25 @@
 import random
 from itertools import product
 
+import convalg.complexalg
+import convalg.convolution
+import convalg.etale
 from convalg import (
     CapacityError,
     ComplexAlgebra,
+    ConstantRelationalEtale,
     ConvolutionAlgebra,
+    EtaleSubobject,
+    LatticeMap,
     RelationalStructure,
     Signature,
     chain_lattice,
     holds_in,
+    make_topology,
+    open_set_heyting,
+    phi,
     random_equations,
+    random_map,
     random_step,
     t2_join,
     t2_meet,
@@ -58,16 +68,21 @@ def disjoint_union(s, t):
     })
 
 
-def relabelled(rng, s):
+def transported(s, to, carrier):
+    """``s`` carried along the bijection ``to`` onto ``carrier``, listed in that order."""
+    return RelationalStructure(tuple(carrier), s.signature, {
+        name: {tuple(to[x] for x in t) for t in rel} for name, rel in s.relations.items()
+    })
+
+
+def relabelling(rng, s):
     """``s`` carried to fresh labels by a random bijection, its carrier listed
-    in another random order."""
+    in another random order, and that bijection."""
     fresh = [f"r{i}" for i in range(len(s.carrier))]
     rng.shuffle(fresh)
     to = dict(zip(s.carrier, fresh))
     rng.shuffle(fresh)
-    return RelationalStructure(tuple(fresh), s.signature, {
-        name: {tuple(to[x] for x in t) for t in rel} for name, rel in s.relations.items()
-    })
+    return transported(s, to, fresh), to
 
 
 def naturality_mismatches(instances, kinds=tuple(NATURAL_ALGEBRAS), seed=11):
@@ -83,7 +98,7 @@ def naturality_mismatches(instances, kinds=tuple(NATURAL_ALGEBRAS), seed=11):
     for _ in range(instances):
         x = natural_structure(rng, tuple(f"a{i}" for i in range(5)))
         x2 = natural_structure(rng, ("b0", "b1"))
-        structures = (x, x2, disjoint_union(x, x2), relabelled(rng, x))
+        structures = (x, x2, disjoint_union(x, x2), relabelling(rng, x)[0])
         eqs = [eq for k in (0, 2) for eq in random_equations(
             NATURAL_SIG, 10, seed=rng.randrange(2**32), max_depth=2, max_vars=k)]
         for kind in kinds:
@@ -101,3 +116,62 @@ def naturality_mismatches(instances, kinds=tuple(NATURAL_ALGEBRAS), seed=11):
                         checks += 1
                         mismatches += all(parts) != whole
     return checks, mismatches
+
+
+# The base of the étale routes: opens {}, {t1}, {t2}, {t1 t2}, {t1 t2 t3}.
+NATURAL_BASE = make_topology(("t1", "t2", "t3"), [{"t1"}, {"t2"}])
+ROUTES = ("conv_op", "rel_image", "fiberwise_rel_image", "per_fiber_rel_image")
+
+
+def route_naturality_mismatches(instances, seed=13):
+    """{route: (checks, mismatches)} for ``conv_op``, ``rel_image`` and both
+    étale image routes under two bounded morphisms h : Y → X, for seeded
+    five-point structures X: the inverse of a relabelling of X, with Y's
+    carrier in another order, and the fold X ⊔ X → X. Preimage along h is a
+    homomorphism of complex algebras, and precomposition with h one of
+    convolution algebras and of subobjects of constant bundles (Jónsson–Tarski;
+    Goldblatt 1989): each route on Y, applied to pulled-back arguments, gives
+    the pullback of its result on X. Maps go over chain:2 and over the opens
+    of ``NATURAL_BASE``, the étale's base. Each route is looked up in its
+    module at call time, so a seeded bug patched there is seen."""
+    rng = random.Random(seed)
+    chain, opens = chain_lattice(2), open_set_heyting(NATURAL_BASE)
+    counts = {route: [0, 0] for route in ROUTES}
+
+    def tally(route, there, pulled_here):
+        counts[route][0] += 1
+        counts[route][1] += there != pulled_here
+
+    for _ in range(instances):
+        x = natural_structure(rng, tuple(f"a{i}" for i in range(5)))
+        index = {a: i for i, a in enumerate(x.carrier)}
+        renamed, to = relabelling(rng, x)
+        twin = {a: a + "'" for a in x.carrier}
+        morphisms = [
+            (renamed, {b: a for a, b in to.items()}),
+            (disjoint_union(x, transported(x, twin, twin.values())),
+             {**{a: a for a in x.carrier}, **{b: a for a, b in twin.items()}}),
+        ]
+        etale_x = ConstantRelationalEtale(x, NATURAL_BASE)
+        for name, n in NATURAL_SIG.symbols:
+            maps = [[random_map(rng, lat, x.carrier) for _ in range(n)] for lat in (chain, opens)]
+            subsets = [frozenset(a for a in x.carrier if rng.random() < 0.5) for _ in range(n)]
+            subs = [phi(opens, m) for m in maps[1]]
+            for y, h in morphisms:
+                at = [index[h[b]] for b in y.carrier]
+                etale_y = ConstantRelationalEtale(y, NATURAL_BASE)
+                pull_map = lambda m: LatticeMap(y.carrier, m.lattice, tuple(m.codes[i] for i in at))
+                pull_set = lambda s: frozenset(b for b in y.carrier if h[b] in s)
+                pull_sub = lambda s: EtaleSubobject(etale_y.etale, tuple(s.masks[i] for i in at))
+                conv = convalg.convolution.conv_op
+                for lat, alphas in zip((chain, opens), maps):
+                    tally("conv_op", conv(lat, y, name, [*map(pull_map, alphas)]),
+                          pull_map(conv(lat, x, name, alphas)))
+                image = convalg.complexalg.rel_image
+                tally("rel_image", image(y, name, [*map(pull_set, subsets)]),
+                      pull_set(image(x, name, subsets)))
+                for route in ROUTES[2:]:
+                    f = getattr(convalg.etale, route)
+                    tally(route, f(etale_y, name, [*map(pull_sub, subs)]),
+                          pull_sub(f(etale_x, name, subs)))
+    return {route: tuple(c) for route, c in counts.items()}

@@ -38,9 +38,11 @@ from convalg import (
     sub_intersection,
     sub_neg,
     sub_union,
+    t2_constants,
     verify_main_iso,
 )
 from convalg.etale import worked_example
+from helpers import route_naturality_mismatches
 
 
 def fs(*labels):
@@ -543,6 +545,11 @@ class TestType2ThroughEtale:
 
     N, M = 8, 12
 
+    def instance(self):
+        opens = frozenset(frozenset(range(k)) for k in range(self.M + 1))
+        lower = FiniteTopology(frozenset(range(self.M)), opens)
+        return open_set_heyting(lower), ConstantRelationalEtale(interval_structure(self.N), lower)
+
     def lift(self, rel_etale, g):
         sizes = [self.M * v for v in g.values]
         assert all(k.denominator == 1 for k in sizes)
@@ -550,12 +557,33 @@ class TestType2ThroughEtale:
         return EtaleSubobject(rel_etale.etale, tuple(map(rel_etale.base.mask_of.get, sections)))
 
     def lower(self, sub):
-        return GridFunction(self.N, [Fraction(len(a), self.M) for a in sub.sections.values()])
+        open_of = sub.parent.base.open_of
+        return GridFunction(self.N, [Fraction(len(open_of[m]), self.M) for m in sub.masks])
+
+    def routes(self, lattice, rel_etale):
+        """Each route as a map from grid-function arguments to a grid function:
+        ``conv_op`` on the maps through ``phi``, both étale image routes on the
+        lifted arguments, and the grid oracle."""
+        structure = rel_etale.structure
+
+        def as_map(g):
+            sections = self.lift(rel_etale, g).sections
+            return LatticeMap.from_values(structure.carrier, lattice, sections)
+
+        def image(route):
+            return lambda op, *args: self.lower(
+                route(rel_etale, op, [self.lift(rel_etale, g) for g in args]))
+
+        return {
+            "conv_op": lambda op, *args: self.lower(
+                phi(lattice, conv_op(lattice, structure, op, [as_map(g) for g in args]))),
+            "fiberwise_rel_image": image(fiberwise_rel_image),
+            "per_fiber_rel_image": image(per_fiber_rel_image),
+            "grid_conv_oracle": lambda op, *args: grid_conv_oracle(self.N, op, *args),
+        }
 
     def test_routes_match_the_grid_oracle(self):
-        opens = frozenset(frozenset(range(k)) for k in range(self.M + 1))
-        lower = FiniteTopology(frozenset(range(self.M)), opens)
-        rel_etale = ConstantRelationalEtale(interval_structure(self.N), lower)
+        _, rel_etale = self.instance()
         rng, checks = random.Random(0), 0
         for _ in range(200):
             a, b = (sample_to_grid(random_grid_step(rng, self.N), self.N) for _ in range(2))
@@ -566,3 +594,104 @@ class TestType2ThroughEtale:
                     assert self.lower(route(rel_etale, op, subs)) == expected, (op, args)
                     checks += 1
         assert checks == 1200
+
+    def certificate_mismatches(self, lattice, rel_etale):
+        """The generator tuples, and the constants, on which the routes disagree.
+
+        Every route is completely additive in each argument: its value at a point
+        is a join, over relation tuples or argument pairs, of meets of argument
+        values, and meet distributes over join in the chain of opens. The
+        generators are bottom and the 108 point maps x ↦ first k points; each of
+        the 13^9 maps is the join of the generators below it, and, since bottom
+        is one of them, a non-empty one. So a route's value at any argument
+        tuple is the join of its values at the generator tuples below it
+        (Jónsson–Tarski), and routes that agree on the 109^2 + 109^2 + 109
+        generator tuples of join, meet and neg agree on all 13^9 maps and
+        13^18 pairs. Each tuple is lifted and mapped once; the three routes'
+        subobjects must be equal, and lowered to the grid must equal the
+        oracle's. The oracle has no constants: zero and one are compared with
+        ``t2_constants`` sampled to the grid."""
+        structure = rel_etale.structure
+        zero = GridFunction(self.N, [0] * (self.N + 1))
+        grids = [zero] + [
+            GridFunction(self.N, [Fraction(k, self.M) * (y == x) for y in range(self.N + 1)])
+            for x in range(self.N + 1) for k in range(1, self.M + 1)
+        ]
+        subs = [self.lift(rel_etale, g) for g in grids]
+        maps = [LatticeMap.from_values(structure.carrier, lattice, s.sections) for s in subs]
+        assert len(grids) == 109 and [phi(lattice, m) for m in maps] == subs
+
+        lowered = {}  # by masks: far fewer distinct results than tuples
+
+        def images(op, idx):
+            return (
+                phi(lattice, conv_op(lattice, structure, op, [maps[i] for i in idx])),
+                fiberwise_rel_image(rel_etale, op, [subs[i] for i in idx]),
+                per_fiber_rel_image(rel_etale, op, [subs[i] for i in idx]),
+            )
+
+        pairs, singles = list(product(range(len(grids)), repeat=2)), [(i,) for i in range(len(grids))]
+        for op, tuples in (("join", pairs), ("meet", pairs), ("neg", singles)):
+            for idx in tuples:
+                first, *others = images(op, idx)
+                if first.masks not in lowered:
+                    lowered[first.masks] = self.lower(first)
+                expected = grid_conv_oracle(self.N, op, *[grids[i] for i in idx])
+                if others != [first, first] or lowered[first.masks] != expected:
+                    yield op, idx
+        for op, constant in zip(("zero", "one"), t2_constants()):
+            first, *others = images(op, ())
+            if others != [first, first] or self.lower(first) != sample_to_grid(constant, self.N):
+                yield op, ()
+
+    def test_generator_certificate_of_the_whole_instance(self):
+        assert list(self.certificate_mismatches(*self.instance())) == []
+
+    def test_certificate_catches_a_dropped_relation_tuple(self, monkeypatch):
+        """The sectionwise route missing the join tuple (1/2, 1/2, 1/2) differs
+        first at the pair of point maps 1/2 ↦ first point. The 1,200 sampled
+        checks above pass under this bug, as they do for 10 other single
+        join or meet tuples dropped, of 171 tuples of join, meet and neg."""
+        plan = ConstantRelationalEtale.plan
+
+        def dropped(self, name):
+            n, parent, tuples, image = plan(self, name)
+            return n, parent, tuple(t for t in tuples if (name, t) != ("join", (4, 4, 4))), image
+
+        monkeypatch.setattr(ConstantRelationalEtale, "plan", dropped)
+        mismatch = next(self.certificate_mismatches(*self.instance()), None)
+        assert mismatch == ("join", (1 + 12 * 4, 1 + 12 * 4)), mismatch
+
+    @pytest.mark.parametrize("route", ["conv_op", "fiberwise_rel_image", "per_fiber_rel_image",
+                                       "grid_conv_oracle"])
+    def test_routes_are_additive_in_each_argument(self, route):
+        """f(x ∨ y, z) = f(x, z) ∨ f(y, z), and the same in the second argument,
+        on samples: a bug that breaks additivity can hide from the generators."""
+        f = self.routes(*self.instance())[route]
+        rng = random.Random(1)
+
+        def join(g, h):
+            return GridFunction(self.N, [max(u, v) for u, v in zip(g.values, h.values)])
+
+        for _ in range(25):
+            x, y, z = (sample_to_grid(random_grid_step(rng, self.N), self.N) for _ in range(3))
+            assert f("neg", join(x, y)) == join(f("neg", x), f("neg", y))
+            for op in ("join", "meet"):
+                assert f(op, join(x, y), z) == join(f(op, x, z), f(op, y, z)), (op, x, y, z)
+                assert f(op, z, join(x, y)) == join(f(op, z, x), f(op, z, y)), (op, x, y, z)
+
+
+class TestNaturality:
+    """ROADMAP item 14 for the routes: a relabelling with a shuffled carrier
+    order and the fold X ⊔ X → X, both bounded morphisms, commute with
+    ``conv_op``, ``rel_image`` and both étale image routes, on five- and
+    ten-point carriers with a constant, a binary and a ternary relation.
+    Seeded-bug rows break each route's relation by emptying its last point."""
+
+    def test_relabelling_and_fold(self):
+        assert route_naturality_mismatches(100) == {
+            "conv_op": (1200, 0),
+            "rel_image": (600, 0),
+            "fiberwise_rel_image": (600, 0),
+            "per_fiber_rel_image": (600, 0),
+        }

@@ -19,6 +19,7 @@ import pytest
 
 import convalg.cli
 import convalg.complexalg
+import convalg.convolution
 import convalg.etale
 import convalg.terms
 import convalg.type2
@@ -26,6 +27,7 @@ from convalg import (
     App,
     ComplexAlgebra,
     Equation,
+    LatticeMap,
     Var,
     chain_lattice,
     characteristic_iso,
@@ -38,7 +40,7 @@ from convalg.cli import main
 from convalg.etale import worked_example
 from convalg.formats import parse_equations, parse_structure
 from convalg.lattice import ChainLattice
-from helpers import de_morgan_mismatches, naturality_mismatches
+from helpers import de_morgan_mismatches, naturality_mismatches, route_naturality_mismatches
 
 TOPOLOGY, LATTICE, STRUCTURE, _ = worked_example()
 W, V = Var("w"), Var("v")
@@ -126,6 +128,12 @@ CHECKS = {
     # fails in the two-valued algebra, so its witness is lifted and certified
     "crisp certificate": lambda capsys: equations_pass(chain_lattice(3), [Equation(FVW, V)]),
     "holds_in naturality": lambda capsys: naturality_mismatches(8, kinds=("complex",))[1] == 0,
+    **{
+        f"{route} naturality": lambda capsys, route=route: (
+            route_naturality_mismatches(10)[route][1] == 0
+        )
+        for route in ("conv_op", "rel_image", "fiberwise_rel_image", "per_fiber_rel_image")
+    },
     # one assignment of 4 applies against 21 table entries: the untabled scan
     "same_equations_report on a closed equation": lambda capsys: closed_equation_passes(
         capsys, cli=False
@@ -174,8 +182,28 @@ def forward_only(f):
     return lambda pieces, backward: f(pieces, False)
 
 
+def other_direction(f):
+    return lambda a, b, backward: f(a, b, not backward)
+
+
 def last_point_dropped(f):
     return lambda structure, name, args: f(structure, name, args) - {structure.carrier[-1]}
+
+
+def last_point_at_bottom(f):
+    def conv_op(lattice, structure, name, args):
+        alpha = f(lattice, structure, name, args)
+        return LatticeMap(alpha.carrier, lattice, alpha.codes[:-1] + (lattice.bottom_code,))
+
+    return conv_op
+
+
+def last_fiber_emptied(f):
+    def image(rel_etale, name, args):
+        sub = f(rel_etale, name, args)
+        return sub.parent._subobject(sub.masks[:-1] + (0,))
+
+    return image
 
 
 def compiled_reversed(f):
@@ -247,6 +275,13 @@ BUGS = {
         forward_only,
         ["crosscheck", "crosscheck on grid 16", "type2 crosscheck", "type2 De Morgan"],
     ),
+    # Join becomes meet and meet join, so both De Morgan laws still hold:
+    # this cannot flip "type2 De Morgan".
+    "_convolve runs every merge in the other direction": (
+        [(convalg.type2, "_convolve")],
+        other_direction,
+        ["crosscheck", "crosscheck on grid 16", "type2 crosscheck"],
+    ),
     "char_map lifts every witness to bottom": (
         [(convalg.terms, "char_map")],
         lifted_to_bottom,
@@ -254,10 +289,26 @@ BUGS = {
     ),
     # In X ⊔ X′ the last point is one of X′, in X one of X, and a
     # relabelling moves it: the algebra of X ⊔ X′ is no longer the product.
+    # The fold X ⊔ X → X sends the last point and one other to X's last.
     "rel_image never reaches the carrier's last point": (
-        [(convalg.terms, "rel_image")],
+        [(convalg.terms, "rel_image"), (convalg.complexalg, "rel_image")],
         last_point_dropped,
-        ["holds_in naturality"],
+        ["holds_in naturality", "rel_image naturality"],
+    ),
+    "conv_op leaves the carrier's last point at bottom": (
+        [(convalg.convolution, "conv_op")],
+        last_point_at_bottom,
+        ["conv_op naturality"],
+    ),
+    "fiberwise_rel_image leaves the last fiber empty": (
+        [(convalg.etale, "fiberwise_rel_image")],
+        last_fiber_emptied,
+        ["fiberwise_rel_image naturality"],
+    ),
+    "per_fiber_rel_image leaves the last fiber empty": (
+        [(convalg.etale, "per_fiber_rel_image")],
+        last_fiber_emptied,
+        ["per_fiber_rel_image naturality"],
     ),
     # Both algebras read the one compiled program, so this cannot flip
     # "same_equations_report" over chain:1: maps and subsets agree on the

@@ -185,3 +185,32 @@ def test_equations_call_counts_repeat_between_traced_passes():
     )
     assert (done.returncode, done.stdout, done.stderr) == (
         0, "2 True [0, 0] [True, True] [[], [], []]\n", "")
+
+
+# The same repeat check on the seed-0 type2 job list; both traced passes must
+# reach the closed forms' merge through join and meet.
+TYPE2_REPEAT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import run
+W = run.load_workloads()
+jobs = W.build("type2", 0, None)
+untraced = run.run_passes(W, jobs, 0, 1)
+import tracer
+t = tracer.Tracer()
+t.install()
+traced = run.run_passes(W, jobs, 0, run.MIN_TRACED_PASSES, t)
+_, repeat_ok = run.traced_metrics(tracer, t, untraced, traced)
+merged = [[p.aggregates[0].get(f"type2.t2_{op}", 0) > 0 for op in ("join", "meet")] for p in traced]
+print(len(traced), repeat_ok, merged, [p.failures for p in untraced + traced])
+"""
+
+
+def test_type2_call_counts_repeat_between_traced_passes():
+    bench = TRACER_PATH.parent
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", TYPE2_REPEAT, str(bench)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "2 True [[True, True], [True, True]] [[], [], []]\n", "")
