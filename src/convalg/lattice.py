@@ -17,7 +17,7 @@ from operator import ne
 
 # Planned checks above which check_heyting_laws refuses to start.
 MAX_LAW_CHECKS = 10**7
-# Opens above which make_topology stops closing (256 opens exceed MAX_LAW_CHECKS).
+# Opens above which make_topology stops joining (256 opens exceed MAX_LAW_CHECKS).
 MAX_OPENS = 2**8
 
 
@@ -46,9 +46,10 @@ class FiniteTopology:
     """A finite point set together with its family of open sets.
 
     The family must contain the empty set and the full point set and be
-    closed under pairwise union and intersection; construction fails
-    otherwise. Use :func:`make_topology` to close an arbitrary generator
-    family.
+    closed under union and intersection; construction fails otherwise.
+    Every open is the union of the ``least_opens`` of its points, by
+    Alexandrov's correspondence. Use :func:`make_topology` to close a
+    generator family.
     """
 
     points: frozenset
@@ -62,19 +63,23 @@ class FiniteTopology:
             raise ValueError("the empty set must be open")
         if self.points not in self.opens:
             raise ValueError("the full point set must be open")
-        for a, b in product(self.opens, repeat=2):
-            if a | b not in self.opens:
-                raise ValueError("opens are not closed under union")
-            if a & b not in self.opens:
+        # every open is a union of least opens, so unions with them close the family
+        for u in self.least_opens.values():
+            if u not in self.opens:
                 raise ValueError("opens are not closed under intersection")
+            if any(a | u not in self.opens for a in self.opens):
+                raise ValueError("opens are not closed under union")
+
+    @cached_property
+    def least_opens(self):
+        """Point -> the intersection of the opens that contain it, in sorted point order."""
+        return {p: self.points.intersection(*[a for a in self.opens if p in a])
+                for p in sorted(self.points)}
 
     def impl(self, a, b):
-        """Heyting implication of opens: the union of the opens W with W & a <= b."""
-        out = frozenset()
-        for w in self.opens:
-            if w & a <= b:
-                out = out | w
-        return out
+        """Heyting implication of opens: the union of the least opens W with W & a <= b,
+        which is the set of their points, as W holds the least open of each of its points."""
+        return frozenset([p for p, w in self.least_opens.items() if w & a <= b])
 
     @cached_property
     def mask_of(self):
@@ -96,50 +101,42 @@ class FiniteTopology:
 def make_topology(points, generators=()):
     """Smallest topology on ``points`` containing every generator.
 
-    Adds the empty set and the full point set and closes under pairwise
-    union and intersection. Idempotent: applied to the opens of an
-    existing topology it returns an equal topology. Raises CapacityError
-    as soon as the family grows past ``MAX_OPENS``.
+    A point's least open is the intersection of the generators that
+    contain it. From the empty and the full point set, the opens are
+    built by joining in one least open at a time, in sorted point order.
+    Idempotent on the opens of a topology. Raises CapacityError at the
+    first step whose family passes ``MAX_OPENS``.
     """
-    pts = frozenset(points)
-    opens = {frozenset(), pts}
-    for g in generators:
-        g = frozenset(g)
-        unknown = g - pts
-        if unknown:
+    pts, gens = frozenset(points), [frozenset(g) for g in generators]
+    for g in gens:
+        if unknown := g - pts:
             raise ValueError(f"generator mentions unknown points: {sorted(unknown)}")
-        opens.add(g)
-    while True:
+    opens = {frozenset(), pts}
+    for p in sorted(pts):
+        least = pts.intersection(*[g for g in gens if p in g])
+        opens |= {a | least for a in opens}
         _bounded(len(opens), "opens", MAX_OPENS)
-        new = {c for a, b in combinations(opens, 2) for c in (a | b, a & b)} - opens
-        if not new:
-            break
-        opens |= new
     return FiniteTopology(pts, frozenset(opens))
 
 
 def enumerate_topologies(points):
     """Yield every topology on the given point set, in a fixed order.
 
-    Brute force over families of subsets; intended for four or fewer
+    Each is the closure of one choice of an open set around each point, and
+    they are keyed by bit i for the i-th proper nonempty subset (by size,
+    then lexicographically) among the opens. Intended for four or fewer
     points. Repeated labels name one point.
     """
     pts = tuple(sorted(set(points)))
     if len(pts) > 4:
         raise ValueError("topology enumeration is exponential; at most 4 points")
-    full = frozenset(pts)
     subsets = [frozenset(c) for r in range(len(pts) + 1) for c in combinations(pts, r)]
-    middles = [s for s in subsets if s and s != full]
-    for mask in range(1 << len(middles)):
-        family = {frozenset(), full}
-        for i, s in enumerate(middles):
-            if mask >> i & 1:
-                family.add(s)
-        try:
-            topology = FiniteTopology(full, frozenset(family))
-        except ValueError:  # not closed under union and intersection
-            continue
-        yield topology
+    bit = {s: 1 << i for i, s in enumerate(subsets[1:-1])}
+    found = {}
+    for choice in product(*[[s for s in subsets if p in s] for p in pts]):
+        topology = make_topology(pts, choice)
+        found.setdefault(sum(bit.get(a, 0) for a in topology.opens), topology)
+    yield from [found[key] for key in sorted(found)]
 
 
 class FiniteLattice:
@@ -291,9 +288,9 @@ def _up_sets(elements, leq):
 class OpenSetLattice(FiniteLattice):
     """Heyting algebra of the opens of a finite topological space.
 
-    Join is union, meet is intersection, and implication of A and B is
-    the union of all opens W with W & A <= B; negation is implication
-    into the empty set, i.e. the interior of the complement.
+    Join is union, meet is intersection, implication of A and B is the union of the
+    least opens W with W & A <= B (``FiniteTopology.impl``), and negation is
+    implication into the empty set, i.e. the interior of the complement.
     """
 
     def __init__(self, topology):

@@ -175,3 +175,52 @@ def route_naturality_mismatches(instances, seed=13):
                     tally(route, f(etale_y, name, [*map(pull_sub, subs)]),
                           pull_sub(f(etale_x, name, subs)))
     return {route: tuple(c) for route, c in counts.items()}
+
+
+FRAME_ROUTES = ("conv_op", "fiberwise_rel_image", "per_fiber_rel_image")
+
+
+def frame_naturality_mismatches(instances, seed=17):
+    """{route: (checks, mismatches)} for ``conv_op`` and both étale image routes
+    under the frame maps O(Y) → O(S), V ↦ V ∩ S, for seeded three- and four-point
+    bases Y and five-point structures X. S is each base point y, where the map is
+    the stalk at y, O(Y) → O({y}) ≅ 2, and each least open U_y, where it is the
+    restriction to an open subspace: inverse image along the inclusion S → Y. A
+    frame map preserves finite meets and all joins, so composing each argument with
+    it commutes with ``conv_op``; the étale routes unite intersections of sections,
+    so restricting every section to S commutes with them. Each route is looked up
+    in its module at call time, so a seeded bug patched there is seen."""
+    rng = random.Random(seed)
+    counts = {route: [0, 0] for route in FRAME_ROUTES}
+
+    def tally(route, there, restricted_here):
+        counts[route][0] += 1
+        counts[route][1] += there != restricted_here
+
+    for _ in range(instances):
+        points = [f"t{i}" for i in range(rng.randint(3, 4))]
+        gens = [rng.sample(points, rng.randint(1, len(points) - 1)) for _ in range(3)]
+        base = make_topology(points, gens)
+        # denser than the other relations' draws, so joins meet incomparable opens
+        x = natural_structure(rng, tuple(f"a{i}" for i in range(5)), density=(0.3, 0.5, 0.1))
+        lattice, etale_x = open_set_heyting(base), ConstantRelationalEtale(x, base)
+        parts = dict.fromkeys([frozenset({p}) for p in points] + list(base.least_opens.values()))
+        subspaces = []
+        for part in parts:
+            sub = make_topology(part, [v & part for v in base.opens])
+            subspaces.append((part, open_set_heyting(sub), ConstantRelationalEtale(x, sub)))
+        for name, n in NATURAL_SIG.symbols:
+            maps = [random_map(rng, lattice, x.carrier) for _ in range(n)]
+            subs = [phi(lattice, m) for m in maps]
+            conv = convalg.convolution.conv_op
+            routes = [getattr(convalg.etale, route) for route in FRAME_ROUTES[1:]]
+            here = [conv(lattice, x, name, maps)] + [f(etale_x, name, subs) for f in routes]
+            for part, lat, etale_s in subspaces:
+                to_map = lambda m: LatticeMap.from_values(
+                    x.carrier, lat, {a: v & part for a, v in m.values.items()})
+                to_sub = lambda s: EtaleSubobject(etale_s.etale, tuple(
+                    lat.topology.mask_of[v & part] for v in s.sections.values()))
+                tally("conv_op", conv(lat, x, name, [*map(to_map, maps)]), to_map(here[0]))
+                for route, f, result in zip(FRAME_ROUTES[1:], routes, here[1:]):
+                    tally(route, f(etale_s, name, [*map(to_sub, subs)]), to_sub(result))
+    return {route: tuple(c) for route, c in counts.items()}

@@ -42,7 +42,7 @@ from convalg import (
     verify_main_iso,
 )
 from convalg.etale import worked_example
-from helpers import route_naturality_mismatches
+from helpers import frame_naturality_mismatches, route_naturality_mismatches
 
 
 def fs(*labels):
@@ -686,7 +686,10 @@ class TestNaturality:
     order and the fold X ⊔ X → X, both bounded morphisms, commute with
     ``conv_op``, ``rel_image`` and both étale image routes, on five- and
     ten-point carriers with a constant, a binary and a ternary relation.
-    Seeded-bug rows break each route's relation by emptying its last point."""
+    Seeded-bug rows break each route's relation by emptying its last point.
+    Frame maps of the base's opens, stalks and restrictions to least opens,
+    commute with ``conv_op`` and both étale routes too; a join table read
+    from the position order breaks ``conv_op``'s."""
 
     def test_relabelling_and_fold(self):
         assert route_naturality_mismatches(100) == {
@@ -694,4 +697,13 @@ class TestNaturality:
             "rel_image": (600, 0),
             "fiberwise_rel_image": (600, 0),
             "per_fiber_rel_image": (600, 0),
+        }
+
+    def test_stalks_and_restrictions_to_least_opens(self):
+        # frame maps O(Y) → O(S): the stalk at each base point and the restriction to
+        # each least open, over 60 seeded three- and four-point bases
+        assert frame_naturality_mismatches(60) == {
+            "conv_op": (933, 0),
+            "fiberwise_rel_image": (933, 0),
+            "per_fiber_rel_image": (933, 0),
         }

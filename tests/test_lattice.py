@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -66,11 +67,35 @@ class TestMakeTopology:
             with pytest.raises(CapacityError, match=f"opens exceed the bound {MAX_OPENS}$"):
                 make_topology(range(points), [{i} for i in range(points)])
             assert time.perf_counter() - t0 < 1.0
-        # a generator list past the bound is refused before any closing round
+        # a generator list past the bound costs only its least opens: these are the
+        # 24 singletons, so the eighth joining step (2^8 unions and the full set) passes it
         gens = [{i, j} for i in range(24) for j in range(i + 1, 24)]
         assert len(gens) > MAX_OPENS
         with pytest.raises(CapacityError):
             make_topology(range(24), gens)
+
+    @pytest.mark.parametrize("points,gens", [
+        (20, [{i} for i in range(20)]),
+        (24, [{i, j} for i in range(24) for j in range(i + 1, 24)]),
+    ], ids=["singletons", "pairs"])
+    def test_refusal_counts_the_first_step_past_the_bound(self, points, gens):
+        # 2^8 unions of the first eight singletons, and the full set
+        with pytest.raises(CapacityError, match=f"^257 opens exceed the bound {MAX_OPENS}$"):
+            make_topology(range(points), gens)
+
+    def test_smallest_of_the_enumerated_topologies(self):
+        # every topology on the points that contains the generators contains the closure
+        rng = random.Random(5)
+        for n in range(5):
+            points = range(n)
+            topologies = list(enumerate_topologies(points))
+            for _ in range(8):
+                gens = [frozenset(p for p in points if rng.random() < 0.4)
+                        for _ in range(rng.randint(0, 3))]
+                t = make_topology(points, gens)
+                over = [u.opens for u in topologies if u.opens >= set(gens)]
+                assert t.opens in over
+                assert all(t.opens <= opens for opens in over)
 
     def test_unknown_generator_point(self):
         with pytest.raises(ValueError):
@@ -154,6 +179,14 @@ class TestOpenSetHeyting:
                         assert c in topo.opens
                         assert lat.impl(a, b) == c
                         assert all((w & a <= b) == (w <= c) for w in topo.opens)
+
+    def test_impl_table_of_256_opens_within_a_second(self):
+        # the discrete space on 8 points, the largest family MAX_OPENS admits
+        lat = open_set_heyting(make_topology(range(8), [{i} for i in range(8)]))
+        t0 = time.perf_counter()
+        table = lat.impl_table
+        assert time.perf_counter() - t0 < 1.0
+        assert len(table) == MAX_OPENS and table[0] == (lat.top_code,) * MAX_OPENS
 
     def test_bounds(self, wedge_lattice, wedge_topology):
         assert wedge_lattice.bottom == fs()
@@ -353,7 +386,7 @@ class TestLawCheckCapacity:
 
 
 class TestEnumerateTopologies:
-    @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 4), (3, 29)])
+    @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 4), (3, 29), (4, 355)])
     def test_labeled_counts(self, n, count):
         points = [str(i) for i in range(n)]
         assert sum(1 for _ in enumerate_topologies(points)) == count

@@ -26,6 +26,12 @@ reference of ``holds_in``, which decides equations over a distributive
 lattice of more than two elements in the two-valued algebra;
 ``fiber_positions`` reads a map's fibers over the join-irreducibles, by
 which the per-entry tables must reduce to the two-valued ones.
+``literal_make_topology``, ``literal_validate``, ``literal_impl`` and
+``literal_enumerate_topologies`` are the finite-topology scans as they
+were written before ``FiniteTopology.least_opens``: a fixpoint of
+pairwise unions and intersections, |opens|² of them per validation, a
+scan of every open per implication, and a validation of every family
+of proper nonempty subsets.
 """
 
 import random
@@ -43,6 +49,7 @@ from convalg import (
     ConvolutionAlgebra,
     Equation,
     FiniteLattice,
+    FiniteTopology,
     GridFunction,
     LatticeMap,
     RelationalStructure,
@@ -73,11 +80,13 @@ from convalg import (
 from convalg.convolution import count_maps
 from convalg.lattice import (
     MAX_LAW_CHECKS,
+    MAX_OPENS,
     CapacityError,
     ChainLattice,
     LawFailure,
     LawReport,
     OpenSetLattice,
+    _bounded,
     check_heyting_laws,
     law_check_count,
 )
@@ -963,3 +972,117 @@ def test_birkhoff_masks(lattice):
     elif isinstance(lattice, ChainLattice):
         assert width == len(lattice.elements) - 1
     assert masks[lattice.bottom_code] == 0 and masks[lattice.top_code] == (1 << width) - 1
+
+
+def literal_make_topology(points, generators=()):
+    """``make_topology`` as it was written before least opens, returning the family:
+    pairwise unions and intersections until nothing changes."""
+    pts = frozenset(points)
+    opens = {frozenset(), pts}
+    for g in generators:
+        g = frozenset(g)
+        unknown = g - pts
+        if unknown:
+            raise ValueError(f"generator mentions unknown points: {sorted(unknown)}")
+        opens.add(g)
+    while True:
+        _bounded(len(opens), "opens", MAX_OPENS)
+        new = {c for a, b in combinations(opens, 2) for c in (a | b, a & b)} - opens
+        if not new:
+            break
+        opens |= new
+    return frozenset(opens)
+
+
+def literal_validate(points, opens):
+    """``FiniteTopology.__post_init__`` as it was written before least opens:
+    |opens|² unions and intersections."""
+    for a in opens:
+        if not a <= points:
+            raise ValueError(f"open set {sorted(a)} is not a subset of the points")
+    if frozenset() not in opens:
+        raise ValueError("the empty set must be open")
+    if points not in opens:
+        raise ValueError("the full point set must be open")
+    for a, b in product(opens, repeat=2):
+        if a | b not in opens:
+            raise ValueError("opens are not closed under union")
+        if a & b not in opens:
+            raise ValueError("opens are not closed under intersection")
+
+
+def literal_impl(opens, a, b):
+    """``FiniteTopology.impl`` as it was written before least opens: a scan of every open."""
+    out = frozenset()
+    for w in opens:
+        if w & a <= b:
+            out = out | w
+    return out
+
+
+def literal_enumerate_topologies(points):
+    """``enumerate_topologies`` as it was written before least opens, yielding families:
+    all 2^(2^n - 2) families of proper nonempty subsets, each validated by
+    ``literal_validate``."""
+    pts = tuple(sorted(set(points)))
+    full = frozenset(pts)
+    subsets = [frozenset(c) for r in range(len(pts) + 1) for c in combinations(pts, r)]
+    middles = [s for s in subsets if s and s != full]
+    for mask in range(1 << len(middles)):
+        family = {frozenset(), full}
+        for i, s in enumerate(middles):
+            if mask >> i & 1:
+                family.add(s)
+        try:
+            literal_validate(full, frozenset(family))
+        except ValueError:  # not closed under union and intersection
+            continue
+        yield frozenset(family)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_validation_matches_pairwise_literal_validation(n):
+    """Every family of subsets of n points is accepted by both or refused by both; a
+    closure failure names a law the family breaks (the literal one's choice between
+    them follows set order), any other failure the literal message."""
+    points = frozenset(range(n))
+    subsets = [frozenset(c) for r in range(n + 1) for c in combinations(range(n), r)]
+    for mask in range(1 << len(subsets)):
+        family = frozenset(s for i, s in enumerate(subsets) if mask >> i & 1)
+        outcomes = []
+        for check in (lambda: FiniteTopology(points, family), lambda: literal_validate(points, family)):
+            try:
+                check()
+                outcomes.append(None)
+            except ValueError as e:
+                outcomes.append(str(e))
+        new, old = outcomes
+        if new is None or old is None or "closed" not in old:
+            assert new == old
+        else:
+            law = new.rpartition(" ")[2]
+            op = frozenset.union if law == "union" else frozenset.intersection
+            assert any(op(a, b) not in family for a, b in product(family, repeat=2)), new
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_enumeration_and_impl_match_literal_scans(n):
+    topologies = list(enumerate_topologies(range(n)))
+    assert [t.opens for t in topologies] == list(literal_enumerate_topologies(range(n)))
+    for t in topologies:
+        for a, b in product(t.opens, repeat=2):
+            assert t.impl(a, b) == literal_impl(t.opens, a, b)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_make_topology_and_impl_match_literal_scans_on_larger_spaces(n):
+    rng = random.Random(n)
+    points = [f"y{i}" for i in range(n)]
+    for _ in range(20):
+        gens = [frozenset(rng.sample(points, rng.randint(1, n))) for _ in range(rng.randint(0, 8))]
+        t = make_topology(points, gens)
+        assert t.opens == literal_make_topology(points, gens)
+        opens = sorted(t.opens, key=sorted)
+        for _ in range(100):
+            a, b = rng.choice(opens), rng.choice(opens)
+            assert t.impl(a, b) == literal_impl(t.opens, a, b)

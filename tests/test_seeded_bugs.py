@@ -37,10 +37,15 @@ from convalg import (
     verify_main_iso,
 )
 from convalg.cli import main
-from convalg.etale import worked_example
+from convalg.etale import ConstantEtale, EtaleSubobject, sub_impl, worked_example
 from convalg.formats import parse_equations, parse_structure
-from convalg.lattice import ChainLattice
-from helpers import de_morgan_mismatches, naturality_mismatches, route_naturality_mismatches
+from convalg.lattice import ChainLattice, FiniteTopology, OpenSetLattice
+from helpers import (
+    de_morgan_mismatches,
+    frame_naturality_mismatches,
+    naturality_mismatches,
+    route_naturality_mismatches,
+)
 
 TOPOLOGY, LATTICE, STRUCTURE, _ = worked_example()
 W, V = Var("w"), Var("v")
@@ -102,11 +107,28 @@ def closed_equation_passes(capsys, cli):
                                    "--structure", str(structure), "--eqs", str(eqs)])
 
 
+def fresh_iso_report():
+    """``verify_main_iso`` on the worked example, its topology and lattice built here:
+    ``least_opens`` and ``impl_table`` are cached per object, so the module's own
+    would keep answers from before a bug."""
+    topology, lattice, structure, _ = worked_example()
+    return verify_main_iso(lattice, structure, topology, trials=20)
+
+
+def topology_file_passes(capsys):
+    """``lattice check`` on a file of the discrete topology on three points."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "topology.txt")
+        path.write_text("points: t1 t2 t3\nopen: t1\nopen: t2\nopen: t3\n", encoding="utf-8")
+        return cli_passes(capsys, ["lattice", "check", "--lattice", str(path)])
+
+
 # Each check returns True when the comparison passed.
 CHECKS = {
     "verify_main_iso": lambda capsys: verify_main_iso(
         LATTICE, STRUCTURE, TOPOLOGY, trials=20
     ).ok,
+    "verify_main_iso on a fresh topology": lambda capsys: fresh_iso_report().ok,
     "characteristic_iso": lambda capsys: characteristic_iso(STRUCTURE).ok,
     "same_equations_report": lambda capsys: same_equations_report(
         chain_lattice(1), STRUCTURE, [asymmetric()]
@@ -122,6 +144,7 @@ CHECKS = {
     "lattice check": lambda capsys: cli_passes(
         capsys, ["lattice", "check", "--lattice", "chain:3"]
     ),
+    "lattice check on a topology file": topology_file_passes,
     "same_equations_report over chain:3": lambda capsys: equations_pass(
         chain_lattice(3), [asymmetric()]
     ),
@@ -134,6 +157,9 @@ CHECKS = {
         )
         for route in ("conv_op", "rel_image", "fiberwise_rel_image", "per_fiber_rel_image")
     },
+    "conv_op frame naturality": lambda capsys: (
+        frame_naturality_mismatches(10)["conv_op"][1] == 0
+    ),
     # one assignment of 4 applies against 21 table entries: the untabled scan
     "same_equations_report on a closed equation": lambda capsys: closed_equation_passes(
         capsys, cli=False
@@ -204,6 +230,18 @@ def last_fiber_emptied(f):
         return sub.parent._subobject(sub.masks[:-1] + (0,))
 
     return image
+
+
+def last_least_open_dropped(prop):
+    """``least_opens`` without the last sorted point's entry, recomputed on each use."""
+    return property(lambda self: dict(list(prop.func(self).items())[:-1]))
+
+
+def joined_by_larger_position(prop):
+    """A join table that answers the later of two positions: right on a chain only."""
+    return property(lambda self: tuple(
+        tuple(max(i, j) for j in range(len(self.elements))) for i in range(len(self.elements))
+    ))
 
 
 def compiled_reversed(f):
@@ -310,6 +348,21 @@ BUGS = {
         last_fiber_emptied,
         ["per_fiber_rel_image naturality"],
     ),
+    # The base's implication misses the last point, while sub_impl, which scans
+    # every open mask, stays right: the iso's pointwise impl check disagrees.
+    "FiniteTopology.least_opens drops the last sorted point's least open": (
+        [(FiniteTopology, "least_opens")],
+        last_least_open_dropped,
+        ["verify_main_iso on a fresh topology", "lattice check on a topology file"],
+    ),
+    # Frame maps preserve meets and joins, so the rows above that empty a
+    # point or a fiber commute with them; a join read from the position order
+    # is lattice-specific, and the stalks at base points, O(Y) → 2, see it.
+    "OpenSetLattice.join_table joins by the larger position": (
+        [(OpenSetLattice, "join_table")],
+        joined_by_larger_position,
+        ["conv_op frame naturality"],
+    ),
     # Both algebras read the one compiled program, so this cannot flip
     # "same_equations_report" over chain:1: maps and subsets agree on the
     # mirrored equation. Over chain:3 the crisp certificate, by eval_term,
@@ -349,3 +402,19 @@ def test_seeded_lattice_bug_fails_its_law(monkeypatch, bug, law):
     for cls, name in bindings:
         monkeypatch.setattr(cls, name, seed(getattr(cls, name)))
     assert check_heyting_laws(chain_lattice(3)).failure.law == law
+
+
+def test_least_opens_bug_is_a_pointwise_impl_counterexample_that_spares_sub_impl(monkeypatch):
+    bindings, seed, _ = BUGS["FiniteTopology.least_opens drops the last sorted point's least open"]
+    for cls, name in bindings:
+        monkeypatch.setattr(cls, name, seed(getattr(cls, name)))
+    assert "pointwise impl" in fresh_iso_report().counterexample
+    topology = worked_example()[0]
+    # one fiber per pair of opens: sub_impl against the scan of every open
+    pairs = [(a, b) for a in topology.opens for b in topology.opens]
+    parent, mask = ConstantEtale(tuple(range(len(pairs))), topology), topology.mask_of
+    got = sub_impl(EtaleSubobject(parent, tuple(mask[a] for a, _ in pairs)),
+                   EtaleSubobject(parent, tuple(mask[b] for _, b in pairs)))
+    want = [frozenset().union(*[w for w in topology.opens if w & a <= b]) for a, b in pairs]
+    assert got.masks == tuple(mask[w] for w in want)
+    assert any(topology.impl(a, b) != w for (a, b), w in zip(pairs, want))
