@@ -15,6 +15,9 @@ from itertools import combinations, product
 from .convolution import MAX_MAPS, LatticeMap, _compare_routes, conv_op
 from .lattice import _bounded, _count, chain_lattice
 
+# one two-element chain for characteristic_iso and two_valued: its tables are built once
+_TWO = chain_lattice(1)
+
 
 def image_mask(groups, inside):
     """Relational image over masks: bit r is set when some tuple mask in ``groups[r]``
@@ -99,7 +102,6 @@ def characteristic_iso(structure, exhaustive=None, trials=200, seed=0):
         exhaustive = len(carrier) <= 3
     widest = max(map(sig.arity, sig.names), default=0) if exhaustive else 0
     _bounded(count_subsets(carrier) ** widest, "argument tuples", MAX_MAPS)
-    two = chain_lattice(1)
     subsets = all_subsets(carrier) if exhaustive else None
     rng = random.Random(seed)
 
@@ -116,8 +118,8 @@ def characteristic_iso(structure, exhaustive=None, trials=200, seed=0):
                 tuples = (tuple(draw() for _ in range(n)) for _ in range(trials))
             for args in tuples:
                 image = rel_image(structure, name, args)
-                maps = [char_map(two, carrier, a) for a in args]
-                conv = subset_from_map(conv_op(two, structure, name, maps))
+                maps = [char_map(_TWO, carrier, a) for a in args]
+                conv = subset_from_map(conv_op(_TWO, structure, name, maps))
                 yield image, conv, lambda: (
                     f"{name}{tuple(sorted(a) for a in args)}: "
                     f"image {sorted(image)} vs convolution {sorted(conv)}"

@@ -29,7 +29,7 @@ from .convolution import (
     random_map,
 )
 from .lattice import FiniteTopology, OpenSetLattice, _count, make_topology, open_set_heyting
-from .relstruct import RelationalStructure, Signature
+from .relstruct import RelationalStructure, Signature, _SymbolTable
 
 
 @dataclass(frozen=True)
@@ -90,23 +90,24 @@ class ConstantRelationalEtale:
     structure: object
     base: FiniteTopology
 
-    def __post_init__(self):
-        object.__setattr__(self, "_plans", {})
-
     @cached_property
     def etale(self):
         return _bundle(tuple(self.structure.carrier), self.base)
 
-    def plan(self, name):
-        """Relation ``name`` over the bundle, built once: ``(arity, etale, tuples, image)``.
-        ``tuples``: its tuples in fiber positions, from ``structure.relations``; ``image``:
-        :func:`image_mask` on ``slot_masks(name)[1]``, bounded memo."""
-        if name not in self._plans:
-            n, rel = self.structure.signature.arity(name), self.structure.relations[name]
-            index = {x: i for i, x in enumerate(self.etale.fibers)}
-            tuples = tuple(tuple(map(index.__getitem__, t)) for t in rel)
+    @cached_property
+    def _plans(self):
+        """Symbol -> its :meth:`plan`, every relation's in one pass."""
+        index, plans = {x: i for i, x in enumerate(self.etale.fibers)}, _SymbolTable()
+        for name, n in self.structure.signature.symbols:
+            tuples = tuple(tuple(map(index.__getitem__, t)) for t in self.structure.relations[name])
             image = partial(image_mask, self.structure.slot_masks(name)[1])
-            self._plans[name] = n, self.etale, tuples, lru_cache(1 << 12)(image)
+            plans[name] = n, self.etale, tuples, lru_cache(1 << 12)(image)
+        return plans
+
+    def plan(self, name):
+        """``(arity, etale, tuples, image)`` of relation ``name``; ValueError for an unknown
+        one. ``tuples``: its tuples in fiber positions, from ``structure.relations``; ``image``:
+        :func:`image_mask` on ``slot_masks(name)[1]``, bounded memo."""
         return self._plans[name]
 
 

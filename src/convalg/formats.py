@@ -164,7 +164,8 @@ def parse_step_function(text, path=None):
     """`point X -> V` and `interval (A,B) -> V` lines; omitted pieces are 0.
 
     A declared interval may span several breakpoints introduced by other
-    lines; overlapping declarations must not conflict.
+    lines, and gives them its value unless a point line sets theirs;
+    overlapping declarations must not conflict.
     """
     point_decls = {}
     interval_decls = []
@@ -187,12 +188,9 @@ def parse_step_function(text, path=None):
                 raise ParseError(f"duplicate point {piece}", i, path)
             point_decls[x] = value
         elif kind == "interval":
-            if not (piece.startswith("(") and piece.endswith(")")):
+            if not (piece.startswith("(") and piece.endswith(")")) or piece.count(",") != 1:
                 raise ParseError("interval must be written (A,B)", i, path)
-            try:
-                a_tok, b_tok = piece[1:-1].split(",")
-            except ValueError:
-                raise ParseError("interval must be written (A,B)", i, path) from None
+            a_tok, b_tok = piece[1:-1].split(",")
             a = _parse_fraction(a_tok.strip(), i, path)
             b = _parse_fraction(b_tok.strip(), i, path)
             if not (_ZERO <= a < b <= _ONE):
@@ -200,25 +198,24 @@ def parse_step_function(text, path=None):
             interval_decls.append((a, b, value, i))
         else:
             raise ParseError(f"unrecognized piece kind {kind!r}", i, path)
-    bps = {_ZERO, _ONE} | set(point_decls)
-    for a, b, _, _ in interval_decls:
-        bps.add(a)
-        bps.add(b)
-    bps = sorted(bps)
-    pvs = [point_decls.get(b, _ZERO) for b in bps]
-    # Declarations in line order: the first on an interval has the lowest line.
+    ends = [x for a, b, _, _ in interval_decls for x in (a, b)]
+    bps = sorted({_ZERO, _ONE, *point_decls, *ends})
     index = {b: k for k, b in enumerate(bps)}
-    covering = [[] for _ in bps[1:]]
+    # piece 2k is breakpoint k and piece 2k + 1 the interval after it; declarations are in
+    # line order, so the first on a piece has the lowest line
+    covering = [[] for _ in range(2 * len(bps) - 1)]
     for a, b, v, i in interval_decls:
-        for k in range(index[a], index[b]):
+        for k in range(2 * index[a] + 1, 2 * index[b]):
             covering[k].append((v, i))
-    ivs = []
-    for lo, hi, decls in zip(bps, bps[1:], covering):
+    values = []
+    for k, decls in enumerate(covering):
         vals = {v for v, _ in decls}
-        if len(vals) > 1:
+        if len(vals) > 1:  # two values on a breakpoint first differ on the interval before it
+            lo, hi = bps[k // 2], bps[k // 2 + 1]
             raise ParseError(f"conflicting values on ({lo},{hi})", decls[0][1], path)
-        ivs.append(vals.pop() if vals else _ZERO)
-    return StepFunction(bps, pvs, ivs)
+        values.append(vals.pop() if vals else _ZERO)
+    pvs = [point_decls.get(x, v) for x, v in zip(bps, values[::2])]
+    return StepFunction(bps, pvs, values[1::2])
 
 
 def _tokenize(line):

@@ -122,21 +122,21 @@ def make_topology(points, generators=()):
 def enumerate_topologies(points):
     """Yield every topology on the given point set, in a fixed order.
 
-    Each is the closure of one choice of an open set around each point, and
-    they are keyed by bit i for the i-th proper nonempty subset (by size,
-    then lexicographically) among the opens. Intended for four or fewer
-    points. Repeated labels name one point.
+    Each is built once, from its least opens (Alexandrov): a choice of an open U_p around
+    each point p, transitive in that U_p holds U_q for each q in U_p. They are keyed by
+    bit i for the i-th proper nonempty subset (by size, then lexicographically) among the
+    opens. At most four points; repeated labels name one point.
     """
     pts = tuple(sorted(set(points)))
     if len(pts) > 4:
         raise ValueError("topology enumeration is exponential; at most 4 points")
     subsets = [frozenset(c) for r in range(len(pts) + 1) for c in combinations(pts, r)]
     bit = {s: 1 << i for i, s in enumerate(subsets[1:-1])}
-    found = {}
+    found = []
     for choice in product(*[[s for s in subsets if p in s] for p in pts]):
-        topology = make_topology(pts, choice)
-        found.setdefault(sum(bit.get(a, 0) for a in topology.opens), topology)
-    yield from [found[key] for key in sorted(found)]
+        if all(choice[pts.index(q)] <= u for u in choice for q in u):  # transitive
+            found.append(make_topology(pts, choice))
+    yield from sorted(found, key=lambda t: sum(bit.get(a, 0) for a in t.opens))
 
 
 class FiniteLattice:

@@ -15,6 +15,13 @@ from .convolution import MAX_MAPS
 from .lattice import _bounded, _count
 
 
+class _SymbolTable(dict):
+    """Symbol -> what is kept for it; looking up an unknown symbol raises ValueError."""
+
+    def __missing__(self, name):
+        raise ValueError(f"unknown symbol {name!r}")
+
+
 @dataclass(frozen=True)
 class Signature:
     """Ordered operation symbols with their arities."""
@@ -23,19 +30,16 @@ class Signature:
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple((name, arity) for name, arity in self.symbols))
-        names = [name for name, _ in self.symbols]
-        if len(set(names)) != len(names):
+        arities = _SymbolTable(self.symbols)
+        if len(arities) != len(self.symbols):
             raise ValueError("duplicate symbol names")
         for name, arity in self.symbols:
             _count(arity, f"arity of {name}", 0)
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "_arities", dict(self.symbols))
+        object.__setattr__(self, "names", tuple(arities))
+        object.__setattr__(self, "_arities", arities)
 
     def arity(self, name):
-        try:
-            return self._arities[name]
-        except KeyError:
-            raise ValueError(f"unknown symbol {name!r}") from None
+        return self._arities[name]
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,6 @@ class RelationalStructure:
                 entry = next(e for e in t if e not in carrier)
                 raise ValueError(f"{name}: tuple {t!r} mentions unknown element {entry!r}")
         object.__setattr__(self, "relations", normalized)
-        object.__setattr__(self, "_plans", {})
-        object.__setattr__(self, "_masks", {})
 
     def __hash__(self):
         return hash((self.carrier, self.signature, frozenset(self.relations.items())))
@@ -103,8 +105,22 @@ class RelationalStructure:
         items = tuple(self.carrier_bits.items())
         return lru_cache(1 << 12)(lambda mask: frozenset([x for x, b in items if mask & b]))
 
+    @cached_property
+    def _slot_views(self):
+        """Symbol -> its ``(compiled, slot_masks)`` views, every relation's in one pass."""
+        index, views = {x: i for i, x in enumerate(self.carrier)}, _SymbolTable()
+        for name, arity in self.signature.symbols:
+            groups = [[] for _ in self.carrier]
+            for t in self.relations[name]:
+                slots = tuple(i * len(self.carrier) + index[x] for i, x in enumerate(t[:-1]))
+                groups[index[t[-1]]].append(slots)
+            groups = tuple(tuple(sorted(g)) for g in groups)
+            masks = tuple(tuple(sum(1 << k for k in t) for t in g) for g in groups)
+            views[name] = (arity, groups), (arity, masks)
+        return views
+
     def compiled(self, name):
-        """Relation ``name`` in argument slots, compiled once: ``(arity, groups)``.
+        """Relation ``name`` in argument slots: ``(arity, groups)``.
 
         Argument i at carrier position p is slot ``i * len(carrier) + p``,
         so the concatenated per-argument sequences of a call answer every
@@ -112,24 +128,11 @@ class RelationalStructure:
         argument slots of every tuple whose result is the carrier element
         at position r. Raises ValueError for an unknown symbol.
         """
-        plan = self._plans.get(name)
-        if plan is None:
-            arity = self.signature.arity(name)
-            index = {x: i for i, x in enumerate(self.carrier)}
-            size = len(self.carrier)
-            groups = [[] for _ in self.carrier]
-            for t in self.relations[name]:
-                slots = tuple(i * size + index[x] for i, x in enumerate(t[:-1]))
-                groups[index[t[-1]]].append(slots)
-            plan = self._plans[name] = (arity, tuple(tuple(sorted(g)) for g in groups))
-        return plan
+        return self._slot_views[name][0]
 
     def slot_masks(self, name):
-        """:meth:`compiled` with each tuple's argument slots as one int bitmask, cached."""
-        if name not in self._masks:
-            n, groups = self.compiled(name)
-            self._masks[name] = n, tuple(tuple(sum(1 << k for k in t) for t in g) for g in groups)
-        return self._masks[name]
+        """:meth:`compiled` with each tuple's argument slots as one int bitmask."""
+        return self._slot_views[name][1]
 
 
 def interval_structure(n):

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .complexalg import all_subsets, char_map, count_subsets, rel_image, subset_from_map
+from .complexalg import _TWO, all_subsets, char_map, count_subsets, rel_image, subset_from_map
 from .convolution import conv_op, count_maps, enumerate_maps
-from .lattice import CapacityError, _bounded, _count, chain_lattice
-
-# the one two-element chain of every two_valued algebra, so its tables are built once
-_TWO = chain_lattice(1)
+from .lattice import CapacityError, _bounded, _count
 
 
 @dataclass(frozen=True)

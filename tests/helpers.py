@@ -123,17 +123,25 @@ NATURAL_BASE = make_topology(("t1", "t2", "t3"), [{"t1"}, {"t2"}])
 ROUTES = ("conv_op", "rel_image", "fiberwise_rel_image", "per_fiber_rel_image")
 
 
-def route_naturality_mismatches(instances, seed=13):
+MORPHISMS = ("relabelling", "fold", "inclusion")
+
+
+def route_naturality_mismatches(instances, seed=13, morphisms=MORPHISMS):
     """{route: (checks, mismatches)} for ``conv_op``, ``rel_image`` and both
-    étale image routes under two bounded morphisms h : Y → X, for seeded
-    five-point structures X: the inverse of a relabelling of X, with Y's
-    carrier in another order, and the fold X ⊔ X → X. Preimage along h is a
-    homomorphism of complex algebras, and precomposition with h one of
-    convolution algebras and of subobjects of constant bundles (Jónsson–Tarski;
-    Goldblatt 1989): each route on Y, applied to pulled-back arguments, gives
-    the pullback of its result on X. Maps go over chain:2 and over the opens
-    of ``NATURAL_BASE``, the étale's base. Each route is looked up in its
-    module at call time, so a seeded bug patched there is seen."""
+    étale image routes under bounded morphisms h : Y → X, for seeded
+    five-point structures S: the inverse of a relabelling of S, with Y's
+    carrier in another order; the fold S ⊔ S → S; and the inclusion
+    S → S ⊔ S′ into a disjoint union with a seeded two-point S′. Preimage
+    along h is a homomorphism of complex algebras, and precomposition with h
+    one of convolution algebras and of subobjects of constant bundles
+    (Jónsson–Tarski; Goldblatt 1989): each route on Y, applied to pulled-back
+    arguments, gives the pullback of its result on X. For the inclusion the
+    pullback is the restriction to S, so the route on S ⊔ S′, restricted to
+    S, is the route on S applied to the restricted arguments. Arguments are
+    drawn on X. Maps go over chain:2 and over the opens of ``NATURAL_BASE``,
+    the étale's base. ``morphisms`` picks among ``MORPHISMS``. Each route is
+    looked up in its module at call time, so a seeded bug patched there is
+    seen."""
     rng = random.Random(seed)
     chain, opens = chain_lattice(2), open_set_heyting(NATURAL_BASE)
     counts = {route: [0, 0] for route in ROUTES}
@@ -143,26 +151,28 @@ def route_naturality_mismatches(instances, seed=13):
         counts[route][1] += there != pulled_here
 
     for _ in range(instances):
-        x = natural_structure(rng, tuple(f"a{i}" for i in range(5)))
-        index = {a: i for i, a in enumerate(x.carrier)}
-        renamed, to = relabelling(rng, x)
-        twin = {a: a + "'" for a in x.carrier}
-        morphisms = [
-            (renamed, {b: a for a, b in to.items()}),
-            (disjoint_union(x, transported(x, twin, twin.values())),
-             {**{a: a for a in x.carrier}, **{b: a for a, b in twin.items()}}),
-        ]
-        etale_x = ConstantRelationalEtale(x, NATURAL_BASE)
-        for name, n in NATURAL_SIG.symbols:
-            maps = [[random_map(rng, lat, x.carrier) for _ in range(n)] for lat in (chain, opens)]
-            subsets = [frozenset(a for a in x.carrier if rng.random() < 0.5) for _ in range(n)]
-            subs = [phi(opens, m) for m in maps[1]]
-            for y, h in morphisms:
-                at = [index[h[b]] for b in y.carrier]
-                etale_y = ConstantRelationalEtale(y, NATURAL_BASE)
-                pull_map = lambda m: LatticeMap(y.carrier, m.lattice, tuple(m.codes[i] for i in at))
-                pull_set = lambda s: frozenset(b for b in y.carrier if h[b] in s)
-                pull_sub = lambda s: EtaleSubobject(etale_y.etale, tuple(s.masks[i] for i in at))
+        s = natural_structure(rng, tuple(f"a{i}" for i in range(5)))
+        renamed, to = relabelling(rng, s)
+        twin = {a: a + "'" for a in s.carrier}
+        identity = {a: a for a in s.carrier}
+        candidates = {  # (Y, X, h)
+            "relabelling": (renamed, s, {b: a for a, b in to.items()}),
+            "fold": (disjoint_union(s, transported(s, twin, twin.values())), s,
+                     {**identity, **{b: a for a, b in twin.items()}}),
+            "inclusion": (s, disjoint_union(s, natural_structure(rng, ("b0", "b1"))), identity),
+        }
+        for y, x, h in map(candidates.get, morphisms):
+            index = {a: i for i, a in enumerate(x.carrier)}
+            at = [index[h[b]] for b in y.carrier]
+            etale_x, etale_y = (ConstantRelationalEtale(z, NATURAL_BASE) for z in (x, y))
+            pull_map = lambda m: LatticeMap(y.carrier, m.lattice, tuple(m.codes[i] for i in at))
+            pull_set = lambda t: frozenset(b for b in y.carrier if h[b] in t)
+            pull_sub = lambda t: EtaleSubobject(etale_y.etale, tuple(t.masks[i] for i in at))
+            for name, n in NATURAL_SIG.symbols:
+                maps = [[random_map(rng, lat, x.carrier) for _ in range(n)]
+                        for lat in (chain, opens)]
+                subsets = [frozenset(a for a in x.carrier if rng.random() < 0.5) for _ in range(n)]
+                subs = [phi(opens, m) for m in maps[1]]
                 conv = convalg.convolution.conv_op
                 for lat, alphas in zip((chain, opens), maps):
                     tally("conv_op", conv(lat, y, name, [*map(pull_map, alphas)]),

@@ -186,6 +186,13 @@ class TestComplexEval:
                 "--arg", "{x1 x2}", "--arg", "{x3 x1 x3}"]
         assert run(capsys, argv) == (2, "", "error: <input>: duplicate subset elements ['x3']\n")
 
+    @pytest.mark.parametrize("command", ["complex", "conv"])
+    def test_unknown_relation_is_input_error(self, capsys, demo_files, command):
+        argv = [command, "eval", "--structure", demo_files["structure.txt"], "--relation", "h"]
+        if command == "conv":
+            argv += ["--lattice", "chain:1"]
+        assert run(capsys, argv) == (2, "", "error: unknown symbol 'h'\n")
+
 
 class TestEtaleVerifyIso:
     def test_pass_and_determinism(self, capsys, demo_files):

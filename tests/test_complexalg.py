@@ -4,6 +4,8 @@ import random
 import pytest
 
 import convalg.complexalg
+import convalg.lattice
+import convalg.terms
 from convalg import (
     CapacityError,
     LatticeMap,
@@ -268,6 +270,21 @@ class TestCharacteristicIso:
             bits = rng.getrandbits(19)
             want.append((frozenset(x for x in carrier if bits >> x & 1),))
         assert drawn == want
+
+    def test_builds_no_chain(self, monkeypatch, four_point_structure):
+        # every call shares the one two-element chain of the two_valued algebras, whose
+        # tables are built once per process
+        built, init = [], convalg.lattice.ChainLattice.__init__
+
+        def counting(chain, n):
+            built.append(n)
+            init(chain, n)
+
+        monkeypatch.setattr(convalg.lattice.ChainLattice, "__init__", counting)
+        for _ in range(3):
+            assert characteristic_iso(four_point_structure).ok
+        assert built == []
+        assert convalg.complexalg._TWO is convalg.terms._TWO
 
     def test_default_mode_samples_a_seven_element_carrier(self, monkeypatch):
         def refuse(carrier):

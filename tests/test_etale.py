@@ -683,20 +683,31 @@ class TestType2ThroughEtale:
 
 class TestNaturality:
     """ROADMAP item 14 for the routes: a relabelling with a shuffled carrier
-    order and the fold X ⊔ X → X, both bounded morphisms, commute with
-    ``conv_op``, ``rel_image`` and both étale image routes, on five- and
-    ten-point carriers with a constant, a binary and a ternary relation.
-    Seeded-bug rows break each route's relation by emptying its last point.
-    Frame maps of the base's opens, stalks and restrictions to least opens,
-    commute with ``conv_op`` and both étale routes too; a join table read
-    from the position order breaks ``conv_op``'s."""
+    order, the fold X ⊔ X → X and the inclusion X → X ⊔ X′, all bounded
+    morphisms, commute with ``conv_op``, ``rel_image`` and both étale image
+    routes, on five-, seven- and ten-point carriers with a constant, a binary
+    and a ternary relation. Seeded-bug rows break each route's relation by
+    emptying its last point. Frame maps of the base's opens, stalks and
+    restrictions to least opens, commute with ``conv_op`` and both étale
+    routes too; a join table read from the position order breaks
+    ``conv_op``'s, and cutting every section to one least open breaks the
+    étale routes'."""
 
     def test_relabelling_and_fold(self):
-        assert route_naturality_mismatches(100) == {
+        assert route_naturality_mismatches(100, morphisms=("relabelling", "fold")) == {
             "conv_op": (1200, 0),
             "rel_image": (600, 0),
             "fiberwise_rel_image": (600, 0),
             "per_fiber_rel_image": (600, 0),
+        }
+
+    def test_inclusion_into_a_disjoint_union(self):
+        # the route on X ⊔ X′, restricted to X, is the route on X of the restricted arguments
+        assert route_naturality_mismatches(100, morphisms=("inclusion",)) == {
+            "conv_op": (600, 0),
+            "rel_image": (300, 0),
+            "fiberwise_rel_image": (300, 0),
+            "per_fiber_rel_image": (300, 0),
         }
 
     def test_stalks_and_restrictions_to_least_opens(self):

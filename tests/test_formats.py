@@ -17,6 +17,7 @@ from convalg import (
     random_equations,
     random_step,
     t2_constants,
+    t2_neg,
 )
 from convalg.formats import (
     MAX_TERM_DEPTH,
@@ -214,6 +215,16 @@ class TestStepFunctionFormat:
         assert f(F(1, 6)) == F(1, 2)
         assert f(F(1, 3)) == 1
         assert f(F(1, 2)) == F(1, 2)
+
+    def test_breakpoint_inside_a_declared_interval_takes_its_value(self):
+        # the second line adds the breakpoint 1/2 strictly inside (0,1), with no point line
+        f = parse_step_function("interval (0,1) -> 1/2\ninterval (1/2,1) -> 1/2\n")
+        assert f(F(1, 2)) == F(1, 2)
+        assert f == parse_step_function("interval (0,1) -> 1/2\n")
+        assert format_step_function(t2_neg(f)) == "interval (0,1) -> 1/2"
+        # an end of every interval around it keeps the default 0
+        g = parse_step_function("interval (0,1/2) -> 1/2\ninterval (1/2,1) -> 1/2\n")
+        assert (g(F(1, 4)), g(F(1, 2)), g(F(3, 4))) == (F(1, 2), 0, F(1, 2))
 
     def test_conflicting_intervals(self):
         text = "interval (0,1) -> 1/2\ninterval (0,1/2) -> 1/3\n"

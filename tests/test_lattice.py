@@ -395,6 +395,20 @@ class TestEnumerateTopologies:
         with pytest.raises(ValueError):
             list(enumerate_topologies("abcde"))
 
+    @pytest.mark.parametrize("n,count", [(3, 29), (4, 355)])
+    def test_each_topology_built_once(self, monkeypatch, n, count):
+        # one FiniteTopology per transitive choice of least opens, none per other choice
+        # (64 choices of an open around each of 3 points, 4,096 around 4)
+        built, validate = [], FiniteTopology.__post_init__
+
+        def counting(topology):
+            built.append(topology)
+            validate(topology)
+
+        monkeypatch.setattr(FiniteTopology, "__post_init__", counting)
+        assert sum(1 for _ in enumerate_topologies(range(n))) == count
+        assert len(built) == count
+
     @pytest.mark.parametrize("points,distinct", [(["a", "a", "b"], ["a", "b"]), ("aabbcc", "abc")])
     def test_repeated_labels_name_one_point(self, points, distinct):
         assert list(enumerate_topologies(points)) == list(enumerate_topologies(distinct))

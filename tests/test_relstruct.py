@@ -5,14 +5,29 @@ import pytest
 
 from convalg import (
     CapacityError,
+    ConstantRelationalEtale,
     RelationalStructure,
     Signature,
     chain_lattice,
     conv_op,
+    fiberwise_rel_image,
     interval_structure,
+    per_fiber_rel_image,
+    rel_image,
 )
 
 from helpers import graph
+
+# Every caller of a relation by name, given a structure without "g" and its lift.
+UNKNOWN_SYMBOL_CALLS = {
+    "compiled": lambda s, lifted: s.compiled("g"),
+    "slot_masks": lambda s, lifted: s.slot_masks("g"),
+    "plan": lambda s, lifted: lifted.plan("g"),
+    "conv_op": lambda s, lifted: conv_op(chain_lattice(1), s, "g", []),
+    "rel_image": lambda s, lifted: rel_image(s, "g", []),
+    "fiberwise_rel_image": lambda s, lifted: fiberwise_rel_image(lifted, "g", []),
+    "per_fiber_rel_image": lambda s, lifted: per_fiber_rel_image(lifted, "g", []),
+}
 
 
 class TestIntervalStructure:
@@ -164,6 +179,13 @@ class TestCompiled:
         with pytest.raises(ValueError, match="^f: tuple "):
             RelationalStructure(("a", "b"), Signature((("f", 1),)), {"f": tuples})
 
-    def test_unknown_symbol(self, four_point_structure):
-        with pytest.raises(ValueError, match="unknown symbol"):
-            four_point_structure.compiled("g")
+    @pytest.mark.parametrize("call", sorted(UNKNOWN_SYMBOL_CALLS))
+    def test_unknown_symbol(self, four_point_structure, thirds_topology, call):
+        # a ValueError, which the CLI reports as an input error, both before and after
+        # every relation's views are built
+        lifted = ConstantRelationalEtale(four_point_structure, thirds_topology)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^unknown symbol 'g'$"):
+                UNKNOWN_SYMBOL_CALLS[call](four_point_structure, lifted)
+            four_point_structure.compiled("f")
+            lifted.plan("f")

@@ -157,9 +157,12 @@ CHECKS = {
         )
         for route in ("conv_op", "rel_image", "fiberwise_rel_image", "per_fiber_rel_image")
     },
-    "conv_op frame naturality": lambda capsys: (
-        frame_naturality_mismatches(10)["conv_op"][1] == 0
-    ),
+    **{
+        f"{route} frame naturality": lambda capsys, route=route: (
+            frame_naturality_mismatches(10)[route][1] == 0
+        )
+        for route in ("conv_op", "fiberwise_rel_image", "per_fiber_rel_image")
+    },
     # one assignment of 4 applies against 21 table entries: the untabled scan
     "same_equations_report on a closed equation": lambda capsys: closed_equation_passes(
         capsys, cli=False
@@ -242,6 +245,18 @@ def joined_by_larger_position(prop):
     return property(lambda self: tuple(
         tuple(max(i, j) for j in range(len(self.elements))) for i in range(len(self.elements))
     ))
+
+
+def cut_to_first_least_open(f):
+    """An image route that cuts every section to the least open of the base's first
+    sorted point: still open, so each subobject check passes, but not local."""
+    def image(rel_etale, name, args):
+        sub = f(rel_etale, name, args)
+        base = sub.parent.base
+        cut = base.mask_of[next(iter(base.least_opens.values()))]
+        return sub.parent._subobject(tuple(m & cut for m in sub.masks))
+
+    return image
 
 
 def compiled_reversed(f):
@@ -363,6 +378,13 @@ BUGS = {
         joined_by_larger_position,
         ["conv_op frame naturality"],
     ),
+    # Both sides of a bounded-morphism relation share the base, so the cut commutes
+    # with them; restricting the base to a stalk or least open moves its first point.
+    "étale routes cut each section to the first point's least open": (
+        [(convalg.etale, "fiberwise_rel_image"), (convalg.etale, "per_fiber_rel_image")],
+        cut_to_first_least_open,
+        ["fiberwise_rel_image frame naturality", "per_fiber_rel_image frame naturality"],
+    ),
     # Both algebras read the one compiled program, so this cannot flip
     # "same_equations_report" over chain:1: maps and subsets agree on the
     # mirrored equation. Over chain:3 the crisp certificate, by eval_term,
@@ -402,6 +424,30 @@ def test_seeded_lattice_bug_fails_its_law(monkeypatch, bug, law):
     for cls, name in bindings:
         monkeypatch.setattr(cls, name, seed(getattr(cls, name)))
     assert check_heyting_laws(chain_lattice(3)).failure.law == law
+
+
+@pytest.mark.parametrize("bug, route", [
+    ("conv_op leaves the carrier's last point at bottom", "conv_op"),
+    ("rel_image never reaches the carrier's last point", "rel_image"),
+    ("fiberwise_rel_image leaves the last fiber empty", "fiberwise_rel_image"),
+    ("per_fiber_rel_image leaves the last fiber empty", "per_fiber_rel_image"),
+])
+def test_last_point_rows_break_the_inclusion_alone(monkeypatch, bug, route):
+    # X ⊔ X′ lists X′ last, so the route there keeps X's last point, which it drops on X
+    bindings, seed, _ = BUGS[bug]
+    assert route_naturality_mismatches(10, morphisms=("inclusion",))[route][1] == 0
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, seed(getattr(module, name)))
+    assert route_naturality_mismatches(10, morphisms=("inclusion",))[route][1] > 0
+
+
+def test_cut_routes_pass_the_bounded_morphism_relations(monkeypatch):
+    # the cut is the same on both sides of a bounded morphism, which keeps the base
+    bindings, seed, _ = BUGS["étale routes cut each section to the first point's least open"]
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, seed(getattr(module, name)))
+    counts = route_naturality_mismatches(10)
+    assert counts["fiberwise_rel_image"][1] == counts["per_fiber_rel_image"][1] == 0
 
 
 def test_least_opens_bug_is_a_pointwise_impl_counterexample_that_spares_sub_impl(monkeypatch):
