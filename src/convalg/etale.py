@@ -96,13 +96,16 @@ class ConstantRelationalEtale:
 
     @cached_property
     def _plans(self):
-        """Symbol -> its :meth:`plan`, every relation's in one pass."""
-        index, plans = {x: i for i, x in enumerate(self.etale.fibers)}, _SymbolTable()
-        for name, n in self.structure.signature.symbols:
-            tuples = tuple(tuple(map(index.__getitem__, t)) for t in self.structure.relations[name])
-            image = partial(image_mask, self.structure.slot_masks(name)[1])
-            plans[name] = n, self.etale, tuples, lru_cache(1 << 12)(image)
-        return plans
+        """Symbol -> its :meth:`plan`, each relation's built on first use."""
+        structure, etale = self.structure, self.etale
+        index = {x: i for i, x in enumerate(etale.fibers)}
+
+        def plan(name):
+            n, masks = structure.slot_masks(name)
+            tuples = tuple(tuple(map(index.__getitem__, t)) for t in structure.relations[name])
+            return n, etale, tuples, lru_cache(1 << 12)(partial(image_mask, masks))
+
+        return _SymbolTable(plan)
 
     def plan(self, name):
         """``(arity, etale, tuples, image)`` of relation ``name``; ValueError for an unknown

@@ -16,10 +16,14 @@ from .lattice import _bounded, _count
 
 
 class _SymbolTable(dict):
-    """Symbol -> what is kept for it; looking up an unknown symbol raises ValueError."""
+    """Symbol -> what ``build(symbol)`` made at its first lookup; ValueError if unknown."""
+
+    def __init__(self, build):
+        self.build = build
 
     def __missing__(self, name):
-        raise ValueError(f"unknown symbol {name!r}")
+        value = self[name] = self.build(name)
+        return value
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,7 @@ class Signature:
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple((name, arity) for name, arity in self.symbols))
-        arities = _SymbolTable(self.symbols)
+        arities = dict(self.symbols)
         if len(arities) != len(self.symbols):
             raise ValueError("duplicate symbol names")
         for name, arity in self.symbols:
@@ -39,6 +43,8 @@ class Signature:
         object.__setattr__(self, "_arities", arities)
 
     def arity(self, name):
+        if name not in self._arities:
+            raise ValueError(f"unknown symbol {name!r}")
         return self._arities[name]
 
 
@@ -107,17 +113,20 @@ class RelationalStructure:
 
     @cached_property
     def _slot_views(self):
-        """Symbol -> its ``(compiled, slot_masks)`` views, every relation's in one pass."""
-        index, views = {x: i for i, x in enumerate(self.carrier)}, _SymbolTable()
-        for name, arity in self.signature.symbols:
-            groups = [[] for _ in self.carrier]
-            for t in self.relations[name]:
-                slots = tuple(i * len(self.carrier) + index[x] for i, x in enumerate(t[:-1]))
+        """Symbol -> its ``(compiled, slot_masks)`` views, each relation's built on first use."""
+        carrier, signature, relations = self.carrier, self.signature, self.relations
+        index = {x: i for i, x in enumerate(carrier)}
+
+        def views(name):
+            arity, groups = signature.arity(name), [[] for _ in carrier]
+            for t in relations[name]:
+                slots = tuple(i * len(carrier) + index[x] for i, x in enumerate(t[:-1]))
                 groups[index[t[-1]]].append(slots)
             groups = tuple(tuple(sorted(g)) for g in groups)
             masks = tuple(tuple(sum(1 << k for k in t) for t in g) for g in groups)
-            views[name] = (arity, groups), (arity, masks)
-        return views
+            return (arity, groups), (arity, masks)
+
+        return _SymbolTable(views)
 
     def compiled(self, name):
         """Relation ``name`` in argument slots: ``(arity, groups)``.

@@ -20,9 +20,11 @@ grids whose pair count exceeds ``MAX_MAPS``.
 from __future__ import annotations
 
 import random
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -31,8 +33,8 @@ from .lattice import _bounded, _count
 
 
 def _decoded(field):
-    """Accessor for the numerator field ``field`` as Fractions over ``den``."""
-    return property(lambda self: tuple([Fraction(v, self.den) for v in getattr(self, field)]))
+    """View of the numerator field ``field`` as Fractions over ``den``, built once per object."""
+    return cached_property(lambda f: tuple([Fraction(v, f.den) for v in getattr(f, field)]))
 
 
 @dataclass(frozen=True, init=False)
@@ -46,7 +48,8 @@ class StepFunction:
     The constructor takes ``int`` (not ``bool``) or ``Fraction`` pieces
     and merges every interior breakpoint whose point value equals both
     neighbouring interval values; calling refuses the same kinds of
-    argument that the constructor refuses as pieces.
+    argument that the constructor refuses as pieces. Equal step functions,
+    copies and unpickled ones too, are one object while one is referenced.
     """
 
     den: int
@@ -54,7 +57,7 @@ class StepFunction:
     pvs: tuple
     ivs: tuple
 
-    def __init__(self, breakpoints, point_values, interval_values):
+    def __new__(cls, breakpoints, point_values, interval_values):
         if len(point_values) != len(breakpoints) or len(interval_values) != len(breakpoints) - 1:
             raise ValueError("value tuples do not match the breakpoint count")
         den, bps, pvs, ivs = _encode(breakpoints, point_values, interval_values)
@@ -62,7 +65,10 @@ class StepFunction:
             raise ValueError("0 and 1 must be breakpoints")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        self.__dict__.update(vars(_step(den, bps, pvs, ivs)))
+        return _step(den, bps, pvs, ivs)
+
+    def __reduce__(self):
+        return _step, (self.den, self.bps, self.pvs, self.ivs)
 
     breakpoints, point_values, interval_values = map(_decoded, ("bps", "pvs", "ivs"))
 
@@ -89,23 +95,25 @@ def _encode(*groups):
     return den, *[[v.numerator * (den // v.denominator) for v in vs] for vs in groups]
 
 
-def _lowest(cls, den, **groups):
-    """A cls built unchecked from den and numerator groups over it, divided by their gcd."""
-    g = gcd(den, *[v for vs in groups.values() for v in vs])
-    obj = object.__new__(cls)
-    fields = {k: tuple(vs if g == 1 else [v // g for v in vs]) for k, vs in groups.items()}
-    obj.__dict__.update(fields, den=den // g)
-    return obj
+# Lowest-terms (den, bps, pvs, ivs) -> the live StepFunction with those fields. Weak, so it
+# needs no size bound; racing threads can at worst build two equal objects for one key.
+_LIVE = weakref.WeakValueDictionary()
 
 
 def _step(den, bps, pvs, ivs):
-    """Canonical step function with these numerators over den, built unchecked."""
+    """The live canonical step function with these numerators over den, built unchecked."""
     last = len(bps) - 1
     keep = [0, *[i for i in range(1, last) if not ivs[i - 1] == pvs[i] == ivs[i]], last]
     if len(keep) <= last:
         bps, pvs = [bps[i] for i in keep], [pvs[i] for i in keep]
         ivs = [ivs[i - 1] for i in keep[1:]]
-    return _lowest(StepFunction, den, bps=bps, pvs=pvs, ivs=ivs)
+    g = gcd(den, *bps, *pvs, *ivs)
+    key = den // g, *[tuple(vs if g == 1 else [v // g for v in vs]) for vs in (bps, pvs, ivs)]
+    f = _LIVE.get(key)
+    if f is None:
+        f = _LIVE[key] = object.__new__(StepFunction)
+        f.__dict__.update(zip(("den", "bps", "pvs", "ivs"), key))
+    return f
 
 
 _CONSTANTS = StepFunction((0, 1), (1, 0), (0,)), StepFunction((0, 1), (0, 1), (0,))
@@ -227,10 +235,11 @@ class GridFunction:
 
 
 def _grid(size, den, nums):
-    """A GridFunction built unchecked; every caller has checked ``size``."""
-    g = _lowest(GridFunction, den, nums=nums)
-    g.__dict__["size"] = size
-    return g
+    """A GridFunction built unchecked, in lowest terms; every caller has checked ``size``."""
+    g, obj = gcd(den, *nums), object.__new__(GridFunction)
+    nums = nums if g == 1 else [v // g for v in nums]
+    obj.__dict__.update(size=size, den=den // g, nums=tuple(nums))
+    return obj
 
 
 def grid_conv_oracle(n, op, *args):

@@ -316,6 +316,15 @@ class TestCachedViews:
         assert rel_etale.plan("f") is plan
         assert built == ["f"]
 
+    def test_a_route_call_builds_its_relation_alone(self, wedge_topology, wedge_lattice):
+        relations = {"c": {("q",)}, "g": {("p", "q")}, "f": {("p", "q", "q")}}
+        s = RelationalStructure(("p", "q"), Signature((("c", 0), ("g", 1), ("f", 2))), relations)
+        rel_etale = ConstantRelationalEtale(s, wedge_topology)
+        sub = phi(wedge_lattice, random_map(random.Random(6), wedge_lattice, s.carrier))
+        for route in (per_fiber_rel_image, fiberwise_rel_image):
+            route(rel_etale, "g", [sub])
+        assert list(rel_etale._plans) == ["g"] and list(s._slot_views) == ["g"]
+
     def test_results_live_over_the_etales_bundle(self, thirds_lattice, four_point_structure):
         # over an equal but distinct topology, so that the arguments' bundle is another object
         base = FiniteTopology(thirds_lattice.topology.points, thirds_lattice.topology.opens)

@@ -179,6 +179,21 @@ class TestCompiled:
         with pytest.raises(ValueError, match="^f: tuple "):
             RelationalStructure(("a", "b"), Signature((("f", 1),)), {"f": tuples})
 
+    def test_one_call_compiles_one_relation(self, thirds_topology):
+        # views are built per relation on its first use: reading neg of a structure
+        # whose meet and join hold 169 tuples each compiles neg's 13 alone
+        s = interval_structure(12)
+        assert rel_image(s, "neg", [s.carrier[:3]]) == frozenset(s.carrier[-3:])
+        assert list(s._slot_views) == ["neg"]
+        # zero's one tuple has no argument slots and ends at the carrier's first element
+        assert s.compiled("zero") == (0, (((),),) + ((),) * 12)
+        assert s.slot_masks("neg")[0] == 1  # kept from the first call
+        assert list(s._slot_views) == ["neg", "zero"]
+        lifted = ConstantRelationalEtale(s, thirds_topology)
+        lifted.plan("one")
+        assert list(lifted._plans) == ["one"]
+        assert list(s._slot_views) == ["neg", "zero", "one"]
+
     @pytest.mark.parametrize("call", sorted(UNKNOWN_SYMBOL_CALLS))
     def test_unknown_symbol(self, four_point_structure, thirds_topology, call):
         # a ValueError, which the CLI reports as an input error, both before and after

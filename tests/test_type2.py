@@ -1,5 +1,9 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
+import weakref
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -27,6 +31,8 @@ from convalg import (
     t2_neg,
 )
 from convalg.convolution import MAX_MAPS, LatticeMap
+from convalg.formats import format_step_function, parse_step_function
+from convalg.type2 import _LIVE
 from helpers import de_morgan_mismatches
 
 
@@ -694,6 +700,86 @@ class TestEncoding:
         for f in (z, StepFunction((0, F(1, 2), 1), (0, 1, 0), (0, 0))):
             with pytest.raises(ValueError):
                 sample_to_grid(f, n)
+
+
+class TestInterning:
+    """Equal step functions are one live object, held only weakly by the intern table, and
+    each object decodes its Fraction views once."""
+
+    def test_equal_results_are_one_object(self):
+        zero, one = t2_constants()
+        rng = random.Random(81)
+        for alpha in [random_step(rng, 60, 24) for _ in range(30)] + [mixed_step(rng)] * 5:
+            assert t2_join(zero, alpha) is alpha
+            assert t2_join(alpha, zero) is alpha
+            assert t2_meet(one, alpha) is alpha
+            assert t2_neg(t2_neg(alpha)) is alpha
+            assert sup_left(sup_left(alpha)) is sup_left(alpha)
+
+    def test_constructor_and_operations_give_one_object(self):
+        rng = random.Random(82)
+        for _ in range(50):
+            a, b = mixed_step(rng), random_step(rng)
+            for r in (t2_join(a, b), t2_meet(a, b), t2_neg(b), sup_right(a)):
+                made = StepFunction(r.breakpoints, r.point_values, r.interval_values)
+                assert made == r and hash(made) == hash(r) and made is r
+                assert parse_step_function(format_step_function(r)) is r
+                # a redundant breakpoint merges away before the lookup
+                assert StepFunction(*split_at_midpoint(r)) is r
+
+    def test_dropped_function_leaves_the_table(self):
+        f = StepFunction((0, F(1, 7919), 1), (0, F(1, 3), 1), (F(2, 5), F(1, 9)))
+        key = f.den, f.bps, f.pvs, f.ivs
+        assert _LIVE[key] is f and f.breakpoints[1] == F(1, 7919)
+        dead = weakref.ref(f)
+        del f
+        assert dead() is None and key not in _LIVE
+
+    def test_no_strong_cache_keeps_a_function(self):
+        # every builder: the constructor, the parser, both generators, the closed forms and
+        # the envelopes; with the Fraction views decoded, and no gc.collect()
+        rng, before, refs = random.Random(83), len(_LIVE), []
+        for _ in range(40):
+            a, b = random_step(rng, 17, 6), random_grid_step(rng, 12)
+            made = StepFunction(a.breakpoints, a.point_values, [F(1, 97)] * (len(a.bps) - 1))
+            parsed = parse_step_function(format_step_function(b) + "\npoint 1/89 -> 1/83\n")
+            for f in (a, b, made, parsed, t2_join(a, b), t2_meet(a, parsed), t2_neg(made),
+                      sup_left(a), sup_right(b)):
+                f.breakpoints, f.point_values, f.interval_values
+                refs.append(weakref.ref(f))
+        del a, b, made, parsed, f
+        assert all(r() is None or r() in t2_constants() for r in refs)
+        assert len(_LIVE) == before
+
+    def test_views_decoded_once_and_out_of_identity(self):
+        f = StepFunction((0, F(1, 3), 1), (F(1, 2), 0, 1), (F(1, 4), F(2, 3)))
+        # the same fields, built past the intern table
+        twin = object.__new__(StepFunction)
+        twin.__dict__.update(den=f.den, bps=f.bps, pvs=f.pvs, ivs=f.ivs)
+        before = repr(f), hash(f)
+        views = f.breakpoints, f.point_values, f.interval_values
+        assert views == ((0, F(1, 3), 1), (F(1, 2), 0, 1), (F(1, 4), F(2, 3)))
+        assert (f.breakpoints, f.point_values, f.interval_values) == views
+        assert all(v is w for v, w in zip(views, (f.breakpoints, f.point_values, f.interval_values)))
+        assert [field.name for field in dataclasses.fields(f)] == ["den", "bps", "pvs", "ivs"]
+        assert (repr(f), hash(f)) == before == (repr(twin), hash(twin))
+        assert f == twin and "breakpoints" not in vars(twin)
+        g = GridFunction(2, (F(1, 2), 0, 1))
+        assert g.values is g.values and g.values == (F(1, 2), 0, 1)
+        assert [field.name for field in dataclasses.fields(g)] == ["size", "den", "nums"]
+
+    def test_copies_and_pickles_are_the_live_object(self):
+        f = random_step(random.Random(84))
+        f.breakpoints
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+
+def split_at_midpoint(f):
+    """``f``'s pieces with a redundant breakpoint inside its first interval."""
+    bps, pvs, ivs = f.breakpoints, f.point_values, f.interval_values
+    mid = (bps[0] + bps[1]) / 2
+    return (bps[0], mid, *bps[1:]), (pvs[0], ivs[0], *pvs[1:]), (ivs[0], *ivs)
 
 
 def reference_random_grid_step(rng, n, value_denominator=12, max_interior=4):
