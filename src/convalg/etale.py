@@ -116,10 +116,12 @@ class ConstantRelationalEtale:
 
 def _bundle(carrier, base):
     """The constant bundle of ``carrier`` over ``base``: one object per carrier and base
-    object, kept in ``base.bundles``, so that bundle checks are mostly identity tests."""
-    parent = base.bundles.get(carrier)
-    if parent is None:
-        parent = base.bundles[carrier] = ConstantEtale(carrier, base)
+    object, kept in ``base.bundles``, so that bundle checks are mostly identity tests. The
+    carrier a bundle holds is found by identity; an equal one, by hashing, only on a miss."""
+    bundles = base.bundles
+    if (parent := bundles.get(id(carrier))) is None or parent.fibers is not carrier:
+        if (parent := bundles.get(carrier)) is None:
+            parent = bundles[carrier] = bundles[id(carrier)] = ConstantEtale(carrier, base)
     return parent
 
 

@@ -7,14 +7,14 @@ path and line number so the CLI can name the offending line.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .convolution import LatticeMap
 from .lattice import make_topology
 from .relstruct import RelationalStructure, Signature
 from .terms import App, Equation, Var
-from .type2 import StepFunction
+from .type2 import _step
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
 # Parsing, printing and evaluating a term all recurse, once per nesting level.
 MAX_TERM_DEPTH = 100
 
@@ -165,7 +165,8 @@ def parse_step_function(text, path=None):
 
     A declared interval may span several breakpoints introduced by other
     lines, and gives them its value unless a point line sets theirs;
-    overlapping declarations must not conflict.
+    overlapping declarations must not conflict. Tokens are read once, as lowest-terms int
+    pairs, and the rest runs on int numerators over their least common denominator.
     """
     point_decls = {}
     interval_decls = []
@@ -173,16 +174,16 @@ def parse_step_function(text, path=None):
         if "->" not in line:
             raise ParseError("expected `point ... -> v` or `interval ... -> v`", i, path)
         left, right = line.split("->", 1)
-        value = _parse_fraction(right.strip(), i, path)
-        if not (_ZERO <= value <= _ONE):
+        value = _parse_fraction(right.strip(), i, path).as_integer_ratio()
+        if not 0 <= value[0] <= value[1]:
             raise ParseError(f"value {right.strip()} outside [0, 1]", i, path)
         parts = left.split(None, 1)
         if len(parts) != 2:
             raise ParseError("expected `point X` or `interval (A,B)`", i, path)
         kind, piece = parts[0], parts[1].strip()
         if kind == "point":
-            x = _parse_fraction(piece, i, path)
-            if not (_ZERO <= x <= _ONE):
+            x = _parse_fraction(piece, i, path).as_integer_ratio()
+            if not 0 <= x[0] <= x[1]:
                 raise ParseError(f"point {piece} outside [0, 1]", i, path)
             if x in point_decls:
                 raise ParseError(f"duplicate point {piece}", i, path)
@@ -190,32 +191,35 @@ def parse_step_function(text, path=None):
         elif kind == "interval":
             if not (piece.startswith("(") and piece.endswith(")")) or piece.count(",") != 1:
                 raise ParseError("interval must be written (A,B)", i, path)
-            a_tok, b_tok = piece[1:-1].split(",")
-            a = _parse_fraction(a_tok.strip(), i, path)
-            b = _parse_fraction(b_tok.strip(), i, path)
-            if not (_ZERO <= a < b <= _ONE):
+            ends = [_parse_fraction(t.strip(), i, path).as_integer_ratio()
+                    for t in piece[1:-1].split(",")]
+            (an, ad), (bn, bd) = ends
+            if not 0 <= an * bd < bn * ad <= ad * bd:
                 raise ParseError(f"bad interval {piece}", i, path)
-            interval_decls.append((a, b, value, i))
+            interval_decls.append((*ends, value, i))
         else:
             raise ParseError(f"unrecognized piece kind {kind!r}", i, path)
-    ends = [x for a, b, _, _ in interval_decls for x in (a, b)]
-    bps = sorted({_ZERO, _ONE, *point_decls, *ends})
+    ratios = [r for d in [*point_decls.items(), *interval_decls] for r in d[:3]]
+    den = lcm(*[d for _, d in ratios])
+    num = {(n, d): n * (den // d) for n, d in ratios}
+    points = {num[x]: num[v] for x, v in point_decls.items()}
+    bps = sorted({0, den, *points, *[num[x] for d in interval_decls for x in d[:2]]})
     index = {b: k for k, b in enumerate(bps)}
     # piece 2k is breakpoint k and piece 2k + 1 the interval after it; declarations are in
     # line order, so the first on a piece has the lowest line
     covering = [[] for _ in range(2 * len(bps) - 1)]
     for a, b, v, i in interval_decls:
-        for k in range(2 * index[a] + 1, 2 * index[b]):
+        for k in range(2 * index[num[a]] + 1, 2 * index[num[b]]):
             covering[k].append((v, i))
     values = []
     for k, decls in enumerate(covering):
         vals = {v for v, _ in decls}
         if len(vals) > 1:  # two values on a breakpoint first differ on the interval before it
-            lo, hi = bps[k // 2], bps[k // 2 + 1]
+            lo, hi = Fraction(bps[k // 2], den), Fraction(bps[k // 2 + 1], den)
             raise ParseError(f"conflicting values on ({lo},{hi})", decls[0][1], path)
-        values.append(vals.pop() if vals else _ZERO)
-    pvs = [point_decls.get(x, v) for x, v in zip(bps, values[::2])]
-    return StepFunction(bps, pvs, values[1::2])
+        values.append(num[vals.pop()] if vals else 0)
+    pvs = [points.get(x, v) for x, v in zip(bps, values[::2])]
+    return _step(den, bps, pvs, values[1::2])
 
 
 def _tokenize(line):

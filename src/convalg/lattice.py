@@ -94,7 +94,7 @@ class FiniteTopology:
 
     @cached_property
     def bundles(self):
-        """Carrier tuple -> the one ``convalg.etale.ConstantEtale`` over this base, filled on use."""
+        """Carrier tuple, or id of the one a bundle holds, -> its ``etale.ConstantEtale``."""
         return {}
 
 
@@ -241,7 +241,7 @@ class FiniteLattice:
 
     @cached_property
     def _order(self):
-        return tuple(_up_sets(self.elements, self._leq))
+        return tuple(_up_sets(self.elements, self.leq))
 
     @cached_property
     def birkhoff_masks(self):
@@ -331,30 +331,42 @@ def open_set_heyting(topology):
 
 
 class ChainLattice(FiniteLattice):
-    """Heyting algebra on the chain 0 < 1/n < ... < 1 of exact rationals.
+    """Heyting algebra on the chain 0 < 1/n < ... < 1 of exact rationals, answered on the
+    ranks k of its own elements, found by identity; any other value is compared exactly.
 
     ``negation`` is the order-reversing involution k/n -> (n-k)/n carried
     by the chain itself; it is unrelated to the Heyting pseudo-complement.
     """
 
     def __init__(self, n):
-        _count(n, "chain size", 1)
-        super().__init__((Fraction(k, n) for k in range(n + 1)), lambda a, b: a <= b)
+        els = tuple(Fraction(k, n) for k in range(_count(n, "chain size", 1) + 1))
+        self._rank = {id(e): k for k, e in enumerate(els)}  # live elements: a hit is e itself
+        super().__init__(els, lambda a, b: a <= b)
+
+    def _extreme(self, items, pick, empty):
+        """``pick`` (max or min) of ``items`` by rank, or by value unless each is an element."""
+        if None in (ranks := [*map(self._rank.get, map(id, items := tuple(items)))]):
+            return pick(items, default=self.elements[empty])
+        return self.elements[pick(ranks, default=empty)]
+
+    def leq(self, a, b):
+        i, j = self._rank.get(id(a)), self._rank.get(id(b))
+        return a <= b if i is None or j is None else i <= j
 
     def join_all(self, items):
-        return max(items, default=self.elements[0])
+        return self._extreme(items, max, 0)
 
     def meet_all(self, items):
-        return min(items, default=self.elements[-1])
+        return self._extreme(items, min, -1)
 
     def join(self, a, b):
-        return a if a >= b else b
+        return a if self.leq(b, a) else b
 
     def meet(self, a, b):
-        return a if a <= b else b
+        return a if self.leq(a, b) else b
 
     def impl(self, a, b):
-        return self.top if a <= b else b
+        return self.top if self.leq(a, b) else b
 
     def negation(self, x):
         if x not in self.index:

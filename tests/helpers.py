@@ -1,6 +1,8 @@
 """Small builders shared by several test modules."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import convalg.complexalg
@@ -27,6 +29,19 @@ from convalg import (
     t2_meet,
     t2_neg,
 )
+
+
+def count_fraction_calls(monkeypatch):
+    """A Counter, filled from now until the test ends, of the calls to ``Fraction``'s
+    ordering comparisons, ``__eq__`` and ``__hash__``, by method name."""
+    calls = Counter()
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
+        def counted(*args, name=name, method=getattr(Fraction, name)):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
 
 
 def graph(carrier, op, arity):

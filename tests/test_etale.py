@@ -121,6 +121,31 @@ class TestPhi:
         with pytest.raises(ValueError, match="mask 1 does not name an open set"):
             EtaleSubobject(parent, (1, wedge_topology.mask_of[fs("b")]))
 
+    def test_equal_carriers_share_one_bundle_found_by_identity(self, wedge_topology):
+        # a topology object of its own, so that no other test's bundle is in its table
+        topology = FiniteTopology(wedge_topology.points, wedge_topology.opens)
+        lattice, hashes = open_set_heyting(topology), []
+
+        class Label(str):  # a label that records each hash of itself
+            def __hash__(self):
+                hashes.append(self)
+                return str.__hash__(self)
+
+        carrier = (Label("p"), Label("q"))
+        parent = phi(lattice, constant(lattice, carrier, 0)).parent
+        assert parent.fibers is carrier
+        hashes.clear()
+        # the carrier the bundle holds is found by identity, hashing no label
+        assert convalg.etale._bundle(carrier, topology) is parent
+        assert phi(lattice, constant(lattice, carrier, 1)).parent is parent
+        assert hashes == []
+        # an equal but distinct carrier is found by equality, and shares the bundle
+        twin = tuple(list(carrier))
+        assert twin is not carrier and twin == carrier
+        assert convalg.etale._bundle(twin, topology) is parent
+        assert phi(lattice, constant(lattice, twin, 1)).parent is parent
+        assert hashes != []
+
     def test_open_masks_follow_element_positions(self, wedge_lattice, wedge_topology):
         masks = wedge_lattice.open_masks
         assert masks == tuple(wedge_topology.mask_of[e] for e in wedge_lattice.elements)

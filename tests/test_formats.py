@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,7 @@ from convalg.formats import (
     parse_topology,
 )
 from convalg.terms import App, Equation, Var
+from helpers import count_fraction_calls
 
 WEDGE_TOPOLOGY = """\
 # three points, three generators
@@ -225,6 +227,20 @@ class TestStepFunctionFormat:
         # an end of every interval around it keeps the default 0
         g = parse_step_function("interval (0,1/2) -> 1/2\ninterval (1/2,1) -> 1/2\n")
         assert (g(F(1, 4)), g(F(1, 2)), g(F(3, 4))) == (F(1, 2), 0, F(1, 2))
+
+    def test_parsing_compares_and_hashes_no_fractions(self, monkeypatch):
+        # a 43-line file like the cli benchmark's 26-piece ones: where the parser compared
+        # and hashed its Fractions, this one made 267 ordering comparisons, 88 __eq__ and
+        # 195 __hash__ calls
+        rng = random.Random(7)
+        bps = [0, *sorted({F(rng.randint(1, 59), 60) for _ in range(26)}), 1]
+        value = lambda: F(rng.randint(0, 12), 12)  # noqa: E731
+        lines = [f"point {b} -> {value()}" for b in bps]
+        lines += [f"interval ({a},{b}) -> {value()}" for a, b in zip(bps, bps[1:])]
+        calls = count_fraction_calls(monkeypatch)
+        f = parse_step_function("\n".join(lines))
+        assert calls == Counter()
+        assert f.bps[0] == 0 and len(f.bps) > 20
 
     def test_conflicting_intervals(self):
         text = "interval (0,1) -> 1/2\ninterval (0,1/2) -> 1/3\n"

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 from collections import Counter
@@ -29,6 +30,7 @@ from convalg.lattice import (
     OpenSetLattice,
     law_check_count,
 )
+from helpers import count_fraction_calls
 
 
 def fs(*labels):
@@ -239,6 +241,32 @@ class TestChainLattice:
         with pytest.raises(ValueError):
             chain_lattice(2).negation(Fraction(1, 3))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rank_answers_match_fraction_comparison(self, n):
+        """Every answer on every pair is the one plain Fraction comparison gives, for the
+        chain's own elements (answered on ranks), equal but distinct Fractions, the ints 0
+        and 1, values off the chain, and mixtures (answered by exact comparison); a deep
+        copy answers the same."""
+        lat = chain_lattice(n)
+        for chain in (lat, copy.deepcopy(lat)):
+            assert chain == lat
+            own = chain.elements
+            values = [*own, *[Fraction(x.numerator, x.denominator) for x in own], 0, 1]
+            values += [Fraction(2 * k + 1, 2 * n) for k in range(n)]
+            for a, b in product(values, repeat=2):
+                assert chain.leq(a, b) is (a <= b)
+                assert chain.join(a, b) == chain.join_all((a, b)) == max(a, b)
+                assert chain.meet(a, b) == chain.meet_all((a, b)) == min(a, b)
+                assert chain.impl(a, b) == (1 if a <= b else b)
+            for a, b in product(own, repeat=2):
+                for answer in (chain.join(a, b), chain.meet(a, b)):
+                    assert answer is a or answer is b
+                assert chain.impl(a, b) is (chain.top if a <= b else b)
+            for k in range(len(own) + 1):
+                for s in combinations(own, k):
+                    assert chain.join_all(s) is max(s, default=own[0])
+                    assert chain.meet_all(s) is min(s, default=own[-1])
+
 
 class TestCheckHeytingLaws:
     def test_open_set_lattice_passes(self, wedge_lattice):
@@ -368,6 +396,15 @@ class TestLawCheckCapacity:
         els = lat.elements
         for s in [*combinations(els, 1), *combinations(els, 2), els]:
             assert asked["join_all", s] == asked["meet_all", s] == 1
+
+    def test_chain_questions_compare_no_fractions(self, monkeypatch):
+        """chain:12's law check is answered on ranks: no Fraction ordering comparison,
+        where comparing its Fractions made 843, and only the two ``__eq__`` calls of the
+        checker's own test of the empty join and meet."""
+        lat = chain_lattice(12)
+        calls = count_fraction_calls(monkeypatch)
+        assert check_heyting_laws(lat).ok
+        assert calls == Counter({"__eq__": 2})
 
     def test_large_subset_size_refused(self):
         assert law_check_count(19, 18) > MAX_LAW_CHECKS

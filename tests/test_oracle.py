@@ -32,9 +32,14 @@ were written before ``FiniteTopology.least_opens``: a fixpoint of
 pairwise unions and intersections, |opens|² of them per validation, a
 scan of every open per implication, and a validation of every family
 of proper nonempty subsets.
+``literal_parse_step_function`` is the step-function parser as it was
+written over ``Fraction``s, before it checked and placed the pieces as
+int numerators over their least common denominator; on every file the
+two give the one live step function or the same error message.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -54,6 +59,7 @@ from convalg import (
     LatticeMap,
     RelationalStructure,
     Signature,
+    StepFunction,
     Var,
     all_subsets,
     chain_lattice,
@@ -78,6 +84,7 @@ from convalg import (
     rel_image,
 )
 from convalg.convolution import count_maps
+from convalg.formats import ParseError, _lines, _parse_fraction, parse_step_function
 from convalg.lattice import (
     MAX_LAW_CHECKS,
     MAX_OPENS,
@@ -1086,3 +1093,147 @@ def test_make_topology_and_impl_match_literal_scans_on_larger_spaces(n):
         for _ in range(100):
             a, b = rng.choice(opens), rng.choice(opens)
             assert t.impl(a, b) == literal_impl(t.opens, a, b)
+
+
+def literal_parse_step_function(text, path=None):
+    """``parse_step_function`` as it was written over ``Fraction``s: every range check,
+    the duplicate-point test, the sort and the conflict scan compare and hash rationals,
+    and ``StepFunction(...)`` encodes the pieces."""
+    zero, one = Fraction(0), Fraction(1)
+    point_decls = {}
+    interval_decls = []
+    for i, line in _lines(text):
+        if "->" not in line:
+            raise ParseError("expected `point ... -> v` or `interval ... -> v`", i, path)
+        left, right = line.split("->", 1)
+        value = _parse_fraction(right.strip(), i, path)
+        if not (zero <= value <= one):
+            raise ParseError(f"value {right.strip()} outside [0, 1]", i, path)
+        parts = left.split(None, 1)
+        if len(parts) != 2:
+            raise ParseError("expected `point X` or `interval (A,B)`", i, path)
+        kind, piece = parts[0], parts[1].strip()
+        if kind == "point":
+            x = _parse_fraction(piece, i, path)
+            if not (zero <= x <= one):
+                raise ParseError(f"point {piece} outside [0, 1]", i, path)
+            if x in point_decls:
+                raise ParseError(f"duplicate point {piece}", i, path)
+            point_decls[x] = value
+        elif kind == "interval":
+            if not (piece.startswith("(") and piece.endswith(")")) or piece.count(",") != 1:
+                raise ParseError("interval must be written (A,B)", i, path)
+            a_tok, b_tok = piece[1:-1].split(",")
+            a = _parse_fraction(a_tok.strip(), i, path)
+            b = _parse_fraction(b_tok.strip(), i, path)
+            if not (zero <= a < b <= one):
+                raise ParseError(f"bad interval {piece}", i, path)
+            interval_decls.append((a, b, value, i))
+        else:
+            raise ParseError(f"unrecognized piece kind {kind!r}", i, path)
+    ends = [x for a, b, _, _ in interval_decls for x in (a, b)]
+    bps = sorted({zero, one, *point_decls, *ends})
+    index = {b: k for k, b in enumerate(bps)}
+    covering = [[] for _ in range(2 * len(bps) - 1)]
+    for a, b, v, i in interval_decls:
+        for k in range(2 * index[a] + 1, 2 * index[b]):
+            covering[k].append((v, i))
+    values = []
+    for k, decls in enumerate(covering):
+        vals = {v for v, _ in decls}
+        if len(vals) > 1:
+            lo, hi = bps[k // 2], bps[k // 2 + 1]
+            raise ParseError(f"conflicting values on ({lo},{hi})", decls[0][1], path)
+        values.append(vals.pop() if vals else zero)
+    pvs = [point_decls.get(x, v) for x, v in zip(bps, values[::2])]
+    return StepFunction(bps, pvs, values[1::2])
+
+
+def random_rational_token(rng):
+    """Mostly a rational in [0, 1] on a small grid, written in lowest terms, unreduced
+    (so 2/4 repeats 1/2), as an int or as a decimal; sometimes one outside [0, 1], one
+    in exponent notation, or no rational at all."""
+    d = rng.choice((1, 2, 3, 4, 6))
+    k = rng.randint(0, d) if rng.random() < 0.95 else rng.choice((-1, d + 1))
+    form = rng.random()
+    if form < 0.55:
+        return f"{k}/{d}" if d > 1 else str(k)
+    if form < 0.75:
+        return f"{2 * k}/{2 * d}"
+    if form < 0.9:
+        return str(Fraction(k, 4)) if d != 4 else f"{k / 4:g}"
+    return rng.choice(("1e0", "5E-1", "x", "1/0", "1//2", "0.5.5"))
+
+
+def random_step_line(rng):
+    """A point or interval line with a value drawn from 0, 1/2 and 1 (so that
+    overlapping intervals often agree), or one of the malformed line shapes."""
+    value = rng.choice(("0", "1/2", "1", "2/4"))
+    if rng.random() < 0.1:
+        value = random_rational_token(rng)
+    kind = rng.random()
+    if kind < 0.35:
+        return f"point {random_rational_token(rng)} -> {value}"
+    if kind < 0.9:
+        a, b = random_rational_token(rng), random_rational_token(rng)
+        if rng.random() < 0.7:  # mostly ends in order: the lower numerator over 12 first
+            ends = sorted(rng.sample(range(13), 2))
+            a, b = (str(Fraction(e, 12)) for e in ends)
+        return f"interval ({a},{b}) -> {value}"
+    return rng.choice((
+        f"spike {random_rational_token(rng)} -> {value}",
+        f"point {random_rational_token(rng)}",
+        f"interval 0,1 -> {value}",
+        f"interval (0,1/2,1) -> {value}",
+        f"point -> {value}",
+        "# a comment",
+        "",
+    ))
+
+
+# The named cases among the cross-checked files: conflicting intervals, 1/2 beside
+# 2/4 as a duplicate point, values and points outside [0, 1], an exponent token, and
+# breakpoints that other lines add strictly inside a declared interval.
+STEP_FILE_CASES = (
+    "interval (0,1) -> 1/2\ninterval (0,1/2) -> 1/3\n",
+    "interval (1/2,1) -> 1/3\ninterval (0,1/4) -> 1\ninterval (0,1) -> 1/2\n",
+    "point 1/2 -> 1\npoint 2/4 -> 0\n",
+    "point 1/2 -> 3/2\n",
+    "point -1/2 -> 1\n",
+    "interval (0,3/2) -> 1\n",
+    "interval (1/2,1/2) -> 1\n",
+    "point 1e0 -> 1\n",
+    "point 1/2 -> 5E-1\n",
+    "interval (0,1) -> 1/2\ninterval (1/2,1) -> 1/2\n",
+    "interval (0,1) -> 1/2\npoint 1/3 -> 1\ninterval (2/3,1) -> 1/2\n",
+    "interval (0,1/2) -> 1/2\ninterval (1/2,1) -> 1/2\n",
+    "point 0 -> 1\npoint 1 -> 1\ninterval (0,1) -> 1\n",
+)
+
+
+def parse_outcome(parser, text):
+    """The parsed step function, or the ParseError's message."""
+    try:
+        return parser(text, path="f.txt")
+    except ParseError as e:
+        return str(e)
+
+
+def test_step_function_parser_matches_literal_parser():
+    rng = random.Random(2024)
+    texts = [*STEP_FILE_CASES]
+    for _ in range(5000):
+        texts.append("\n".join(random_step_line(rng) for _ in range(rng.randint(1, 6))))
+    kinds = Counter()
+    for text in texts:
+        want = parse_outcome(literal_parse_step_function, text)
+        got = parse_outcome(parse_step_function, text)
+        if isinstance(want, str):
+            assert got == want, text
+            kinds[want.split(": ", 1)[1].split(" ")[0]] += 1
+        else:
+            assert got is want, text
+            kinds["valid"] += 1
+    assert kinds["valid"] > 1000 and sum(kinds.values()) - kinds["valid"] > 1000
+    for kind in ("conflicting", "duplicate", "value", "point", "bad", "interval", "expected"):
+        assert kinds[kind] > 0, kind

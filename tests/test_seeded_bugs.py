@@ -224,6 +224,15 @@ def answering(value, *at):
     return lambda f: lambda self, *args: value if args == at else f(self, *args)
 
 
+def ranks_reversed(init):
+    """``ChainLattice.__init__`` whose rank map ranks the chain's elements top first."""
+    def init_reversed(self, n):
+        init(self, n)
+        self._rank = {i: n - k for i, k in self._rank.items()}
+
+    return init_reversed
+
+
 def binary_tables_transposed(f):
     def table(self, name):
         entries = f(self, name)
@@ -362,6 +371,13 @@ BUGS = {
         answering(Fraction(0), Fraction(2, 3), Fraction(1, 3)),
         ["check_heyting_laws", "lattice check", "same_equations_report over chain:3"],
     ),
+    # bottom and top stay the chain's first and last elements, which the reversed
+    # ranks order the other way round
+    "ChainLattice ranks its elements in reverse": (
+        [(ChainLattice, "__init__")],
+        ranks_reversed,
+        ["check_heyting_laws", "lattice check", "same_equations_report over chain:3"],
+    ),
     "ComplexAlgebra.table transposes binary tables": (
         [(ComplexAlgebra, "table")],
         binary_tables_transposed,
@@ -487,6 +503,7 @@ def test_seeded_bug_fails_its_checks(monkeypatch, capsys, bug):
     [
         ("ChainLattice.meet leaves the chain at (1/3, 1)", "distributivity"),
         ("ChainLattice.impl answers 0 at (2/3, 1/3)", "adjunction"),
+        ("ChainLattice ranks its elements in reverse", "bounds"),
     ],
 )
 def test_seeded_lattice_bug_fails_its_law(monkeypatch, bug, law):
